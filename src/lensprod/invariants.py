@@ -239,6 +239,11 @@ def tc_bounds(spec: TupleSpec, base_tc_override: tuple[int, int] | None = None) 
     )
     lo = max(zcl, cat_bounds(spec)[0])
     if lo > hi:
+        if base_tc_override is not None:
+            raise ValueError(
+                f"base TC override [{base[0]}, {base[1]}] gives the upper bound {hi}, "
+                f"below the lower bound {lo} for {spec}"
+            )
         raise AssertionError(f"TC bounds crossed for {spec}: [{lo}, {hi}]")
     return lo, hi
 

@@ -3,8 +3,10 @@
 Builds the free Z[Z_t]-equivariant cell complex of a product of odd spheres
 (one cell per dimension per factor, boundary alternating between lambda - 1
 and the norm element), passes to the quotient by the diagonal action, and
-computes integral or mod-p homology by exact Smith normal form. A comparison
-routine converts the result to cohomology via universal coefficients and
+takes one exact Smith normal form per boundary map. Integral, rational and
+mod-p homology all follow from those invariant factors: over F_p the rank of
+a boundary is the number of its factors that p does not divide (universal
+coefficients). A comparison routine converts the result to cohomology and
 matches it degree by degree against the predicted ring.
 
 There is no oracle for t = INFINITY: the circle quotient is not a finite free
@@ -29,6 +31,7 @@ __all__ = [
     "sphere_complex",
     "product_quotient_complex",
     "smith_normal_form",
+    "boundary_factors",
     "homology",
     "compare_with_theory",
 ]
@@ -231,9 +234,7 @@ def smith_normal_form(matrix) -> tuple[int, ...]:
     """Invariant factors d_1 | d_2 | ... of an integer matrix given as a list
     of rows (zero factors dropped, units included)."""
     entries = {}
-    ncols = 0
     for i, row in enumerate(matrix):
-        ncols = max(ncols, len(row))
         for j, v in enumerate(row):
             if v:
                 entries[(i, j)] = int(v)
@@ -294,14 +295,11 @@ def _snf_factors(entries: dict) -> tuple[int, ...]:
         del rows[i]
         unit_rank += 1
 
-    residual = [
-        [(i, j, v) for j, v in row.items()] for i, row in rows.items() if row
-    ]
-    if not residual:
+    if not rows:  # the sweep deletes every row it empties
         return (1,) * unit_rank
 
     # compact the residual into a small dense matrix
-    live_rows = sorted({i for i, row in rows.items() if row})
+    live_rows = sorted(rows)
     live_cols = sorted({j for row in rows.values() for j in row})
     rmap = {i: a for a, i in enumerate(live_rows)}
     cmap = {j: b for b, j in enumerate(live_cols)}
@@ -379,48 +377,6 @@ def _dense_snf(mat: list[list[int]]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _rank_mod_p(entries: dict, p: int) -> int:
-    """Rank of a sparse integer matrix over F_p by sparse elimination."""
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), v in entries.items():
-        v %= p
-        if v:
-            rows.setdefault(i, {})[j] = v
-    cols: dict[int, set[int]] = {}
-    for i, row in rows.items():
-        for j in row:
-            cols.setdefault(j, set()).add(i)
-    rank = 0
-    while rows:
-        i = min(rows, key=lambda i2: len(rows[i2]))
-        row = rows[i]
-        j = min(row, key=lambda j2: len(cols[j2]))
-        inv = pow(row[j], -1, p)
-        prow = {j2: (v * inv) % p for j2, v in row.items()}
-        for i2 in list(cols[j]):
-            if i2 == i:
-                continue
-            row2 = rows[i2]
-            f = row2[j]
-            for j2, v in prow.items():
-                w = (row2.get(j2, 0) - f * v) % p
-                if w:
-                    row2[j2] = w
-                    cols[j2].add(i2)
-                elif j2 in row2:
-                    del row2[j2]
-                    cols[j2].discard(i2)
-            if not row2:
-                del rows[i2]
-        for j2 in prow:
-            cols[j2].discard(i)
-            if not cols[j2]:
-                del cols[j2]
-        del rows[i]
-        rank += 1
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # homology and the theory comparison
 
@@ -434,31 +390,32 @@ class HomologyResult:
         return self.groups.betti()
 
 
+def boundary_factors(cx: QuotientComplex) -> tuple[tuple[int, ...], ...]:
+    """Invariant factors of every boundary map; entry d belongs to the map
+    out of degree d (entry 0, the zero map, is empty)."""
+    return ((),) + tuple(_snf_factors(b) for b in cx.boundaries[1:])
+
+
+def _homology_groups(ranks: tuple, factors: tuple, dom: Coeff) -> GradedAbGroup:
+    """H_* from the cell counts and the boundary invariant factors. Over F_p
+    a boundary's rank counts the factors p does not divide, since its SNF
+    D = U d V has U, V unimodular and so invertible mod p."""
+    factors = factors + ((),)  # the map out of the top degree is zero
+    if dom.kind == "Fp":
+        rank = [sum(1 for q in fs if q % dom.p) for fs in factors]
+    else:
+        rank = [len(fs) for fs in factors]
+    data: dict[int, tuple[int, tuple[int, ...]]] = {}
+    for d, cells in enumerate(ranks):
+        torsion = () if dom.is_field else tuple(q for q in factors[d + 1] if q > 1)
+        data[d] = (cells - rank[d] - rank[d + 1], torsion)
+    return GradedAbGroup.of(data)
+
+
 def homology(cx: QuotientComplex, dom: Coeff = ZZ) -> HomologyResult:
     """H_*(cx) over Z (free part + invariant-factor torsion) or over a field
-    (Betti numbers from ranks)."""
-    dims = cx.ranks
-    top = cx.dim
-    data: dict[int, tuple[int, tuple[int, ...]]] = {}
-    if dom.kind == "Fp":
-        p = dom.p
-        ranks = [0] + [_rank_mod_p(cx.boundaries[d], p) for d in range(1, top + 1)]
-        ranks.append(0)
-        for d in range(top + 1):
-            b = dims[d] - ranks[d] - ranks[d + 1]
-            data[d] = (b, ())
-    else:
-        factor_lists = [()] + [
-            _snf_factors(cx.boundaries[d]) for d in range(1, top + 1)
-        ]
-        factor_lists.append(())
-        for d in range(top + 1):
-            free = dims[d] - len(factor_lists[d]) - len(factor_lists[d + 1])
-            torsion = () if dom.kind == "Q" else tuple(
-                q for q in factor_lists[d + 1] if q > 1
-            )
-            data[d] = (free, torsion)
-    return HomologyResult(GradedAbGroup.of(data), dom)
+    (Betti numbers), from one SNF per boundary map."""
+    return HomologyResult(_homology_groups(cx.ranks, boundary_factors(cx), dom), dom)
 
 
 def cohomology_from_homology(h: HomologyResult, top: int) -> GradedAbGroup:
@@ -479,26 +436,34 @@ class ComparisonReport:
     ok: bool
     degrees: tuple  # (degree, theory (free, torsion), oracle (free, torsion), match)
 
+    def mismatches(self) -> tuple[int, ...]:
+        return tuple(d for d, th, orc, m in self.degrees if not m)
+
     def first_mismatch(self):
-        for d, th, orc, m in self.degrees:
-            if not m:
-                return d
-        return None
+        return next(iter(self.mismatches()), None)
 
     def __str__(self):
-        verdict = "match" if self.ok else f"MISMATCH at degree {self.first_mismatch()}"
+        bad = self.mismatches()
+        if not bad:
+            verdict = "match"
+        else:
+            where = ", ".join(map(str, bad))
+            verdict = f"MISMATCH at degree{'s' if len(bad) > 1 else ''} {where}"
         return f"{self.spec} over {self.dom}: {verdict}"
 
 
 @lru_cache(maxsize=None)
-def _cached_complex(spec: TupleSpec, cap: int) -> QuotientComplex:
-    return product_quotient_complex(spec, cap)
+def _cached_factors(spec: TupleSpec, cap: int) -> tuple[tuple[int, ...], tuple]:
+    """Cell counts and boundary invariant factors of spec's complex. The
+    complex itself (d o d = 0 checked when built) is not kept."""
+    cx = product_quotient_complex(spec, cap)
+    return cx.ranks, boundary_factors(cx)
 
 
 @lru_cache(maxsize=None)
 def _cached_oracle_cohomology(spec: TupleSpec, dom: Coeff, cap: int) -> GradedAbGroup:
-    cx = _cached_complex(spec, cap)
-    return cohomology_from_homology(homology(cx, dom), spec.dim)
+    groups = _homology_groups(*_cached_factors(spec, cap), dom)
+    return cohomology_from_homology(HomologyResult(groups, dom), spec.dim)
 
 
 def compare_with_theory(spec: TupleSpec, dom: Coeff = ZZ, cap: int = DEFAULT_CAP) -> ComparisonReport:

@@ -229,3 +229,11 @@ def test_console_entry_point():
     assert out.returncode == 0
     doc = json.loads(out.stdout)
     assert doc["input"]["t"] == 3
+
+
+def test_crossing_tc_override_exits_2():
+    # the override's upper bound falls below the zero-divisor lower bound
+    code, out, err = go(["--n", "1,1", "--t", "2", "invariants", "--tc-override", "0,0"])
+    assert code == 2
+    assert err.startswith("error:") and "override" in err
+    assert "Traceback" not in err and out == ""

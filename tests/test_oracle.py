@@ -2,7 +2,9 @@ import pytest
 
 from lensprod.algebra import GF, GradedAbGroup, QQ, TupleSpec, ZZ
 from lensprod.oracle import (
+    ComparisonReport,
     MemoryCapError,
+    boundary_factors,
     compare_with_theory,
     homology,
     product_quotient_complex,
@@ -180,3 +182,68 @@ def test_oracle_mod_p_betti_palindromic():
         q = product_quotient_complex(spec)
         betti = homology(q, GF(2)).betti()
         assert betti == tuple(reversed(betti))
+
+
+def _rank_mod_p_dense(entries: dict, p: int) -> int:
+    """Rank over F_p of a sparse {(i, j): v} matrix by dense Gaussian
+    elimination, independent of the SNF."""
+    if not entries:
+        return 0
+    m = 1 + max(i for i, _ in entries)
+    n = 1 + max(j for _, j in entries)
+    rows = [[0] * n for _ in range(m)]
+    for (i, j), v in entries.items():
+        rows[i][j] = v % p
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, m) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for i in range(m):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize(
+    "n, t, p",
+    [((1, 1), 4, 2), ((1, 2), 6, 2), ((1, 2), 6, 3), ((2, 2), 3, 3), ((1, 1), 9, 3), ((1, 1), 3, 2)],
+)
+def test_mod_p_betti_match_dense_elimination(n, t, p):
+    q = product_quotient_complex(TupleSpec(n, t))
+    ranks = [0] + [_rank_mod_p_dense(b, p) for b in q.boundaries[1:]] + [0]
+    expected = tuple(q.ranks[d] - ranks[d] - ranks[d + 1] for d in range(q.dim + 1))
+    assert homology(q, GF(p)).betti() == expected
+    factors = [f for fs in boundary_factors(q) for f in fs]
+    if t % p:
+        # p is a unit on every factor: mod-p and rational Betti numbers agree
+        assert all(f % p for f in factors)
+        assert expected == homology(q, QQ).betti()
+    else:
+        # both kinds of factor occur, so the count of p-prime ones is exercised
+        assert any(f % p == 0 for f in factors) and any(f % p for f in factors)
+        assert expected != homology(q, QQ).betti()
+
+
+def test_comparison_report_lists_every_mismatch():
+    spec = TupleSpec((1,), 3)
+    rows = (
+        (0, (1, ()), (1, ()), True),
+        (1, (0, ()), (0, ()), True),
+        (2, (0, (3,)), (0, ()), False),
+        (3, (1, ()), (0, ()), False),
+    )
+    rep = ComparisonReport(spec, ZZ, False, rows)
+    assert rep.mismatches() == (2, 3)
+    assert rep.first_mismatch() == 2
+    assert str(rep).endswith("MISMATCH at degrees 2, 3")
+    one = ComparisonReport(spec, ZZ, False, rows[:3] + ((3, (1, ()), (1, ()), True),))
+    assert str(one).endswith("MISMATCH at degree 2")
+    good = ComparisonReport(spec, ZZ, True, rows[:2])
+    assert good.mismatches() == () and good.first_mismatch() is None
+    assert str(good).endswith(": match")

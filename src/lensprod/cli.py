@@ -7,12 +7,15 @@ Usage:
 
 Commands: ring | steenrod | split | wedge | invariants | tseries | oracle |
 report. Flags may appear before or after the command. Exit codes: 0 success,
-1 oracle mismatch, 2 invalid input, 3 unsupported combination.
+1 oracle mismatch, 2 invalid input, 3 unsupported combination, 4 failed
+internal cross-check, 141 stdout closed by its reader before all of the
+output was written (as for SIGPIPE).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,7 +64,8 @@ flags:
   --cap <int>         oracle basis-size guard (default 50000)
   --json              machine-readable output
 
-exit codes: 0 ok, 1 oracle mismatch, 2 invalid input, 3 unsupported combination
+exit codes: 0 ok, 1 oracle mismatch, 2 invalid input, 3 unsupported combination,
+  4 internal cross-check failed, 141 stdout closed early
 """
 
 
@@ -514,6 +518,11 @@ def run(argv, out=None, err=None) -> int:
         # domain-level rejections (gd/span ranges, crossed intervals, ...)
         print(f"error: {exc}", file=err)
         return 2
+    except AssertionError as exc:
+        # a failed cross-check (Euler, Poincare-Hopf, cat/TC, d o d): a bug,
+        # not an oracle mismatch
+        print(f"internal error: {exc}", file=err)
+        return 4
     if query.json_out:
         print(json.dumps(doc, indent=2), file=out)
     else:
@@ -522,4 +531,12 @@ def run(argv, out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`lensprod ... | head`); point stdout
+        # at devnull so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

@@ -568,24 +568,40 @@ def change_coefficients(ring: CohomologyRing, p: int) -> ReductionMap:
 # cup-length searches
 
 
+def _right_table(ring: CohomologyRing, gens: tuple) -> tuple[dict, list]:
+    """(index, table): index maps each basis monomial to its position, and
+    table[g][i] is (j, c) with basis[i] * gens[g] = c basis[j], or None when
+    the product is zero. Built per call; the ring itself stays untouched."""
+    index = {m: i for i, m in enumerate(ring.basis)}
+    table = []
+    for g in gens:
+        row = []
+        for m in ring.basis:
+            prod = ring.multiply(m, g)
+            row.append(next(((index[m2], c) for m2, c in prod.items()), None))
+        table.append(row)
+    return index, table
+
+
 def cup_length(ring: CohomologyRing) -> int:
     """Largest m with a nonzero product of m positive-degree classes, by
     exhaustive search over products of ring generators."""
     if not ring.is_field:
         raise ValueError("cup length is computed in field modes")
     gens = ring.positive_generators()
-    best: dict[BasisMonomial, int] = {}
+    index, table = _right_table(ring, gens)
+    best = [0] * len(ring.basis)
     for g in gens:
-        best[g] = 1
-    for m in ring.basis:  # already sorted by degree
-        length = best.get(m)
+        best[index[g]] = 1
+    for i in range(len(best)):  # basis is sorted by degree: products land later
+        length = best[i]
         if not length:
             continue
-        for g in gens:
-            for m2, c in ring.multiply(m, g).items():
-                if c != ring.dom(0) and best.get(m2, 0) < length + 1:
-                    best[m2] = length + 1
-    return max(best.values(), default=0)
+        for row in table:
+            prod = row[i]
+            if prod is not None and best[prod[0]] < length + 1:
+                best[prod[0]] = length + 1
+    return max(best, default=0)
 
 
 def tensor_mul(ring: CohomologyRing, e1: dict, e2: dict) -> dict:
@@ -606,23 +622,45 @@ def tensor_mul(ring: CohomologyRing, e1: dict, e2: dict) -> dict:
 def zero_divisor_cup_length(ring: CohomologyRing) -> int:
     """Largest m with a nonzero m-fold product of zero divisors of the form
     g x 1 - 1 x g, g a ring generator; a lower bound for the reduced
-    topological complexity."""
+    topological complexity.
+
+    Tensors are {(i, j): c} over basis positions, and the search runs over
+    non-decreasing generator sequences."""
     if not ring.is_field:
         raise ValueError("zero-divisor cup length is computed in field modes")
     gens = ring.positive_generators()
-    one = ring.unit
-    bars = [
-        {(g, one): ring.dom(1), (one, g): ring.dom(-1)} for g in gens
-    ]
+    index, table = _right_table(ring, gens)
+    odd = [ring.degree(m) % 2 for m in ring.basis]
+    dom = ring.dom
+    zero = dom(0)
     best = 0
+
+    def times_bar(elem: dict, g: int) -> dict:
+        """elem * (g x 1 - 1 x g): (a, b) c goes to
+        (-1)^{|g||b|} c (a g) x b - c a x (b g)."""
+        row, g_odd = table[g], odd[index[gens[g]]]
+        out: dict = {}
+        for (a, b), c in elem.items():
+            prod = row[a]
+            if prod is not None:
+                j, ca = prod
+                v = -c * ca if g_odd and odd[b] else c * ca
+                out[(j, b)] = out.get((j, b), 0) + v
+            prod = row[b]
+            if prod is not None:
+                j, cb = prod
+                out[(a, j)] = out.get((a, j), 0) - c * cb
+        out = {k: dom(v) for k, v in out.items()}
+        return {k: v for k, v in out.items() if v != zero}
 
     def extend(elem: dict, start: int, length: int) -> None:
         nonlocal best
         best = max(best, length)
-        for idx in range(start, len(bars)):
-            nxt = tensor_mul(ring, elem, bars[idx])
+        for g in range(start, len(gens)):
+            nxt = times_bar(elem, g)
             if nxt:
-                extend(nxt, idx, length + 1)
+                extend(nxt, g, length + 1)
 
-    extend({(one, one): ring.dom(1)}, 0, 0)
+    one = index[ring.unit]
+    extend({(one, one): dom(1)}, 0, 0)
     return best

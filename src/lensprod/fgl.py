@@ -2,8 +2,12 @@
 
 A law is a truncated bivariate series F(x, y) = sum a_ij x^i y^j with the
 unit, commutativity and associativity axioms checked up to the stored
-precision. Its t-series is the t-fold formal sum [t](z), computed by the
-recursion [1](z) = z, [k](z) = F([k-1](z), z).
+precision. Its t-series is the t-fold formal sum [t](z), computed by doubling
+over the bits of t: [1](z) = z, [2k](z) = F([k](z), [k](z)) and
+[2k+1](z) = F([2k](z), z), so O(log t) evaluations of F. Doubling equals the
+left fold [k](z) = F([k-1](z), z) wherever F is associative through the
+requested precision; a custom law asked above its own precision has no
+defined series there, and its high terms are those of the doubling grouping.
 """
 
 from __future__ import annotations
@@ -154,15 +158,26 @@ class TSeries:
         return str(self.poly)
 
 
+def _evaluate(law: FormalGroupLaw, a: TruncPoly, b: TruncPoly) -> TruncPoly:
+    """F(a, b) as the truncated sum of c_ij a^i b^j."""
+    apow, bpow = [TruncPoly.one(a.dom, a.prec)], [TruncPoly.one(b.dom, b.prec)]
+    out = TruncPoly.zero(a.dom, a.prec)
+    for (i, j), c in law.coeffs:
+        while len(apow) <= i:
+            apow.append(apow[-1] * a)
+        while len(bpow) <= j:
+            bpow.append(bpow[-1] * b)
+        out = out + (apow[i] * bpow[j]).scale(c)
+    return out
+
+
 def t_series(law: FormalGroupLaw, t: int, precision: int) -> TSeries:
     if not isinstance(t, int) or t < 1:
         raise ValueError(f"t must be a positive integer, got {t}")
-    dom = law.dom
-    z = TruncPoly.var(dom, precision)
+    z = TruncPoly.var(law.dom, precision)
     cur = z
-    for _ in range(t - 1):
-        nxt = TruncPoly.zero(dom, precision)
-        for (i, j), c in law.coeffs:
-            nxt = nxt + (cur.pow(i) * z.pow(j)).scale(c)
-        cur = nxt
+    for bit in bin(t)[3:]:
+        cur = _evaluate(law, cur, cur)
+        if bit == "1":
+            cur = _evaluate(law, cur, z)
     return TSeries(cur, t, law.kind)

@@ -9,6 +9,8 @@ degree-2 class, and Sq(w) = w. It extends multiplicatively to monomials
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .algebra import GF, TruncPoly, TupleSpec, binom_mod2, binom_mod2_expand
 from .cohomology import BasisMonomial, CohomologyRing, FREE, UNIT
 
@@ -76,17 +78,17 @@ def total_sq(ring: CohomologyRing, m: BasisMonomial) -> dict:
     """Total Steenrod square of a basis monomial as an F_2 combination."""
     _require_f2(ring)
     ring._require(m)
-    cache = getattr(ring, "_sq_cache", None)
-    if cache is None:
-        cache = {}
-        ring._sq_cache = cache
-    if m in cache:
-        return dict(cache[m])
+    return dict(_total_sq_items(ring, m))
+
+
+@lru_cache(maxsize=4096)
+def _total_sq_items(ring: CohomologyRing, m: BasisMonomial) -> tuple:
+    """total_sq as an immutable tuple of (monomial, coefficient) pairs,
+    cached by (ring, m) outside the shared ring."""
     out = _sq_base(ring, m.base)
     for i in m.ext:
         out = ring.mul(out, _sq_ext(ring, i))
-    cache[m] = dict(out)
-    return out
+    return tuple(out.items())
 
 
 def sq_k(ring: CohomologyRing, m: BasisMonomial, k: int) -> dict:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from io import StringIO
@@ -237,3 +238,35 @@ def test_crossing_tc_override_exits_2():
     assert code == 2
     assert err.startswith("error:") and "override" in err
     assert "Traceback" not in err and out == ""
+
+
+def test_failed_cross_check_exits_4(monkeypatch):
+    from lensprod import invariants
+
+    # no mod-2 semi-characteristic equals 2, so the Kervaire cross-check fails
+    monkeypatch.setattr(invariants, "_kervaire_case_value", lambda spec: 2)
+    code, out, err = go(["--n", "1", "--t", "2", "invariants", "--json"])
+    assert code == 4
+    assert err.startswith("internal error:") and "Kervaire" in err
+    assert err.count("\n") == 1 and "Traceback" not in err and out == ""
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader end of the pipe is closed before the CLI writes its output
+    root = Path(__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "lensprod", "--n", "3", "--t", "200000", "ring", "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"},
+            cwd=root,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == ""

@@ -1,6 +1,6 @@
-import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lensprod.algebra import GF, QQ, TruncPoly, ZZ, binom_expand
 from lensprod.fgl import (
@@ -21,7 +21,7 @@ def test_additive_law_coefficients():
 
 def test_additive_t_series_is_exactly_tz():
     law = make_additive()
-    for t in range(1, 13):
+    for t in [*range(1, 13), 3000]:
         poly = t_series(law, t, 6).poly
         assert poly == TruncPoly.of(ZZ, (0, t), 6)
 
@@ -57,7 +57,7 @@ def test_t_series_rejects_nonpositive_t():
 
 def test_multiplicative_t_series_matches_closed_form():
     # oracle: [t](z) = (1+z)^t - 1, computed independently of the recursion
-    for t in range(1, 13):
+    for t in [*range(1, 13), 3000]:
         for prec in (1, 4, 8):
             law = make_multiplicative(1, ZZ, prec)
             closed = binom_expand(t, prec) - TruncPoly.one(ZZ, prec)
@@ -78,19 +78,26 @@ def test_general_unit_closed_form():
             assert got == closed
 
 
-def test_addition_compatibility():
+def evaluate_law(law, a, b):
+    out = TruncPoly.zero(law.dom, a.prec)
+    for (i, j), c in law.coeffs:
+        out = out + (a.pow(i) * b.pow(j)).scale(c)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.integers(min_value=1, max_value=10**4),
+    b=st.integers(min_value=1, max_value=10**4),
+    law=st.sampled_from(
+        [make_additive(ZZ, 6), make_multiplicative(1, ZZ, 6), make_multiplicative(-1, ZZ, 6)]
+    ),
+)
+def test_addition_compatibility(a, b, law):
     # [a+b](z) = F([a](z), [b](z)) up to precision
-    rng = random.Random(3)
-    for law in (make_additive(ZZ, 6), make_multiplicative(1, ZZ, 6), make_multiplicative(-1, ZZ, 6)):
-        for _ in range(10):
-            a, b = rng.randint(1, 6), rng.randint(1, 6)
-            za = t_series(law, a, 6).poly
-            zb = t_series(law, b, 6).poly
-            lhs = t_series(law, a + b, 6).poly
-            rhs = TruncPoly.zero(ZZ, 6)
-            for (i, j), c in law.coeffs:
-                rhs = rhs + (za.pow(i) * zb.pow(j)).scale(c)
-            assert lhs == rhs
+    za = t_series(law, a, 6).poly
+    zb = t_series(law, b, 6).poly
+    assert t_series(law, a + b, 6).poly == evaluate_law(law, za, zb)
 
 
 def test_custom_law_validation():
@@ -114,3 +121,29 @@ def test_custom_nontrivial_law_over_f3():
     got = t_series(law, 3, 6).poly
     # (1+2z)^3 - 1 = 8 z^3 + 12 z^2 + 6 z = 2 z^3 mod 3, scaled by inv(2) = 2
     assert got == TruncPoly.of(GF(3), (0, 0, 0, 4), 6)
+
+
+def fold_t_series(law, tmax, precision):
+    """Reference: [1](z), ..., [tmax](z) by the left fold
+    [k](z) = F([k-1](z), z), one law evaluation per step."""
+    z = TruncPoly.var(law.dom, precision)
+    out = [z]
+    for _ in range(tmax - 1):
+        out.append(evaluate_law(law, out[-1], z))
+    return out
+
+
+def test_doubling_matches_fold():
+    for prec in (0, 1, 6, 8):
+        laws = [
+            make_additive(ZZ, prec),
+            make_multiplicative(1, ZZ, prec),
+            make_multiplicative(-1, ZZ, prec),
+            make_multiplicative(2, QQ, prec),
+            make_multiplicative(1, ZZ, 2),  # built-in laws stay associative above prec
+            make_custom({(1, 0): 1, (0, 1): 1, (1, 1): 2}, GF(3), 8),
+        ]
+        for law in laws:
+            for t, fold in enumerate(fold_t_series(law, 64, prec), start=1):
+                assert t_series(law, t, prec).poly == fold, (law.kind, law.prec, prec, t)
+

@@ -183,3 +183,13 @@ def test_w1_always_vanishes():
     # orientability of the quotient
     for spec in full_grid_specs():
         assert is_orientable(spec)
+
+
+def test_total_sq_leaves_the_shared_ring_untouched():
+    ring = build_ring(TupleSpec((1, 2), 2), GF(2))
+    before = dict(vars(ring))
+    for m in ring.basis:
+        total = total_sq(ring, m)
+        total.clear()  # the caller owns the returned dict
+        assert total_sq(ring, m)  # Sq^0 is the identity, so never empty
+    assert vars(ring) == before

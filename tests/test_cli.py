@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -270,3 +271,14 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert done.returncode == 141
     assert done.stderr == ""
+
+
+def test_benchmark_corpus_replays_byte_identical():
+    # every query of perfbench/corpus.json, in-process: the recorded exit code
+    # and the sha256 of stdout, the digest the benchmark gates on
+    root = Path(__file__).resolve().parents[1]
+    corpus = json.loads((root / "perfbench" / "corpus.json").read_text())
+    for q in corpus["queries"]:
+        code, out, err = go(q["argv"])
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest) == (q["exit"], q["sha256"]), (q["argv"], err)

@@ -121,6 +121,102 @@ def test_top_degree_is_dim_and_one_dimensional():
             assert poly.coeff(0) == 1
 
 
+# One spec per presentation of the base factor, with its basis (label,
+# degree, torsion), generators and relations as recorded before the base
+# factor became a table.
+PINNED_RECORDS = {
+    ("free", INFINITY, ZZ): (
+        [("1", 0, 0), ("z", 2, 0), ("z^2", 4, 0), ("x2", 5, 0), ("z*x2", 7, 0),
+         ("z^2*x2", 9, 0)],
+        (("z", 2), ("x2", 5)),
+        ("z^3 = 0", "x2^2 = 0"),
+    ),
+    ("integral t = 1", 1, ZZ): (
+        [("1", 0, 0), ("w", 5, 0), ("x2", 5, 0), ("w*x2", 10, 0)],
+        (("w", 5), ("x2", 5)),
+        ("z^3 = 0", "z = 0", "w*z = 0, w^2 = 0", "x2^2 = 0"),
+    ),
+    ("integral t > 1", 4, ZZ): (
+        [("1", 0, 0), ("z", 2, 4), ("z^2", 4, 4), ("w", 5, 0), ("x2", 5, 0),
+         ("z*x2", 7, 4), ("z^2*x2", 9, 4), ("w*x2", 10, 0)],
+        (("z", 2), ("w", 5), ("x2", 5)),
+        ("z^3 = 0", "4*z = 0", "w*z = 0, w^2 = 0", "x2^2 = 0"),
+    ),
+    ("unit over Q", 4, QQ): (
+        [("1", 0, 0), ("w", 5, 0), ("x2", 5, 0), ("w*x2", 10, 0)],
+        (("w", 5), ("x2", 5)),
+        ("z = 0 (t acts invertibly)", "w^2 = 0", "x2^2 = 0"),
+    ),
+    ("unit over F3", 4, GF(3)): (
+        [("1", 0, 0), ("w", 5, 0), ("x2", 5, 0), ("w*x2", 10, 0)],
+        (("w", 5), ("x2", 5)),
+        ("z = 0 (t acts invertibly)", "w^2 = 0", "x2^2 = 0"),
+    ),
+    ("primary p = 2, nu_2(t) = 1", 2, GF(2)): (
+        [("1", 0, 0), ("y", 1, 0), ("z", 2, 0), ("y*z", 3, 0), ("z^2", 4, 0),
+         ("x2", 5, 0), ("y*z^2", 5, 0), ("y*x2", 6, 0), ("z*x2", 7, 0),
+         ("y*z*x2", 8, 0), ("z^2*x2", 9, 0), ("y*z^2*x2", 10, 0)],
+        (("y", 1), ("z", 2), ("x2", 5)),
+        ("y^2 = z", "z^3 = 0", "x2^2 = 0"),
+    ),
+    ("primary p = 2, nu_2(t) = 2", 4, GF(2)): (
+        [("1", 0, 0), ("y", 1, 0), ("z", 2, 0), ("y*z", 3, 0), ("z^2", 4, 0),
+         ("x2", 5, 0), ("y*z^2", 5, 0), ("y*x2", 6, 0), ("z*x2", 7, 0),
+         ("y*z*x2", 8, 0), ("z^2*x2", 9, 0), ("y*z^2*x2", 10, 0)],
+        (("y", 1), ("z", 2), ("x2", 5)),
+        ("y^2 = 0", "z^3 = 0", "x2^2 = 0"),
+    ),
+    ("primary p = 3", 3, GF(3)): (
+        [("1", 0, 0), ("y", 1, 0), ("z", 2, 0), ("y*z", 3, 0), ("z^2", 4, 0),
+         ("x2", 5, 0), ("y*z^2", 5, 0), ("y*x2", 6, 0), ("z*x2", 7, 0),
+         ("y*z*x2", 8, 0), ("z^2*x2", 9, 0), ("y*z^2*x2", 10, 0)],
+        (("y", 1), ("z", 2), ("x2", 5)),
+        ("y^2 = 0", "z^3 = 0", "x2^2 = 0"),
+    ),
+}
+
+# Every total square on the F_2 rings of the same specs.
+PINNED_SQ = {
+    INFINITY: [
+        "Sq(1) = 1", "Sq(z) = z + z^2", "Sq(z^2) = z^2", "Sq(x2) = x2 + z*x2 + z^2*x2",
+        "Sq(z*x2) = z*x2", "Sq(z^2*x2) = z^2*x2",
+    ],
+    1: ["Sq(1) = 1", "Sq(w) = w", "Sq(x2) = x2", "Sq(w*x2) = w*x2"],
+    2: [
+        "Sq(1) = 1", "Sq(y) = y + z", "Sq(z) = z + z^2", "Sq(y*z) = y*z + z^2 + y*z^2",
+        "Sq(z^2) = z^2", "Sq(x2) = x2 + z*x2 + z^2*x2", "Sq(y*z^2) = y*z^2",
+        "Sq(y*x2) = y*x2 + z*x2 + y*z*x2 + z^2*x2 + y*z^2*x2", "Sq(z*x2) = z*x2",
+        "Sq(y*z*x2) = y*z*x2 + z^2*x2", "Sq(z^2*x2) = z^2*x2",
+        "Sq(y*z^2*x2) = y*z^2*x2",
+    ],
+    3: ["Sq(1) = 1", "Sq(w) = w", "Sq(x2) = x2", "Sq(w*x2) = w*x2"],
+    4: [
+        "Sq(1) = 1", "Sq(y) = y", "Sq(z) = z + z^2", "Sq(y*z) = y*z + y*z^2",
+        "Sq(z^2) = z^2", "Sq(x2) = x2 + z*x2 + z^2*x2", "Sq(y*z^2) = y*z^2",
+        "Sq(y*x2) = y*x2 + y*z*x2 + y*z^2*x2", "Sq(z*x2) = z*x2",
+        "Sq(y*z*x2) = y*z*x2", "Sq(z^2*x2) = z^2*x2", "Sq(y*z^2*x2) = y*z^2*x2",
+    ],
+}
+
+
+def test_records_pinned_per_presentation():
+    from lensprod.steenrod import total_sq
+
+    for (case, t, dom), (basis, gens, rels) in PINNED_RECORDS.items():
+        ring = build_ring(TupleSpec((2, 2), t), dom)
+        got = [(str(m), ring.degree(m), ring.torsion_order(m)) for m in ring.basis]
+        assert got == basis, case
+        assert ring.generators == gens, case
+        assert ring.relations == rels, case
+    for t, squares in PINNED_SQ.items():
+        ring = build_ring(TupleSpec((2, 2), t), GF(2))
+        got = []
+        for m in ring.basis:
+            sq = sorted(total_sq(ring, m), key=ring.basis.index)
+            got.append(f"Sq({m}) = " + " + ".join(str(k) for k in sq))
+        assert got == squares, t
+
+
 # ---------------------------------------------------------------------------
 # multiplication
 

@@ -251,7 +251,9 @@ class TruncPoly:
         return all(c == z for c in self.coeffs)
 
     def truncate(self, prec: int) -> "TruncPoly":
-        return TruncPoly.of(self.dom, self.coeffs, min(prec, self.prec))
+        if prec >= self.prec:
+            return self  # frozen, so sharing it is safe
+        return TruncPoly.of(self.dom, self.coeffs, prec)
 
     def _pair(self, other: "TruncPoly") -> tuple["TruncPoly", "TruncPoly", int]:
         if not isinstance(other, TruncPoly):
@@ -385,6 +387,9 @@ class GradedAbGroup:
 
     groups: tuple[tuple[int, int, tuple[int, ...]], ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "_by_degree", {d: (f, t) for d, f, t in self.groups})
+
     @classmethod
     def of(cls, data) -> "GradedAbGroup":
         """data: mapping degree -> (free, torsion iterable)."""
@@ -400,13 +405,13 @@ class GradedAbGroup:
         return cls.of({d: (b, ()) for d, b in enumerate(betti) if b})
 
     def as_dict(self) -> dict[int, tuple[int, tuple[int, ...]]]:
-        return {d: (f, t) for d, f, t in self.groups}
+        return dict(self._by_degree)
 
     def free_rank(self, d: int) -> int:
-        return self.as_dict().get(d, (0, ()))[0]
+        return self._by_degree.get(d, (0, ()))[0]
 
     def torsion(self, d: int) -> tuple[int, ...]:
-        return self.as_dict().get(d, (0, ()))[1]
+        return self._by_degree.get(d, (0, ()))[1]
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(d for d, _, _ in self.groups)

@@ -1,20 +1,30 @@
 """Graded cohomology rings of complex-projective and lens product spaces.
 
-Every ring is a free module over the ring of its base factor (the r = 1
-space) on the exterior monomials x_S, S a subset of {2..r}, with deg x_i =
-2 n_i + 1 and x_i^2 = 0. The base factor depends on the coefficient domain:
+Every ring is its base factor (the ring of the r = 1 space) tensored with
+the exterior algebra on x_2, ..., x_r, deg x_i = 2 n_i + 1: a free module
+over the base factor on the monomials x_S, S a subset of {2..r}. Only the
+base factor depends on the coefficient domain:
 
-* t = INFINITY ("free"): Z[z]/(z^{n1+1}) style truncated polynomial ring.
-* finite t over Z ("integral"): 1 and w free, z^a of order t for 1 <= a <= n1.
-* finite t with t invertible ("unit", rationals or F_p with p not dividing t):
-  just 1 and w, the torsion is killed and t*z = 0 forces z = 0.
+* t = INFINITY ("free"): z^a for a <= n1, with z^{n1+1} = 0.
+* finite t over Z ("integral"): 1 and w free, z^a of order t for
+  1 <= a <= n1 (no z^a when t = 1).
+* finite t with t invertible ("unit", rationals or F_p with p not dividing
+  t): just 1 and w; t*z = 0 forces z = 0.
 * finite t over F_p with p | t ("primary"): the mod-p ring of the p-primary
   lens space, monomials y^eps z^a with y^2 = z exactly when p = 2 and
   nu_2(t) = 1, else y^2 = 0.
 
-Here w denotes the odd-degree class of the base factor in degree 2 n1 + 1
-(it restricts from the covering sphere); it kills every positive-degree class
-of the base factor for degree reasons, while w * x_S are basis monomials.
+Here w is the odd-degree class of the base factor in degree 2 n1 + 1 (it
+restricts from the covering sphere); it kills every positive-degree class of
+the base factor for degree reasons, while w * x_S are basis monomials.
+
+A BaseFactor holds the factor as tables keyed by its base tuples ('z', a),
+('w',) and ('yz', eps, a): degrees, torsion, the product of each pair, each
+base's word in the generators, the powers of z, the generators and the
+relations. base_factor builds them once per (n1, t, mode); no other part
+of the ring reads the presentation. CohomologyRing is generic over it: a
+product of basis monomials is a table lookup for the bases, the union of the
+exterior subsets, and the Koszul sign of the odd letters.
 
 Rings are immutable after construction and all queries are pure.
 """
@@ -44,6 +54,8 @@ __all__ = [
     "UNIT",
     "PRIMARY",
     "CoeffMode",
+    "BaseFactor",
+    "base_factor",
     "BasisMonomial",
     "CohomologyRing",
     "BundleSpec",
@@ -113,17 +125,10 @@ class BasisMonomial:
 
     def label(self) -> str:
         parts = []
-        kind = self.base[0]
-        if kind == "z":
-            a = self.base[1]
-            if a == 1:
-                parts.append("z")
-            elif a > 1:
-                parts.append(f"z^{a}")
-        elif kind == "w":
+        if self.base == ("w",):
             parts.append("w")
         else:
-            eps, a = self.base[1], self.base[2]
+            eps, a = self.base[1:] if self.base[0] == "yz" else (0, self.base[1])
             if eps:
                 parts.append("y")
             if a == 1:
@@ -137,33 +142,100 @@ class BasisMonomial:
         return self.label()
 
 
+@dataclass(frozen=True, eq=False)
+class BaseFactor:
+    """The ring of the r = 1 space over one coefficient mode, as tables keyed
+    by base tuples. Every structure constant of the factor is 1 (a product
+    of two bases is a base or zero) and no product of bases carries a sign."""
+
+    degree: dict  # base -> degree
+    torsion: dict  # base -> q for a Z/q summand, 0 for a free or field one
+    product: dict  # (b1, b2) -> b1 * b2, absent when the product is zero
+    word: dict  # base -> its generators with repeats, in degree order
+    z_powers: tuple  # the bases of z^0, z^1, ..., up to the last nonzero one
+    generators: tuple  # the positive-degree generators, in degree order
+    relations: tuple  # relation strings
+
+    @property
+    def unit(self) -> tuple:
+        return self.z_powers[0]
+
+
+@lru_cache(maxsize=None)
+def base_factor(n1: int, t, mode: CoeffMode) -> BaseFactor:
+    """The base factor's tables, the one place that reads the presentation.
+
+    Each presentation names its generators with their degrees, its bases as
+    exponent vectors over them, and the exponent vectors a relation rewrites
+    (y^2 = z); the products, words and degrees follow from the exponents."""
+    pres = mode.presentation
+    rewrite: dict = {}
+    torsion: dict = {}
+    if pres == PRIMARY:
+        gens = ((("yz", 1, 0), 1), (("yz", 0, 1), 2))
+        exps = {("yz", eps, a): (eps, a) for a in range(n1 + 1) for eps in (0, 1)}
+        if mode.dom.p == 2 and mode.e == 1:
+            rewrite = {(2, a): (0, a + 1) for a in range(n1 + 1)}
+            rels = ("y^2 = z", f"z^{n1 + 1} = 0")
+        else:
+            rels = ("y^2 = 0", f"z^{n1 + 1} = 0")
+    else:
+        # z^a for a <= n1, and w for finite t; z itself is zero when t acts
+        # invertibly, and over Z when t = 1
+        z_top = 0 if pres == UNIT or t == 1 else n1
+        gens = ((("z", 1), 2), (("w",), 2 * n1 + 1))
+        exps = {("z", a): (a, 0) for a in range(z_top + 1)}
+        if pres != FREE:
+            exps[("w",)] = (0, 1)
+        if pres == FREE:
+            rels = (f"z^{n1 + 1} = 0",)
+        elif pres == INTEGRAL:
+            torsion = {("z", a): t for a in range(1, z_top + 1)}
+            series = fgl.t_series(fgl.make_additive(ZZ, n1 + 1), t, n1 + 1)
+            rels = (f"z^{n1 + 1} = 0", f"{series.poly} = 0", "w*z = 0, w^2 = 0")
+        else:
+            rels = ("z = 0 (t acts invertibly)", "w^2 = 0")
+
+    by_exps = {v: b for b, v in exps.items()}
+    product, word, degree = {}, {}, {}
+    for b1, v1 in exps.items():
+        word[b1], degree[b1] = (), 0
+        for (g, d), k in zip(gens, v1):
+            word[b1] += (g,) * k
+            degree[b1] += d * k
+        for b2, v2 in exps.items():
+            v = tuple(i + j for i, j in zip(v1, v2))
+            v = rewrite.get(v, v)
+            if v in by_exps:
+                product[(b1, b2)] = by_exps[v]
+    # in every presentation the even-degree bases are exactly the powers of z
+    z_powers = sorted((b for b in exps if degree[b] % 2 == 0), key=degree.get)
+    return BaseFactor(
+        degree=degree,
+        torsion={b: torsion.get(b, 0) for b in exps},
+        product=product,
+        word=word,
+        z_powers=tuple(z_powers),
+        generators=tuple(g for g, _ in gens if g in exps),
+        relations=rels,
+    )
+
+
 class CohomologyRing:
     """Monomial-basis model of the cohomology ring of one space over one
-    coefficient domain. Built by build_ring; treat as immutable."""
+    coefficient domain: its base factor tensored with the exterior algebra on
+    the x_i. Built by build_ring; treat as immutable."""
 
     def __init__(self, spec: TupleSpec, mode: CoeffMode):
         self.spec = spec
         self.mode = mode
         self.dom = mode.dom
-        n1, t = spec.n[0], spec.t
-        pres = mode.presentation
+        self.factor = base_factor(spec.n[0], spec.t, mode)
+        exterior = range(2, spec.r + 1)
 
-        if pres == FREE:
-            bases = [("z", a) for a in range(n1 + 1)]
-        elif pres == INTEGRAL:
-            bases = [("z", 0)]
-            if t > 1:
-                bases += [("z", a) for a in range(1, n1 + 1)]
-            bases.append(("w",))
-        elif pres == UNIT:
-            bases = [("z", 0), ("w",)]
-        else:
-            bases = [("yz", eps, a) for a in range(n1 + 1) for eps in (0, 1)]
-
-        monomials = []
-        for base in bases:
-            for ext in _subsets(range(2, spec.r + 1)):
-                monomials.append(BasisMonomial(base, ext))
+        monomials = [
+            BasisMonomial(base, ext) for ext in _subsets(exterior) for base in self.factor.degree
+        ]
         monomials.sort(key=lambda m: (self._degree_raw(m), m))
         self.basis: tuple = tuple(monomials)
         self._basis_set = frozenset(monomials)
@@ -171,20 +243,15 @@ class CohomologyRing:
         for m in monomials:
             by_degree.setdefault(self._degree_raw(m), []).append(m)
         self.basis_by_degree = {d: tuple(v) for d, v in sorted(by_degree.items())}
-        self.relations = self._relation_records()
-        self.generators = self._generator_records()
+        self.relations = self.factor.relations + tuple(f"x{i}^2 = 0" for i in exterior)
+        self.generators = tuple(
+            (str(BasisMonomial(g)), self.factor.degree[g]) for g in self.factor.generators
+        ) + tuple((f"x{i}", 2 * spec.n[i - 1] + 1) for i in exterior)
 
     # -- structure ----------------------------------------------------------
 
     def _degree_raw(self, m: BasisMonomial) -> int:
-        base = m.base
-        if base[0] == "z":
-            d = 2 * base[1]
-        elif base[0] == "w":
-            d = 2 * self.spec.n[0] + 1
-        else:
-            d = base[1] + 2 * base[2]
-        return d + sum(2 * self.spec.n[i - 1] + 1 for i in m.ext)
+        return self.factor.degree[m.base] + sum(2 * self.spec.n[i - 1] + 1 for i in m.ext)
 
     def degree(self, m: BasisMonomial) -> int:
         self._require(m)
@@ -200,102 +267,42 @@ class CohomologyRing:
 
     @property
     def unit(self) -> BasisMonomial:
-        base = ("yz", 0, 0) if self.mode.presentation == PRIMARY else ("z", 0)
-        return BasisMonomial(base, ())
+        return BasisMonomial(self.factor.unit)
 
     def torsion_order(self, m: BasisMonomial) -> int:
         """0 for a free/field summand, q >= 2 for Z/q (integral mode only)."""
         self._require(m)
-        if self.mode.presentation == INTEGRAL and m.base[0] == "z" and m.base[1] >= 1:
-            return self.spec.t
-        return 0
+        return self.factor.torsion[m.base]
 
     def z_power(self, a: int):
         """The basis monomial representing z^a, or None when z^a = 0."""
-        if a == 0:
-            return self.unit
-        pres = self.mode.presentation
-        if a > self.spec.n[0]:
-            return None
-        if pres == FREE:
-            return BasisMonomial(("z", a), ())
-        if pres == PRIMARY:
-            return BasisMonomial(("yz", 0, a), ())
-        if pres == INTEGRAL and self.spec.t > 1:
-            return BasisMonomial(("z", a), ())
-        return None
+        z_powers = self.factor.z_powers
+        return BasisMonomial(z_powers[a]) if 0 <= a < len(z_powers) else None
 
     def positive_generators(self) -> tuple:
         """Ring generators of positive degree, as basis monomials."""
-        n1 = self.spec.n[0]
-        pres = self.mode.presentation
-        gens = []
-        if pres == FREE:
-            if n1 >= 1:
-                gens.append(BasisMonomial(("z", 1), ()))
-        elif pres == UNIT:
-            gens.append(BasisMonomial(("w",), ()))
-        elif pres == PRIMARY:
-            gens.append(BasisMonomial(("yz", 1, 0), ()))
-            if n1 >= 1:
-                gens.append(BasisMonomial(("yz", 0, 1), ()))
-        else:
-            if n1 >= 1 and self.spec.t > 1:
-                gens.append(BasisMonomial(("z", 1), ()))
-            gens.append(BasisMonomial(("w",), ()))
-        gens += [BasisMonomial(self.unit.base, (i,)) for i in range(2, self.spec.r + 1)]
-        return tuple(gens)
+        return tuple(BasisMonomial(g) for g in self.factor.generators) + tuple(
+            BasisMonomial(self.factor.unit, (i,)) for i in range(2, self.spec.r + 1)
+        )
 
     # -- multiplication -----------------------------------------------------
 
-    def _base_mul(self, b1: tuple, b2: tuple):
-        """(coefficient, base) for the product of two base parts; coefficient
-        0 encodes the zero product."""
-        n1 = self.spec.n[0]
-        if b1 == self.unit.base:
-            return 1, b2
-        if b2 == self.unit.base:
-            return 1, b1
-        k1, k2 = b1[0], b2[0]
-        if k1 == "w" or k2 == "w":
-            # w annihilates every positive-degree class of the base factor
-            return 0, None
-        if k1 == "z" and k2 == "z":
-            a = b1[1] + b2[1]
-            if a <= n1 and (self.mode.presentation != INTEGRAL or self.spec.t > 1):
-                return 1, ("z", a)
-            return 0, None
-        # primary presentation: y^e1 z^a1 * y^e2 z^a2
-        eps, a = b1[1] + b2[1], b1[2] + b2[2]
-        if eps <= 1:
-            return (1, ("yz", eps, a)) if a <= n1 else (0, None)
-        if self.dom.p == 2 and self.mode.e == 1:
-            # y^2 = z
-            return (1, ("yz", 0, a + 1)) if a + 1 <= n1 else (0, None)
-        return 0, None
-
-    def _odd_word(self, m: BasisMonomial) -> tuple:
-        """Odd-degree letters in canonical order; the base letter (w or y)
-        sorts before every exterior index."""
-        base_odd = m.base[0] == "w" or (m.base[0] == "yz" and m.base[1] == 1)
-        return ((0,) if base_odd else ()) + m.ext
-
     def multiply(self, m1: BasisMonomial, m2: BasisMonomial) -> dict:
         """Graded-commutative product of two basis monomials as a (at most
-        singleton) linear combination {monomial: coefficient}."""
+        singleton) linear combination {monomial: coefficient}. The Koszul
+        sign counts the odd letters that pass each other: each x_i of m1
+        passes the x_j of m2 with j < i, and the base of m2 when it is odd."""
         self._require(m1)
         self._require(m2)
         if set(m1.ext) & set(m2.ext):
             return {}
-        c, base = self._base_mul(m1.base, m2.base)
-        if c == 0:
+        base = self.factor.product.get((m1.base, m2.base))
+        if base is None:
             return {}
-        w1, w2 = self._odd_word(m1), self._odd_word(m2)
-        inversions = sum(1 for a in w1 for b in w2 if b < a)
-        if inversions % 2:
-            c = -c
+        swaps = sum(1 for a in m1.ext for b in m2.ext if b < a)
+        swaps += len(m1.ext) * (self.factor.degree[m2.base] % 2)
         mono = BasisMonomial(base, tuple(sorted(m1.ext + m2.ext)))
-        return self._normalize({mono: c})
+        return self._normalize({mono: -1 if swaps % 2 else 1})
 
     def _normalize(self, elem: dict) -> dict:
         out = {}
@@ -322,52 +329,6 @@ class CohomologyRing:
         for m, c in e2.items():
             out[m] = out.get(m, 0) + c
         return self._normalize(out)
-
-    # -- records ------------------------------------------------------------
-
-    def _relation_records(self) -> tuple:
-        n1, t = self.spec.n[0], self.spec.t
-        pres = self.mode.presentation
-        rels = []
-        if pres == FREE:
-            rels.append(f"z^{n1 + 1} = 0")
-        elif pres == INTEGRAL:
-            rels.append(f"z^{n1 + 1} = 0")
-            series = fgl.t_series(fgl.make_additive(ZZ, n1 + 1), t, n1 + 1)
-            rels.append(f"{series.poly} = 0")
-            rels.append("w*z = 0, w^2 = 0")
-        elif pres == UNIT:
-            rels.append("z = 0 (t acts invertibly)")
-            rels.append("w^2 = 0")
-        else:
-            if self.dom.p == 2 and self.mode.e == 1:
-                rels.append("y^2 = z")
-            else:
-                rels.append("y^2 = 0")
-            rels.append(f"z^{n1 + 1} = 0")
-        for i in range(2, self.spec.r + 1):
-            rels.append(f"x{i}^2 = 0")
-        return tuple(rels)
-
-    def _generator_records(self) -> tuple:
-        n1 = self.spec.n[0]
-        pres = self.mode.presentation
-        gens = []
-        if pres == FREE:
-            if n1 >= 1:
-                gens.append(("z", 2))
-        elif pres == INTEGRAL:
-            if n1 >= 1 and self.spec.t > 1:
-                gens.append(("z", 2))
-            gens.append(("w", 2 * n1 + 1))
-        elif pres == UNIT:
-            gens.append(("w", 2 * n1 + 1))
-        else:
-            gens.append(("y", 1))
-            if n1 >= 1:
-                gens.append(("z", 2))
-        gens += [(f"x{i}", 2 * self.spec.n[i - 1] + 1) for i in range(2, self.spec.r + 1)]
-        return tuple(gens)
 
     def __str__(self):
         return f"H*({self.spec}; {self.dom})"
@@ -543,24 +504,18 @@ def change_coefficients(ring: CohomologyRing, p: int) -> ReductionMap:
     if ring.mode.presentation not in (FREE, INTEGRAL):
         raise ValueError("coefficient reduction starts from the integral ring")
     target = build_ring(ring.spec, GF(p))
-    n1 = ring.spec.n[0]
+    z_powers = ring.factor.z_powers
+    # w reduces to the top class of the target's base factor: y z^{n1} when
+    # p divides t, else w itself
+    top = max(target.factor.degree, key=target.factor.degree.get)
     table = []
     for m in ring.basis:
-        base = m.base
-        if ring.mode.presentation == FREE:
-            img_base = base
-        elif target.mode.presentation == PRIMARY:
-            if base[0] == "z":
-                img_base = ("yz", 0, base[1])
-            else:  # w reduces to the top class y z^{n1} of the base factor
-                img_base = ("yz", 1, n1)
-        else:
-            # p does not divide t: torsion dies, 1 and w survive
-            img_base = None if (base[0] == "z" and base[1] >= 1) else base
-        if img_base is None:
-            table.append((m, None))
-        else:
-            table.append((m, BasisMonomial(img_base, m.ext)))
+        if m.base not in z_powers:
+            table.append((m, BasisMonomial(top, m.ext)))
+            continue
+        # z^a reduces to z^a, which dies when p does not divide t
+        img = target.z_power(z_powers.index(m.base))
+        table.append((m, None if img is None else BasisMonomial(img.base, m.ext)))
     return ReductionMap(ring, target, tuple(table))
 
 

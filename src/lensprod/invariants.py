@@ -221,6 +221,8 @@ def tc_bounds(spec: TupleSpec, base_tc_override: tuple[int, int] | None = None) 
     base_spec = TupleSpec((spec.n[0],), spec.t)
     if base_tc_override is not None:
         b_lo, b_hi = base_tc_override
+        if b_lo < 0:
+            raise ValueError(f"override lower bound {b_lo} is negative; TC >= 0")
         if b_lo > b_hi:
             raise ValueError(f"override interval [{b_lo}, {b_hi}] is empty")
         base = (b_lo, b_hi)
@@ -268,15 +270,13 @@ def span_report(spec: TupleSpec, span_base_input: int | None = None) -> SpanInfo
     dim = spec.dim
     nr = spec.size_sum + spec.r
     clauses = []
+    if span_base_input is not None and not 0 <= span_base_input <= 2 * nr:
+        raise ValueError(f"span of a rank-{2 * nr} real bundle lies in [0, {2 * nr}]")
 
     if bool(stably_parallelizable(spec)):
         stablespan = dim
         clauses.append("stably parallelizable: stablespan = dim")
     elif span_base_input is not None:
-        if not 0 <= span_base_input <= 2 * nr:
-            raise ValueError(
-                f"span of a rank-{2 * nr} real bundle lies in [0, {2 * nr}]"
-            )
         stablespan = span_base_input - spec.r - spec.delta
         clauses.append("stablespan from supplied bundle span")
     else:

@@ -1,10 +1,15 @@
 """Mod-2 Steenrod squares on the F_2 cohomology rings, total Stiefel-Whitney
 classes of the tangent bundle, and the orientability/Spin predicates.
 
-The total square is defined on generators: Sq(y) = y + y^2, Sq(z) = z + z^2,
-Sq(x_i) = (1+z)^{n_i+1} x_i with z read as 0 when the presentation has no
-degree-2 class, and Sq(w) = w. It extends multiplicatively to monomials
-(Cartan formula), with every product reduced by the ring's relations.
+The total square is defined on generators. Each generator g of the base
+factor has Sq(g) = g + g^2: y has degree 1; z has degree 2 and reduces an
+integral class, so Sq^1 z = 0; w is pulled back from the r = 1 space, whose
+top class it is, so its only positive square there that could survive is
+Sq^{2 n_1 + 1} w = w^2 = 0. The exterior generators have
+Sq(x_i) = (1+z)^{n_i+1} x_i, with z read as 0 when the presentation has no
+degree-2 class. A monomial's square is the product of its letters' squares
+(Cartan formula) over its word in these generators, with every product
+reduced by the ring's relations.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import GF, TruncPoly, TupleSpec, binom_mod2, binom_mod2_expand
-from .cohomology import BasisMonomial, CohomologyRing, FREE, UNIT
+from .cohomology import BasisMonomial, CohomologyRing
 
 __all__ = [
     "total_sq",
@@ -30,35 +35,13 @@ def _require_f2(ring: CohomologyRing) -> None:
         raise ValueError(f"Steenrod squares act on F_2 rings, not {ring.dom}")
 
 
-def _sq_z_power(ring: CohomologyRing, a: int) -> dict:
-    """Sq(z^a) = (z + z^2)^a = sum C(a, j) z^{a+j}, truncated by the ring."""
-    out: dict = {}
-    for j in range(a + 1):
-        if binom_mod2(a, j):
-            m = ring.z_power(a + j)
-            if m is not None:
-                out[m] = 1
-    return out
-
-
 def _sq_base(ring: CohomologyRing, base: tuple) -> dict:
-    pres = ring.mode.presentation
-    if pres == FREE:
-        return _sq_z_power(ring, base[1])
-    if pres == UNIT:
-        # the only positive-degree base class restricts from the sphere:
-        # positive squares vanish by instability and the top degree
-        return {BasisMonomial(base, ()): 1}
-    eps, a = base[1], base[2]
-    out = _sq_z_power(ring, a)
-    if eps:
-        sq_y = {BasisMonomial(("yz", 1, 0), ()): 1}
-        y_sq = ring.multiply(
-            BasisMonomial(("yz", 1, 0), ()), BasisMonomial(("yz", 1, 0), ())
-        )
-        for m, c in y_sq.items():
-            sq_y[m] = sq_y.get(m, 0) + c
-        out = ring.mul(sq_y, out)
+    """Cartan formula over the base's word in the generators of the base
+    factor, with Sq(g) = g + g^2 for each of them."""
+    out = {ring.unit: 1}
+    for g in ring.factor.word[base]:
+        gen = BasisMonomial(g)
+        out = ring.mul(out, ring.add({gen: 1}, ring.multiply(gen, gen)))
     return out
 
 
@@ -84,11 +67,13 @@ def total_sq(ring: CohomologyRing, m: BasisMonomial) -> dict:
 @lru_cache(maxsize=4096)
 def _total_sq_items(ring: CohomologyRing, m: BasisMonomial) -> tuple:
     """total_sq as an immutable tuple of (monomial, coefficient) pairs,
-    cached by (ring, m) outside the shared ring."""
-    out = _sq_base(ring, m.base)
-    for i in m.ext:
-        out = ring.mul(out, _sq_ext(ring, i))
-    return tuple(out.items())
+    cached by (ring, m) outside the shared ring. By the Cartan formula the
+    square of base * x_S is the cached square of m without its last x_i
+    times Sq(x_i), so the base's square is computed once per base."""
+    if not m.ext:
+        return tuple(_sq_base(ring, m.base).items())
+    rest = dict(_total_sq_items(ring, BasisMonomial(m.base, m.ext[:-1])))
+    return tuple(ring.mul(rest, _sq_ext(ring, m.ext[-1])).items())
 
 
 def sq_k(ring: CohomologyRing, m: BasisMonomial, k: int) -> dict:

@@ -78,6 +78,8 @@ def test_domain_rejections_exit_2():
         ["--n", "1,1", "--t", "inf", "invariants", "--gd", "9"],
         ["--n", "1,1", "--t", "2", "invariants", "--tc-override", "5,2"],
         ["--n", "2", "--t", "2", "invariants", "--span-base", "99"],
+        ["--n", "1,1", "--t", "2", "invariants", "--span-base", "-3"],
+        ["--n", "1,1", "--t", "2", "invariants", "--tc-override", "-1,3"],
     ):
         code, out, err = go(args)
         assert code == 2, (args, err)

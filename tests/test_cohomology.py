@@ -26,6 +26,7 @@ from lensprod.cohomology import (
     resolve_mode,
     zero_divisor_cup_length,
 )
+from lensprod.steenrod import total_sq
 
 from _grid import full_grid_specs, grid_specs
 
@@ -200,8 +201,6 @@ PINNED_SQ = {
 
 
 def test_records_pinned_per_presentation():
-    from lensprod.steenrod import total_sq
-
     for (case, t, dom), (basis, gens, rels) in PINNED_RECORDS.items():
         ring = build_ring(TupleSpec((2, 2), t), dom)
         got = [(str(m), ring.degree(m), ring.torsion_order(m)) for m in ring.basis]

@@ -231,6 +231,14 @@ class TruncPoly:
         return cls(tuple(cs), prec, dom)
 
     @classmethod
+    def _exact(cls, dom: Coeff, cs, prec: int) -> "TruncPoly":
+        """prec + 1 values already of dom's type (sums and products of its
+        coefficients): only F_p needs reducing, Z and Q values are kept."""
+        if dom.kind == "Fp":
+            cs = [c % dom.p for c in cs]
+        return cls(tuple(cs), prec, dom)
+
+    @classmethod
     def zero(cls, dom: Coeff, prec: int) -> "TruncPoly":
         return cls.of(dom, (), prec)
 
@@ -265,18 +273,18 @@ class TruncPoly:
 
     def __add__(self, other):
         a, b, prec = self._pair(other)
-        return TruncPoly.of(self.dom, [x + y for x, y in zip(a.coeffs, b.coeffs)], prec)
+        return TruncPoly._exact(self.dom, [x + y for x, y in zip(a.coeffs, b.coeffs)], prec)
 
     def __sub__(self, other):
         a, b, prec = self._pair(other)
-        return TruncPoly.of(self.dom, [x - y for x, y in zip(a.coeffs, b.coeffs)], prec)
+        return TruncPoly._exact(self.dom, [x - y for x, y in zip(a.coeffs, b.coeffs)], prec)
 
     def __neg__(self):
-        return TruncPoly.of(self.dom, [-c for c in self.coeffs], self.prec)
+        return TruncPoly._exact(self.dom, [-c for c in self.coeffs], self.prec)
 
     def __mul__(self, other):
         a, b, prec = self._pair(other)
-        out = [0] * (prec + 1)
+        out = [self.dom(0)] * (prec + 1)
         for i, x in enumerate(a.coeffs):
             if x == 0:
                 continue
@@ -284,13 +292,13 @@ class TruncPoly:
                 y = b.coeffs[j]
                 if y != 0:
                     out[i + j] += x * y
-        return TruncPoly.of(self.dom, out, prec)
+        return TruncPoly._exact(self.dom, out, prec)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "TruncPoly":
         c = self.dom(c)
-        return TruncPoly.of(self.dom, [c * x for x in self.coeffs], self.prec)
+        return TruncPoly._exact(self.dom, [c * x for x in self.coeffs], self.prec)
 
     def pow(self, k: int) -> "TruncPoly":
         if k < 0:

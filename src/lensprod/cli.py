@@ -429,7 +429,7 @@ def _cmd_tseries(q: Query) -> tuple[dict, int]:
     return doc, 0
 
 
-def _cmd_oracle(q: Query) -> tuple[dict, int]:
+def _cmd_oracle(q: Query, err) -> tuple[dict, int]:
     if not q.spec.finite:
         raise UnsupportedError(
             "no homology oracle for t = inf (the circle quotient is not a finite free quotient)"
@@ -452,6 +452,11 @@ def _cmd_oracle(q: Query) -> tuple[dict, int]:
             for d, th, orc, m in comparison.degrees
         ],
     }
+    if not comparison.ok:
+        print(comparison, file=err)
+        for row in doc["degrees"]:
+            if not row["match"]:
+                print(f"degree {row['degree']}: theory {row['theory']} oracle {row['oracle']}", file=err)
     return doc, 0 if comparison.ok else 1
 
 
@@ -506,7 +511,7 @@ def run(argv, out=None, err=None) -> int:
                 "wedge": _cmd_wedge,
                 "invariants": _cmd_invariants,
                 "tseries": _cmd_tseries,
-                "oracle": _cmd_oracle,
+                "oracle": lambda q: _cmd_oracle(q, err),
             }[query.command](query)
     except UsageError as exc:
         print(f"error: {exc}", file=err)

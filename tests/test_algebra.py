@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -97,6 +98,28 @@ def test_poly_ring_axioms_randomized():
             assert a * (b + c) == a * b + a * c
             assert a * b == b * a
             assert a + b == b + a
+
+
+def test_poly_arithmetic_keeps_canonical_coefficients():
+    # results skip the coercion of TruncPoly.of, so check they still hold
+    # the domain's canonical values
+    rng = random.Random(3)
+    for dom in (ZZ, QQ, GF(2), GF(3), GF(5)):
+        for _ in range(20):
+            prec = rng.randint(0, 6)
+            a, b = (
+                TruncPoly.of(dom, [rng.randint(-9, 9) for _ in range(rng.randint(0, prec + 1))], prec)
+                for _ in range(2)
+            )
+            for res in (a + b, a - b, -a, a * b, b * a, 3 * a, a.scale(-7), a + 5, a.pow(3)):
+                assert len(res.coeffs) == res.prec + 1
+                for c in res.coeffs:
+                    if dom.kind == "Fp":
+                        assert type(c) is int and c in range(dom.p), (dom, res)
+                    elif dom.kind == "Z":
+                        assert type(c) is int, (dom, res)
+                    else:
+                        assert type(c) is Fraction, (dom, res)
 
 
 def test_elementary_divisors():

@@ -6,7 +6,7 @@ import sys
 from io import StringIO
 from pathlib import Path
 
-from lensprod.algebra import GF, INFINITY, QQ, ZZ
+from lensprod.algebra import GF, INFINITY, QQ, TupleSpec, ZZ
 from lensprod.cli import parse, run
 
 from _grid import grid_specs
@@ -252,6 +252,30 @@ def test_failed_cross_check_exits_4(monkeypatch):
     assert code == 4
     assert err.startswith("internal error:") and "Kervaire" in err
     assert err.count("\n") == 1 and "Traceback" not in err and out == ""
+
+
+def test_oracle_mismatch_explained_on_stderr(monkeypatch):
+    from lensprod import oracle
+
+    code, good_out, err = go(["--n", "1", "--t", "3", "oracle", "--json"])
+    assert code == 0 and err == ""
+    real = oracle.compare_with_theory(TupleSpec((1,), 3), ZZ)
+    rows = list(real.degrees)
+    rows[2] = (2, (0, (3,)), (0, ()), False)
+    rows[3] = (3, (1, ()), (2, (5,)), False)
+    report = oracle.ComparisonReport(real.spec, real.dom, False, tuple(rows))
+    monkeypatch.setattr(oracle, "compare_with_theory", lambda spec, dom, cap: report)
+    code, out, err = go(["--n", "1", "--t", "3", "oracle", "--json"])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["match"] is False and [row["match"] for row in doc["degrees"]] == [True, True, False, False]
+    assert doc["degrees"][3]["oracle"] == [2, [5]]
+    assert err.splitlines() == [
+        str(report),
+        "degree 2: theory [0, [3]] oracle [0, []]",
+        "degree 3: theory [1, []] oracle [2, [5]]",
+    ]
+    assert str(report).endswith("MISMATCH at degrees 2, 3")
 
 
 def test_closed_stdout_exits_quietly():

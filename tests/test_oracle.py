@@ -1,9 +1,18 @@
+import hashlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lensprod.algebra import GF, GradedAbGroup, QQ, TupleSpec, ZZ
 from lensprod.oracle import (
+    DEFAULT_CAP,
     ComparisonReport,
     MemoryCapError,
+    QuotientComplex,
+    _cached_factors,
+    _cached_oracle_cohomology,
+    _check_dd_zero,
+    _dense_snf,
     boundary_factors,
     compare_with_theory,
     homology,
@@ -114,9 +123,9 @@ def test_smith_normal_form_matches_determinant_divisors():
 def test_quotient_complex_lens_space():
     q = product_quotient_complex(TupleSpec((1,), 3))
     assert q.ranks == (1, 1, 1, 1)
-    assert q.boundaries[1] == {}
-    assert q.boundaries[2] == {(0, 0): 3}
-    assert q.boundaries[3] == {}
+    assert _entries(q.boundaries[1]) == {}
+    assert _entries(q.boundaries[2]) == {(0, 0): 3}
+    assert _entries(q.boundaries[3]) == {}
     assert homology(q, ZZ).groups == GradedAbGroup.of(
         {0: (1, ()), 1: (0, (3,)), 3: (1, ())}
     )
@@ -184,6 +193,11 @@ def test_oracle_mod_p_betti_palindromic():
         assert betti == tuple(reversed(betti))
 
 
+def _entries(boundary) -> dict:
+    """A column-major boundary as a sparse {(row, col): v} matrix."""
+    return {(i, j): v for j, col in enumerate(boundary) for i, v in col.items()}
+
+
 def _rank_mod_p_dense(entries: dict, p: int) -> int:
     """Rank over F_p of a sparse {(i, j): v} matrix by dense Gaussian
     elimination, independent of the SNF."""
@@ -216,7 +230,7 @@ def _rank_mod_p_dense(entries: dict, p: int) -> int:
 )
 def test_mod_p_betti_match_dense_elimination(n, t, p):
     q = product_quotient_complex(TupleSpec(n, t))
-    ranks = [0] + [_rank_mod_p_dense(b, p) for b in q.boundaries[1:]] + [0]
+    ranks = [0] + [_rank_mod_p_dense(_entries(b), p) for b in q.boundaries[1:]] + [0]
     expected = tuple(q.ranks[d] - ranks[d] - ranks[d + 1] for d in range(q.dim + 1))
     assert homology(q, GF(p)).betti() == expected
     factors = [f for fs in boundary_factors(q) for f in fs]
@@ -247,3 +261,58 @@ def test_comparison_report_lists_every_mismatch():
     good = ComparisonReport(spec, ZZ, True, rows[:2])
     assert good.mismatches() == () and good.first_mismatch() is None
     assert str(good).endswith(": match")
+
+
+# mostly zero, and mostly +-1 where nonzero, like the oracle's boundaries
+_SPARSE_ENTRY = st.sampled_from((0,) * 8 + (1, -1) * 3 + (2, -2, 3, 4, -6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unit_sweep_matches_dense_snf(data):
+    m = data.draw(st.integers(1, 12), label="rows")
+    n = data.draw(st.integers(1, 12), label="cols")
+    row = st.lists(_SPARSE_ENTRY, min_size=n, max_size=n)
+    mat = data.draw(st.lists(row, min_size=m, max_size=m), label="matrix")
+    assert smith_normal_form(mat) == _dense_snf([list(r) for r in mat])
+
+
+def test_dd_check_trips_on_a_negated_entry():
+    cx = product_quotient_complex(TupleSpec((1, 1), 3))
+    _check_dd_zero(cx)
+    # negate one entry of d_d whose middle cell has a nonzero boundary
+    d, col, mid = next(
+        (d, col, mid)
+        for d in range(2, cx.dim + 1)
+        for col, entries in enumerate(cx.boundaries[d])
+        for mid in entries
+        if cx.boundaries[d - 1][mid]
+    )
+    bad_col = dict(cx.boundaries[d][col])
+    bad_col[mid] = -bad_col[mid]
+    bad = cx.boundaries[d][:col] + (bad_col,) + cx.boundaries[d][col + 1 :]
+    broken = QuotientComplex(cx.spec, cx.basis, cx.boundaries[:d] + (bad,) + cx.boundaries[d + 1 :])
+    with pytest.raises(AssertionError, match=f"degree {d}"):
+        _check_dd_zero(broken)
+
+
+# sha256 of the cell counts and boundary invariant factors of every
+# acceptance-grid spec and (1^5;2), recorded with the row-major sweep that
+# preceded the column-ordered one
+FACTORS_SHA256 = "5928c5d1aa2b23774fd96f6cefe52bef2e6a693b2864046f1e0c1a43800883a4"
+
+
+def test_boundary_factors_pinned():
+    specs = list(grid_specs(ts=(1, 2, 3, 4, 6))) + [TupleSpec((1,) * 5, 2)]
+    h = hashlib.sha256()
+    for spec in specs:
+        h.update(repr((spec.n, spec.t, _cached_factors(spec, DEFAULT_CAP))).encode())
+    assert h.hexdigest() == FACTORS_SHA256
+
+
+def test_oracle_caches_hold_the_grid():
+    specs = len(list(grid_specs(ts=(1, 2, 3, 4, 6))))
+    assert specs == 95
+    for cache, working_set in ((_cached_factors, specs), (_cached_oracle_cohomology, 3 * specs)):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and maxsize >= working_set

@@ -7,9 +7,9 @@ so values can be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf as INFINITY
+from typing import NamedTuple
 
 __all__ = [
     "INFINITY",
@@ -86,21 +86,20 @@ def binom_mod2(m: int, k: int) -> int:
 # coefficient domains
 
 
-@dataclass(frozen=True)
-class Coeff:
+class Coeff(NamedTuple("Coeff", [("kind", str), ("p", int)])):
     """Coefficient domain: the integers ("Z"), the rationals ("Q"), or a
     prime field ("Fp" with its prime)."""
 
-    kind: str
-    p: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("Z", "Q", "Fp"):
-            raise ValueError(f"unknown coefficient kind {self.kind!r}")
-        if self.kind == "Fp" and not is_prime(self.p):
-            raise ValueError(f"F_p needs a prime, got {self.p}")
-        if self.kind != "Fp" and self.p != 0:
+    def __new__(cls, kind: str, p: int = 0):
+        if kind not in ("Z", "Q", "Fp"):
+            raise ValueError(f"unknown coefficient kind {kind!r}")
+        if kind == "Fp" and not is_prime(p):
+            raise ValueError(f"F_p needs a prime, got {p}")
+        if kind != "Fp" and p != 0:
             raise ValueError("p is only meaningful for prime fields")
+        return super().__new__(cls, kind, p)
 
     @property
     def is_field(self) -> bool:
@@ -150,18 +149,15 @@ def GF(p: int) -> Coeff:
 # the tuple (n_1 <= ... <= n_r; t) naming a space
 
 
-@dataclass(frozen=True)
-class TupleSpec:
+class TupleSpec(NamedTuple("TupleSpec", [("n", tuple[int, ...]), ("t", object)])):
     """The pair (n, t) naming the quotient of S^{2n_1+1} x ... x S^{2n_r+1}
     by the diagonal action of the t-th roots of unity (t = INFINITY for the
     full circle action)."""
 
-    n: tuple[int, ...]
-    t: object  # positive int, or INFINITY
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = tuple(int(v) for v in self.n)
-        object.__setattr__(self, "n", n)
+    def __new__(cls, n, t):
+        n = tuple(int(v) for v in n)
         if len(n) < 1:
             raise ValueError("tuple must have length >= 1")
         if any(v < 0 for v in n):
@@ -171,8 +167,9 @@ class TupleSpec:
                 f"tuple {n} is not nondecreasing; sort it (or pass sort=True "
                 "through TupleSpec.make) before building"
             )
-        if self.t != INFINITY and (not isinstance(self.t, int) or self.t < 1):
-            raise ValueError(f"t must be a positive integer or INFINITY, got {self.t}")
+        if t != INFINITY and (not isinstance(t, int) or t < 1):
+            raise ValueError(f"t must be a positive integer or INFINITY, got {t}")
+        return super().__new__(cls, n, t)
 
     @classmethod
     def make(cls, n, t, sort: bool = False) -> "TupleSpec":
@@ -210,8 +207,7 @@ class TupleSpec:
 # truncated polynomials
 
 
-@dataclass(frozen=True)
-class TruncPoly:
+class TruncPoly(NamedTuple):
     """Univariate polynomial truncated at degree <= prec over a Coeff domain.
 
     coeffs always has length prec + 1; arithmetic on mixed precision
@@ -260,7 +256,7 @@ class TruncPoly:
 
     def truncate(self, prec: int) -> "TruncPoly":
         if prec >= self.prec:
-            return self  # frozen, so sharing it is safe
+            return self  # immutable, so sharing it is safe
         return TruncPoly.of(self.dom, self.coeffs, prec)
 
     def _pair(self, other: "TruncPoly") -> tuple["TruncPoly", "TruncPoly", int]:
@@ -384,8 +380,9 @@ def elementary_divisors(torsion) -> tuple[int, ...]:
     return tuple(reversed(chain))
 
 
-@dataclass(frozen=True)
-class GradedAbGroup:
+class GradedAbGroup(
+    NamedTuple("GradedAbGroup", [("groups", tuple[tuple[int, int, tuple[int, ...]], ...])])
+):
     """Finitely supported map degree -> (free rank, torsion multiset).
 
     For field coefficients the per-degree dimension is stored in the free
@@ -393,10 +390,10 @@ class GradedAbGroup:
     divisors first, so oracle output and theory predictions compare directly.
     """
 
-    groups: tuple[tuple[int, int, tuple[int, ...]], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_by_degree", {d: (f, t) for d, f, t in self.groups})
+    def __new__(cls, groups):
+        self = super().__new__(cls, groups)
+        self._by_degree = {d: (f, t) for d, f, t in groups}
+        return self
 
     @classmethod
     def of(cls, data) -> "GradedAbGroup":
@@ -442,6 +439,8 @@ class GradedAbGroup:
             return NotImplemented
         return self.normalized().groups == other.normalized().groups
 
+    __ne__ = object.__ne__  # the inverse of __eq__, not tuple inequality
+
     def __hash__(self):
         return hash(self.normalized().groups)
 
@@ -462,8 +461,7 @@ class GradedAbGroup:
 # Poincare series
 
 
-@dataclass(frozen=True)
-class PoincareSeries:
+class PoincareSeries(NamedTuple):
     """Polynomial in s with non-negative integer coefficients; coefficient of
     s^d is the degree-d dimension of the field-coefficient ring it summarizes."""
 
@@ -502,6 +500,9 @@ class PoincareSeries:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return PoincareSeries.of(out)
+
+    def __rmul__(self, other):
+        return NotImplemented  # not tuple repetition
 
     def is_palindromic(self) -> bool:
         return self.coeffs == tuple(reversed(self.coeffs))

@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import fgl, invariants, oracle, splittings, steenrod
 from .algebra import Coeff, GF, INFINITY, QQ, TupleSpec, ZZ, is_prime, prime_factors
@@ -77,8 +77,7 @@ class UnsupportedError(Exception):
     """Valid input, unsupported combination: exit code 3."""
 
 
-@dataclass
-class Query:
+class Query(NamedTuple):
     command: str
     spec: TupleSpec | None
     dom: Coeff
@@ -193,36 +192,35 @@ def parse(argv) -> Query:
     else:
         dom = QQ
 
-    q = Query(command=command, spec=spec, dom=dom, t=t)
+    kw: dict = {}
     if "k" in flags:
-        q.k = _parse_int(flags["k"], "--k")
-        if q.k < 0:
+        kw["k"] = _parse_int(flags["k"], "--k")
+        if kw["k"] < 0:
             raise UsageError("--k must be non-negative")
     if "gd" in flags:
-        q.gd = _parse_int(flags["gd"], "--gd")
+        kw["gd"] = _parse_int(flags["gd"], "--gd")
     if "span_base" in flags:
-        q.span_base = _parse_int(flags["span_base"], "--span-base")
+        kw["span_base"] = _parse_int(flags["span_base"], "--span-base")
     if "tc_override" in flags:
         parts = flags["tc_override"].split(",")
         if len(parts) != 2:
             raise UsageError("--tc-override expects lo,hi")
-        q.tc_override = (_parse_int(parts[0], "--tc-override"), _parse_int(parts[1], "--tc-override"))
+        kw["tc_override"] = (_parse_int(parts[0], "--tc-override"), _parse_int(parts[1], "--tc-override"))
     if "precision" in flags:
-        q.precision = _parse_int(flags["precision"], "--precision")
-        if q.precision < 0:
+        kw["precision"] = _parse_int(flags["precision"], "--precision")
+        if kw["precision"] < 0:
             raise UsageError("--precision must be non-negative")
     if "law" in flags:
         if flags["law"] not in ("additive", "multiplicative"):
             raise UsageError("--law must be additive or multiplicative")
-        q.law = flags["law"]
+        kw["law"] = flags["law"]
     if "unit" in flags:
-        q.unit = _parse_int(flags["unit"], "--unit")
+        kw["unit"] = _parse_int(flags["unit"], "--unit")
     if "cap" in flags:
-        q.cap = _parse_int(flags["cap"], "--cap")
-        if q.cap < 1:
+        kw["cap"] = _parse_int(flags["cap"], "--cap")
+        if kw["cap"] < 1:
             raise UsageError("--cap must be positive")
-    q.json_out = bool(flags.get("json_out", False))
-    return q
+    return Query(command, spec, dom, json_out=bool(flags.get("json_out", False)), t=t, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +325,17 @@ def _wedge_json(spec: TupleSpec, k: int, dom: Coeff) -> dict:
     return out
 
 
-def emit_report(query: Query) -> tuple[dict, int]:
-    """The full JSON document for the report command; returns (doc, exit)."""
+def _explain_mismatch(comparison: oracle.ComparisonReport, err) -> None:
+    """The comparison summary, then one line per differing degree."""
+    print(comparison, file=err)
+    for d, th, orc, match in comparison.degrees:
+        if not match:
+            print(f"degree {d}: theory {[th[0], list(th[1])]} oracle {[orc[0], list(orc[1])]}", file=err)
+
+
+def emit_report(query: Query, err=None) -> tuple[dict, int]:
+    """The full JSON document for the report command; returns (doc, exit).
+    An oracle mismatch is explained on err (default: stderr)."""
     spec, dom = query.spec, query.dom
     if not dom.is_field:
         raise UnsupportedError("report needs field coefficients (Q, F2 or F:<p>)")
@@ -354,6 +361,8 @@ def emit_report(query: Query) -> tuple[dict, int]:
             checked, match = True, comparison.ok
         except oracle.MemoryCapError:
             checked, match = False, True
+        if not match:
+            _explain_mismatch(comparison, err if err is not None else sys.stderr)
     doc["oracle"] = {"checked": checked, "match": match}
     return doc, (0 if match else 1)
 
@@ -453,10 +462,7 @@ def _cmd_oracle(q: Query, err) -> tuple[dict, int]:
         ],
     }
     if not comparison.ok:
-        print(comparison, file=err)
-        for row in doc["degrees"]:
-            if not row["match"]:
-                print(f"degree {row['degree']}: theory {row['theory']} oracle {row['oracle']}", file=err)
+        _explain_mismatch(comparison, err)
     return doc, 0 if comparison.ok else 1
 
 
@@ -502,7 +508,7 @@ def run(argv, out=None, err=None) -> int:
     try:
         query = parse(argv)
         if query.command == "report":
-            doc, code = emit_report(query)
+            doc, code = emit_report(query, err)
         else:
             doc, code = {
                 "ring": _cmd_ring,

@@ -12,7 +12,7 @@ defined series there, and its high terms are those of the doubling grouping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import Coeff, TruncPoly, ZZ
 
@@ -30,8 +30,7 @@ MULTIPLICATIVE = "multiplicative"
 CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class FormalGroupLaw:
+class FormalGroupLaw(NamedTuple):
     """Bivariate series truncated at total degree <= prec; coeffs holds the
     nonzero a_ij sorted by (i, j)."""
 
@@ -146,8 +145,7 @@ def _validate(law: FormalGroupLaw) -> None:
 # --- t-series ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TSeries:
+class TSeries(NamedTuple):
     """[t](z) for a law; [1](z) = z and the constant term is always zero."""
 
     poly: TruncPoly

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import GF, QQ, TupleSpec, nu_p, prime_factors
 from .cohomology import (
@@ -46,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TriState:
+class TriState(NamedTuple):
     value: object  # True, False, or None for unknown
     reason: str = ""
 
@@ -254,8 +253,7 @@ def tc_bounds(spec: TupleSpec, base_tc_override: tuple[int, int] | None = None) 
 # span and immersions
 
 
-@dataclass(frozen=True)
-class SpanInfo:
+class SpanInfo(NamedTuple):
     stablespan: object  # int or None when not determined
     span: object  # int or None
     span_equals_stablespan: bool
@@ -387,8 +385,7 @@ def motion_plan_sphere(n: int, a, b, rule: int, samples: int = 64):
 # the assembled report
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     spec: TupleSpec
     chi: int
     chi_star: object  # int mod-2 class (odd dim) or Fraction (even dim)

@@ -23,8 +23,8 @@ wedge bookkeeping).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .algebra import Coeff, GradedAbGroup, TupleSpec, ZZ
 
@@ -77,8 +77,7 @@ def _gr_lambda_minus_1(t: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class EquivariantComplex:
+class EquivariantComplex(NamedTuple):
     """Free Z[Z_t] complex with one generator per degree 0..dim; diffs[d] is
     the group-ring coefficient of the boundary of the degree-d generator."""
 
@@ -116,8 +115,7 @@ def sphere_complex(n: int, t: int) -> EquivariantComplex:
 # the quotient complex of the product
 
 
-@dataclass(frozen=True)
-class QuotientComplex:
+class QuotientComplex(NamedTuple):
     """Integral cell complex of the quotient space. basis[d] lists the cells
     (cells j_1..j_r, twists a_2..a_r) of degree d; boundaries[d] is the
     boundary into degree d-1 in column-major form: boundaries[d][col] is the
@@ -382,8 +380,7 @@ def _dense_snf(mat: list[list[int]]) -> tuple[int, ...]:
 # homology and the theory comparison
 
 
-@dataclass(frozen=True)
-class HomologyResult:
+class HomologyResult(NamedTuple):
     groups: GradedAbGroup
     dom: Coeff
 
@@ -430,8 +427,7 @@ def cohomology_from_homology(h: HomologyResult, top: int) -> GradedAbGroup:
     return GradedAbGroup.of(data)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     spec: TupleSpec
     dom: Coeff
     ok: bool

@@ -10,7 +10,7 @@ shifted reduced Poincare polynomials against the Thom-isomorphism prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     Coeff,
@@ -60,16 +60,14 @@ def clifford_admits(k: int, m: int) -> bool:
 # cartesian splittings
 
 
-@dataclass(frozen=True)
-class SplitStatus:
+class SplitStatus(NamedTuple):
     index: int
     splits: bool
     rules: tuple[str, ...]
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class CartesianSplitting:
+class CartesianSplitting(NamedTuple):
     spec: TupleSpec
     statuses: tuple[SplitStatus, ...]
     split_factors: tuple[int, ...]  # dimensions 2 n_i + 1 of split spheres
@@ -127,8 +125,7 @@ def mu_k(alpha, betas):
 # wedge decomposition after one suspension
 
 
-@dataclass(frozen=True)
-class WedgeSummand:
+class WedgeSummand(NamedTuple):
     """One wedge summand: suspension shift 2 - r_sigma applied to the stunted
     space CP_(top)(t) / CP_(bottom)(t); bottom = -1 means the base point."""
 
@@ -191,8 +188,7 @@ def stunted_cohomology(t, top: int, bottom: int, dom: Coeff) -> GradedAbGroup:
     return GradedAbGroup.of(data)
 
 
-@dataclass(frozen=True)
-class WedgeCheck:
+class WedgeCheck(NamedTuple):
     spec: TupleSpec
     k: int
     dom: Coeff

@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from lensprod.algebra import (
     GF,
+    Coeff,
     GradedAbGroup,
     INFINITY,
     PoincareSeries,
@@ -17,6 +19,7 @@ from lensprod.algebra import (
     elementary_divisors,
     nu_p,
 )
+from lensprod.cohomology import BasisMonomial, BundleSpec
 
 
 def test_nu_p_examples():
@@ -133,7 +136,7 @@ def test_elementary_divisors():
 def test_graded_group_normalized_comparison():
     a = GradedAbGroup.of({2: (0, (2, 3)), 5: (1, ())})
     b = GradedAbGroup.of({2: (0, (6,)), 5: (1, ())})
-    assert a == b
+    assert a == b and not a != b
     assert a != GradedAbGroup.of({2: (0, (4,)), 5: (1, ())})
 
 
@@ -162,3 +165,40 @@ def test_tuple_spec_rejects_unsorted_and_sorts_on_request():
         TupleSpec((-1,), 4)
     with pytest.raises(ValueError):
         TupleSpec((1,), 0)
+
+
+def test_records_validate_on_construction():
+    for make, message in (
+        (lambda: Coeff("R"), "unknown coefficient kind 'R'"),
+        (lambda: GF(4), "F_p needs a prime, got 4"),
+        (lambda: Coeff("Z", 2), "p is only meaningful for prime fields"),
+        (lambda: TupleSpec((2, 1), 4), "tuple (2, 1) is not nondecreasing"),
+        (lambda: TupleSpec((1,), 0), "t must be a positive integer or INFINITY, got 0"),
+        (lambda: BundleSpec(-1, TupleSpec((1,), 2)), "multiplicity must be non-negative"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+    assert TupleSpec(["1", 2.0], 3).n == (1, 2)
+
+
+def test_records_are_immutable():
+    for record, field in (
+        (TupleSpec((1, 2), 3), "n"),
+        (GF(3), "p"),
+        (BasisMonomial(("z", 1), (2,)), "ext"),
+        (TruncPoly.var(ZZ, 2), "coeffs"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+
+def test_series_arithmetic_is_not_tuple_arithmetic():
+    # records are tuples; a scalar on the left must not repeat or concatenate
+    p = TruncPoly.var(ZZ, 3)
+    assert 2 * p == p * 2 == p.scale(2)
+    with pytest.raises(TypeError):
+        2 + p
+    with pytest.raises(TypeError):
+        2 * PoincareSeries.of((1, 1))

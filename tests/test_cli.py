@@ -235,6 +235,22 @@ def test_console_entry_point():
     assert doc["input"]["t"] == 3
 
 
+def test_import_needs_neither_dataclasses_nor_inspect():
+    # -S keeps site's own imports out, so only lensprod's are seen
+    root = Path(__file__).resolve().parents[1]
+    probe = "import sys, lensprod, lensprod.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"},
+        cwd=root,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_crossing_tc_override_exits_2():
     # the override's upper bound falls below the zero-divisor lower bound
     code, out, err = go(["--n", "1,1", "--t", "2", "invariants", "--tc-override", "0,0"])
@@ -276,6 +292,25 @@ def test_oracle_mismatch_explained_on_stderr(monkeypatch):
         "degree 3: theory [1, []] oracle [2, [5]]",
     ]
     assert str(report).endswith("MISMATCH at degrees 2, 3")
+
+
+def test_report_mismatch_explained_on_stderr(monkeypatch):
+    from lensprod import oracle
+
+    argv = ["--n", "1", "--t", "3", "report", "--json"]
+    code, good_out, err = go(argv)
+    assert code == 0 and err == ""
+    real = oracle.compare_with_theory(TupleSpec((1,), 3), ZZ)
+    rows = list(real.degrees)
+    rows[2] = (2, (0, (3,)), (0, ()), False)
+    report = oracle.ComparisonReport(real.spec, real.dom, False, tuple(rows))
+    monkeypatch.setattr(oracle, "compare_with_theory", lambda spec, dom, cap: report)
+    code, out, err = go(argv)
+    assert code == 1
+    expected = json.loads(good_out)
+    expected["oracle"]["match"] = False
+    assert json.loads(out) == expected
+    assert err.splitlines() == [str(report), "degree 2: theory [0, [3]] oracle [0, []]"]
 
 
 def test_closed_stdout_exits_quietly():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lensprod.algebra import GF, GradedAbGroup, QQ, TupleSpec, ZZ
+from lensprod.cohomology import base_factor, build_ring, resolve_mode
 from lensprod.oracle import (
     DEFAULT_CAP,
     ComparisonReport,
@@ -311,8 +312,15 @@ def test_boundary_factors_pinned():
 
 
 def test_oracle_caches_hold_the_grid():
-    specs = len(list(grid_specs(ts=(1, 2, 3, 4, 6))))
-    assert specs == 95
-    for cache, working_set in ((_cached_factors, specs), (_cached_oracle_cohomology, 3 * specs)):
+    specs = list(grid_specs(ts=(1, 2, 3, 4, 6)))
+    assert len(specs) == 95
+    pairs = [(spec, dom) for spec in specs for dom in (ZZ, GF(2), GF(3))]
+    factors = {(spec.n[0], spec.t, resolve_mode(spec, dom)) for spec, dom in pairs}
+    for cache, working_set in (
+        (_cached_factors, len(specs)),
+        (_cached_oracle_cohomology, len(pairs)),
+        (build_ring, len(pairs)),
+        (base_factor, len(factors)),
+    ):
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and maxsize >= working_set

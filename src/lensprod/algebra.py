@@ -8,7 +8,7 @@ so values can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, inf as INFINITY
+from math import comb, gcd, inf as INFINITY
 from typing import NamedTuple
 
 __all__ = [
@@ -22,6 +22,8 @@ __all__ = [
     "GradedAbGroup",
     "PoincareSeries",
     "is_prime",
+    "prime_factors",
+    "PRIMALITY_BOUND",
     "nu_p",
     "binom_mod2",
     "binom_mod2_expand",
@@ -29,19 +31,37 @@ __all__ = [
 ]
 
 
+# Miller-Rabin with the 13 primes up to 41 as bases is exact below psi_13
+# (Sorenson-Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    """Deterministic trial division, adequate for the sizes handled here."""
+    """Deterministic Miller-Rabin. Exact below PRIMALITY_BOUND; at or above
+    it a failed base still proves p composite, but a p that passes all 13
+    bases raises ValueError instead of being called prime."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
+    if p >= PRIMALITY_BOUND:
+        raise ValueError(f"cannot decide whether {p} is prime: at or above {PRIMALITY_BOUND}")
     return True
 
 
@@ -58,21 +78,61 @@ def nu_p(p: int, m: int) -> int:
     return e
 
 
+def _split(m: int) -> int:
+    """A nontrivial factor of a composite m with no prime factor up to 41,
+    by Pollard's rho with Brent's cycle finding (Brent, "An improved Monte
+    Carlo factorization algorithm", BIT 1980), x -> x^2 + c from x = 2 for
+    c = 1, 2, ... until one splits m. At or above PRIMALITY_BOUND the walk is
+    capped at about 2^19 steps, past which it raises ValueError."""
+    cap = INFINITY if m < PRIMALITY_BOUND else 1 << 18
+    for c in range(1, m):
+        y, g, r, q = 2, 1, 1, 1
+        while g == 1:
+            if r > cap:
+                raise ValueError(f"cannot factor {m}: at or above {PRIMALITY_BOUND}")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = gcd(q, m)
+                k += 128
+            r *= 2
+        if g == m:  # the batch overshot: step back one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = gcd(abs(x - ys), m)
+        if g != m:
+            return g
+    raise AssertionError(f"no factor of {m} found")
+
+
 def prime_factors(m: int) -> tuple[int, ...]:
-    """Distinct prime divisors of m >= 1, ascending."""
+    """Distinct prime divisors of m >= 1, ascending: trial division by the
+    primes up to 41, then Pollard-Brent rho. Exact below PRIMALITY_BOUND;
+    above it, it raises ValueError where is_prime or _split does."""
     if m < 1:
         raise ValueError(f"positive integer required, got {m}")
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return tuple(out)
+    out = set()
+    for b in _BASES:
+        if m % b == 0:
+            out.add(b)
+            while m % b == 0:
+                m //= b
+    todo = [m] if m > 1 else []
+    while todo:
+        k = todo.pop()
+        if is_prime(k):
+            out.add(k)
+        else:
+            f = _split(k)
+            todo += [f, k // f]
+    return tuple(sorted(out))
 
 
 def binom_mod2(m: int, k: int) -> int:

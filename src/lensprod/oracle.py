@@ -14,7 +14,10 @@ exact d o d = 0 check composes column by column and the SNF starts from the
 columns without rebuilding an index. The SNF is a sparse unit-pivot
 elimination (Dumas-Saunders-Villard, "On efficient sparse integer matrix
 Smith normal forms", JSC 2001) in passes over the columns, shortest first
-(see `_snf_factors`), then a dense SNF of the small residual.
+(see `_snf_factors`), then a dense SNF of the small residual. The boundaries
+are reduced in order, each with compression (Bauer-Kerber-Reininghaus,
+"Clear and Compress", 2014): the rows of d_{d+1} at the unit-pivot columns
+of d_d are dropped first, exact over Z since d o d = 0 is checked before.
 
 There is no oracle for t = INFINITY: the circle quotient is not a finite free
 quotient. That regime is validated elsewhere (duality, Euler characteristics,
@@ -240,12 +243,13 @@ def smith_normal_form(matrix) -> tuple[int, ...]:
         for j, v in enumerate(row):
             if v:
                 cols.setdefault(j, {})[i] = int(v)
-    return _snf_factors(cols.values())
+    return _snf_factors(cols.values())[0]
 
 
-def _snf_factors(columns) -> tuple[int, ...]:
+def _snf_factors(columns, cleared=frozenset()) -> tuple[tuple[int, ...], set]:
     """Invariant factors of a sparse integer matrix given as its columns,
-    each a {row: value} map.
+    each a {row: value} map, with the rows in `cleared` dropped first; also
+    the set of columns the unit sweep took as pivots.
 
     Unit-pivot sweep first: boundary matrices here are mostly made of +-1
     entries, so eliminating on +-1 pivots removes nearly everything without
@@ -254,13 +258,14 @@ def _snf_factors(columns) -> tuple[int, ...]:
     entry whose row meets the fewest columns, clears that row with column
     operations and drops the pivot row and column. Passes repeat until one
     finds no +-1 pivot; the residual goes to the dense SNF."""
-    cols = {j: dict(col) for j, col in enumerate(columns) if col}
+    kept = ({i: v for i, v in col.items() if i not in cleared} for col in columns)
+    cols = {j: col for j, col in enumerate(kept) if col}
     rows: dict[int, set[int]] = {}
     for j, col in cols.items():
         for i in col:
             rows.setdefault(i, set()).add(j)
 
-    unit_rank = 0
+    pivots = set()
     found = True
     while found:
         found = False
@@ -294,11 +299,11 @@ def _snf_factors(columns) -> tuple[int, ...]:
             for i2 in col:
                 rows[i2].discard(j)
             del cols[j]
-            unit_rank += 1
+            pivots.add(j)
             found = True
 
     if not cols:  # the sweep deletes every column it empties
-        return (1,) * unit_rank
+        return (1,) * len(pivots), pivots
 
     # compact the residual into a small dense matrix
     live_rows = sorted({i for col in cols.values() for i in col})
@@ -307,7 +312,7 @@ def _snf_factors(columns) -> tuple[int, ...]:
     for b, j in enumerate(sorted(cols)):
         for i, v in cols[j].items():
             dense[rmap[i]][b] = v
-    return (1,) * unit_rank + _dense_snf(dense)
+    return (1,) * len(pivots) + _dense_snf(dense), pivots
 
 
 def _dense_snf(mat: list[list[int]]) -> tuple[int, ...]:
@@ -390,8 +395,18 @@ class HomologyResult(NamedTuple):
 
 def boundary_factors(cx: QuotientComplex) -> tuple[tuple[int, ...], ...]:
     """Invariant factors of every boundary map; entry d belongs to the map
-    out of degree d (entry 0, the zero map, is empty)."""
-    return ((),) + tuple(_snf_factors(b) for b in cx.boundaries[1:])
+    out of degree d (entry 0, the zero map, is empty). cx must be a chain
+    complex: d_{d+1}'s rows at the cells d_d's unit sweep took as pivot
+    columns are dropped, which needs d o d = 0. The sweep adds only pivot
+    columns to others, so the other cells' coordinates are unchanged; the
+    pivot block is triangular with +-1 diagonal, so every cycle is zero at
+    the pivot cells; im d_{d+1} lies in the cycles, so d_{d+1} = U [R; 0]
+    with U unimodular and SNF(d_{d+1}) = SNF(R)."""
+    out, cleared = [()], frozenset()
+    for b in cx.boundaries[1:]:
+        factors, cleared = _snf_factors(b, cleared)
+        out.append(factors)
+    return tuple(out)
 
 
 def _homology_groups(ranks: tuple, factors: tuple, dom: Coeff) -> GradedAbGroup:

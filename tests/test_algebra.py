@@ -16,8 +16,11 @@ from lensprod.algebra import (
     ZZ,
     binom_mod2_expand,
     binom_expand,
+    PRIMALITY_BOUND,
     elementary_divisors,
+    is_prime,
     nu_p,
+    prime_factors,
 )
 from lensprod.cohomology import BasisMonomial, BundleSpec
 
@@ -44,6 +47,46 @@ def test_nu_p_multiplicative():
         b = rng.randint(1, 10_000)
         for p in (2, 3, 5, 7):
             assert nu_p(p, a * b) == nu_p(p, a) + nu_p(p, b)
+
+
+def _trial_factors(n: int) -> tuple[int, ...]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return tuple(out + [n] if n > 1 else out)
+
+
+def test_primes_and_factors_match_trial_division():
+    for n in range(-2, 20001):
+        assert is_prime(n) == (n > 1 and _trial_factors(n) == (n,)), n
+        if n >= 1:
+            assert prime_factors(n) == _trial_factors(n), n
+
+
+def test_primality_beyond_trial_division():
+    assert is_prime(2**61 - 1)
+    # strong pseudoprimes to the first 4, 11 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert prime_factors((2**31 - 1) * (2**61 - 1)) == (2**31 - 1, 2**61 - 1)
+    assert prime_factors(1000003**3 * 999983 * 2**5) == (2, 999983, 1000003)
+
+
+def test_primality_limit():
+    # a witness proves compositeness at any size; primality is certified
+    # only below the bound, and a number the test cannot decide is rejected
+    assert not is_prime(PRIMALITY_BOUND + 2)  # divisible by 3
+    assert not is_prime(2**89 + 1)
+    with pytest.raises(ValueError, match="cannot decide"):
+        is_prime(2**89 - 1)  # a Mersenne prime above the bound
+    with pytest.raises(ValueError, match="cannot decide"):
+        is_prime(PRIMALITY_BOUND)  # a strong pseudoprime to all 13 bases
+    with pytest.raises(ValueError, match="cannot decide"):
+        prime_factors(3 * (2**89 - 1))
 
 
 def test_binom_mod2_expand_examples():

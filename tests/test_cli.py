@@ -85,6 +85,22 @@ def test_domain_rejections_exit_2():
         assert code == 2, (args, err)
 
 
+def test_large_prime_t_and_coefficients():
+    big = str(2**61 - 1)
+    code, out, err = go(["--n", "1", "--t", big, "ring", "--json"])
+    assert code == 0, err
+    assert json.loads(out)["input"]["coeff"] == f"F{big}"
+    assert go(["--n", "1", "--t", "3", "ring", "--coeff", f"F:{big}"])[0] == 0
+    # primality above the documented bound cannot be decided: one error line
+    for args in (
+        ["--n", "1", "--t", str(2**89 - 1), "ring"],
+        ["--n", "1", "--t", "3", "ring", "--coeff", f"F:{2**89 - 1}"],
+    ):
+        code, out, err = go(args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot decide") and err.count("\n") == 1
+
+
 def test_default_coefficients():
     assert parse(["--n", "1", "--t", "inf", "ring"]).dom == QQ
     assert parse(["--n", "1", "--t", "4", "ring"]).dom == GF(2)

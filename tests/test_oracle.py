@@ -1,7 +1,9 @@
 import hashlib
+import random
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lensprod.algebra import GF, GradedAbGroup, QQ, TupleSpec, ZZ
 from lensprod.cohomology import base_factor, build_ring, resolve_mode
@@ -53,8 +55,6 @@ def test_smith_normal_form_examples():
 
 
 def test_smith_normal_form_chain_property():
-    import random
-
     rng = random.Random(5)
     for _ in range(50):
         m = rng.randint(1, 5)
@@ -85,9 +85,7 @@ def test_smith_normal_form_chain_property():
 
 def test_smith_normal_form_matches_determinant_divisors():
     # independent oracle: d_1 * ... * d_k equals the gcd of all k x k minors
-    import random
     from itertools import combinations
-    from math import gcd
 
     def minor_gcd(mat, k):
         m, n = len(mat), len(mat[0])
@@ -309,6 +307,97 @@ def test_boundary_factors_pinned():
     for spec in specs:
         h.update(repr((spec.n, spec.t, _cached_factors(spec, DEFAULT_CAP))).encode())
     assert h.hexdigest() == FACTORS_SHA256
+
+
+# sha256 of the cell counts and boundary invariant factors of (2,2,2,2;3),
+# the complex with the largest dense residual, recorded before the sweep
+# dropped the previous boundary's pivot rows
+LARGEST_FACTORS_SHA256 = "2f7ce078b8efb1fd1a7c9b78ff219615dfb3ee5e7016f95dbc9686a84937878a"
+
+
+def test_largest_complex_factors_pinned():
+    spec = TupleSpec((2, 2, 2, 2), 3)
+    h = hashlib.sha256(repr((spec.n, spec.t, _cached_factors(spec, DEFAULT_CAP))).encode())
+    assert h.hexdigest() == LARGEST_FACTORS_SHA256
+
+
+def _diagonal_invariant_factors(ks) -> tuple[int, ...]:
+    """Invariant factors of diag(ks) by gcd/lcm exchanges, independent of the
+    SNF: per prime, the exponents end up sorted along the diagonal."""
+    ks = sorted(ks)
+    for i in range(len(ks)):
+        for j in range(i + 1, len(ks)):
+            g = gcd(ks[i], ks[j])
+            ks[i], ks[j] = g, ks[i] * ks[j] // g
+    return tuple(ks)
+
+
+def _unimodular(n: int, rng: random.Random) -> tuple[list, list]:
+    """A random n x n integer matrix U of determinant +-1 and its inverse:
+    a permutation, then a few elementary row operations (few, so that unit
+    entries survive for the sweep) and sign flips."""
+    perm = rng.sample(range(n), n)
+    u = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+    inv = [[int(perm[j] == i) for j in range(n)] for i in range(n)]
+    for _ in range(n // 2 + 1 if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]  # row i += c row j
+        for row in inv:  # column j -= c column i
+            row[j] -= c * row[i]
+    for i in range(n):
+        if rng.random() < 0.5:
+            u[i] = [-a for a in u[i]]
+            for row in inv:
+                row[i] = -row[i]
+    return u, inv
+
+
+def _matmul(a: list, b: list, inner: int, cols: int) -> list:
+    return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)] for row in a]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    top=st.integers(1, 4),
+    pieces=st.lists(st.tuples(st.integers(1, 4), st.sampled_from((1, 2, 3, 4, 6, 9))), max_size=7),
+    nonunit=st.tuples(st.integers(1, 4), st.sampled_from((2, 3, 4, 6, 9))),
+    free=st.lists(st.integers(0, 4), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+# two small complexes that keeping a pivot's row instead of its column, or
+# also dropping rows at the residual's columns, gets wrong
+@example(top=2, pieces=[(1, 1)], nonunit=(2, 2), free=[], seed=0)
+@example(top=2, pieces=[(2, 1)], nonunit=(1, 2), free=[], seed=3)
+def test_boundary_factors_of_scrambled_chain_complexes(top, pieces, nonunit, free, seed):
+    # a direct sum of Z --k--> Z pieces and free Z's, so the factors are known;
+    # at least one k > 1, so some residual carries a non-unit entry
+    pieces = [(min(d, top), k) for d, k in pieces + [nonunit]]
+    ranks = [sum(1 for f in free if f == d) for d in range(top + 1)]
+    diag: list = [[] for _ in range(top + 1)]  # diag[d]: (row, col, k) of d_d
+    for d, k in pieces:
+        diag[d].append((ranks[d - 1], ranks[d], k))
+        ranks[d - 1] += 1
+        ranks[d] += 1
+    # scramble each C_d by a unimodular U_d: d'_d = U_{d-1} d_d U_d^-1
+    rng = random.Random(seed)
+    us = [_unimodular(n, rng) for n in ranks]
+    boundaries: list = [None]
+    expected: list = [()]
+    for d in range(1, top + 1):
+        plain = [[0] * ranks[d] for _ in range(ranks[d - 1])]
+        for i, j, k in diag[d]:
+            plain[i][j] = k
+        mixed = _matmul(us[d - 1][0], plain, ranks[d - 1], ranks[d])
+        mixed = _matmul(mixed, us[d][1], ranks[d], ranks[d])
+        boundaries.append(
+            tuple({i: row[j] for i, row in enumerate(mixed) if row[j]} for j in range(ranks[d]))
+        )
+        expected.append(_diagonal_invariant_factors(k for _, _, k in diag[d]))
+        assert smith_normal_form(mixed) == expected[d]
+    cx = QuotientComplex(None, tuple(tuple(range(n)) for n in ranks), tuple(boundaries))
+    _check_dd_zero(cx)
+    assert boundary_factors(cx) == tuple(expected)
 
 
 def test_oracle_caches_hold_the_grid():

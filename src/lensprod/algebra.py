@@ -78,12 +78,29 @@ def nu_p(p: int, m: int) -> int:
     return e
 
 
+def _iroot(m: int, k: int) -> int:
+    """The integer part of the k-th root of m >= 1, by Newton's method from
+    a power of two above it."""
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _split(m: int) -> int:
     """A nontrivial factor of a composite m with no prime factor up to 41,
     by Pollard's rho with Brent's cycle finding (Brent, "An improved Monte
     Carlo factorization algorithm", BIT 1980), x -> x^2 + c from x = 2 for
-    c = 1, 2, ... until one splits m. At or above PRIMALITY_BOUND the walk is
-    capped at about 2^19 steps, past which it raises ValueError."""
+    c = 1, 2, ... until one splits m. A perfect power a^k is split first, by
+    its integer k-th root, since rho finds no factor of p^k quickly for a
+    large prime p. At or above PRIMALITY_BOUND the walk is capped at about
+    2^19 steps, past which it raises ValueError."""
+    for k in range(2, m.bit_length() // 5 + 1):  # a has no prime factor below 2^5
+        a = _iroot(m, k)
+        if a**k == m:
+            return a
     cap = INFINITY if m < PRIMALITY_BOUND else 1 << 18
     for c in range(1, m):
         y, g, r, q = 2, 1, 1, 1
@@ -114,8 +131,9 @@ def _split(m: int) -> int:
 
 def prime_factors(m: int) -> tuple[int, ...]:
     """Distinct prime divisors of m >= 1, ascending: trial division by the
-    primes up to 41, then Pollard-Brent rho. Exact below PRIMALITY_BOUND;
-    above it, it raises ValueError where is_prime or _split does."""
+    primes up to 41, then integer roots and Pollard-Brent rho. Exact below
+    PRIMALITY_BOUND; above it, it raises ValueError where is_prime or _split
+    does."""
     if m < 1:
         raise ValueError(f"positive integer required, got {m}")
     out = set()

@@ -19,11 +19,12 @@ restricts from the covering sphere); it kills every positive-degree class of
 the base factor for degree reasons, while w * x_S are basis monomials.
 
 A BaseFactor holds the factor as tables keyed by its base tuples ('z', a),
-('w',) and ('yz', eps, a): degrees, torsion, the product of each pair, each
-base's word in the generators, the powers of z, the generators and the
-relations. base_factor builds them once per (n1, t, mode); no other part
-of the ring reads the presentation. CohomologyRing is generic over it: a
-product of basis monomials is a table lookup for the bases, the union of the
+('w',) and ('yz', eps, a): degrees, torsion, exponent vectors (from which a
+product of two bases and a base's word in the generators are read), the
+powers of z, the generators and the relations. base_factor builds them once
+per (n1, t, mode); no other part of the ring reads the presentation.
+CohomologyRing is generic over it: a product of basis monomials is the sum
+of the bases' exponent vectors looked up in a table, the union of the
 exterior subsets, and the Koszul sign of the odd letters.
 
 Rings are immutable after construction and all queries are pure.
@@ -142,12 +143,15 @@ class BasisMonomial(NamedTuple):
 class BaseFactor(NamedTuple):
     """The ring of the r = 1 space over one coefficient mode, as tables keyed
     by base tuples. Every structure constant of the factor is 1 (a product
-    of two bases is a base or zero) and no product of bases carries a sign."""
+    of two bases is a base or zero) and no product of bases carries a sign.
+    Products and words are read off the exponent vectors when asked for, so
+    the tables grow linearly in n1."""
 
     degree: dict  # base -> degree
     torsion: dict  # base -> q for a Z/q summand, 0 for a free or field one
-    product: dict  # (b1, b2) -> b1 * b2, absent when the product is zero
-    word: dict  # base -> its generators with repeats, in degree order
+    exponents: dict  # base -> its exponents over the two letters
+    bases: dict  # exponent vector -> base, rewritten vectors included
+    letters: tuple  # the generator each exponent counts, in degree order
     z_powers: tuple  # the bases of z^0, z^1, ..., up to the last nonzero one
     generators: tuple  # the positive-degree generators, in degree order
     relations: tuple  # relation strings
@@ -160,6 +164,15 @@ class BaseFactor(NamedTuple):
     @property
     def unit(self) -> tuple:
         return self.z_powers[0]
+
+    def product(self, b1: tuple, b2: tuple):
+        """b1 * b2 as a base, or None when the product is zero."""
+        (i1, j1), (i2, j2) = self.exponents[b1], self.exponents[b2]
+        return self.bases.get((i1 + i2, j1 + j2))
+
+    def word(self, base: tuple) -> tuple:
+        """The base's generators with repeats, in degree order."""
+        return tuple(g for g, k in zip(self.letters, self.exponents[base]) for _ in range(k))
 
 
 # Bounded so a long-running process keeps bounded memory, and sized above the
@@ -204,25 +217,17 @@ def base_factor(n1: int, t, mode: CoeffMode) -> BaseFactor:
         else:
             rels = ("z = 0 (t acts invertibly)", "w^2 = 0")
 
-    by_exps = {v: b for b, v in exps.items()}
-    product, word, degree = {}, {}, {}
-    for b1, v1 in exps.items():
-        word[b1], degree[b1] = (), 0
-        for (g, d), k in zip(gens, v1):
-            word[b1] += (g,) * k
-            degree[b1] += d * k
-        for b2, v2 in exps.items():
-            v = tuple(i + j for i, j in zip(v1, v2))
-            v = rewrite.get(v, v)
-            if v in by_exps:
-                product[(b1, b2)] = by_exps[v]
+    degree = {b: sum(d * k for (_, d), k in zip(gens, v)) for b, v in exps.items()}
+    bases = {v: b for b, v in exps.items()}
+    bases.update((v, bases[w]) for v, w in rewrite.items() if w in bases)
     # in every presentation the even-degree bases are exactly the powers of z
     z_powers = sorted((b for b in exps if degree[b] % 2 == 0), key=degree.get)
     return BaseFactor(
         degree=degree,
         torsion={b: torsion.get(b, 0) for b in exps},
-        product=product,
-        word=word,
+        exponents=exps,
+        bases=bases,
+        letters=tuple(g for g, _ in gens),
         z_powers=tuple(z_powers),
         generators=tuple(g for g, _ in gens if g in exps),
         relations=rels,
@@ -304,7 +309,7 @@ class CohomologyRing:
         self._require(m2)
         if set(m1.ext) & set(m2.ext):
             return {}
-        base = self.factor.product.get((m1.base, m2.base))
+        base = self.factor.product(m1.base, m2.base)
         if base is None:
             return {}
         swaps = sum(1 for a in m1.ext for b in m2.ext if b < a)

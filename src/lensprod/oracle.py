@@ -9,9 +9,14 @@ a boundary is the number of its factors that p does not divide (universal
 coefficients). A comparison routine converts the result to cohomology and
 matches it degree by degree against the predicted ring.
 
-Boundaries are stored column-major, one {row: value} map per cell, so the
-exact d o d = 0 check composes column by column and the SNF starts from the
-columns without rebuilding an index. The SNF is a sparse unit-pivot
+Boundaries are stored column-major, one {row: value} map per cell, and the
+SNF starts from the columns without rebuilding an index. Z_t^(r-1) acts on
+the quotient by translating the twists, and the boundary commutes with that
+action, so each cell tuple's boundary is worked out once, at twist 0, and
+moved to the other twists. The exact d o d = 0 check rests on the same
+symmetry: it proves that every stored column is its twist-0 column moved,
+and that d o d = 0 on the twist-0 columns, which together give d o d = 0 on
+every column (see `_check_dd_zero`). The SNF is a sparse unit-pivot
 elimination (Dumas-Saunders-Villard, "On efficient sparse integer matrix
 Smith normal forms", JSC 2001) in passes over the columns, shortest first
 (see `_snf_factors`), then a dense SNF of the small residual. The boundaries
@@ -27,6 +32,8 @@ wedge bookkeeping).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
+from math import prod
 from typing import NamedTuple
 
 from .algebra import Coeff, GradedAbGroup, TupleSpec, ZZ
@@ -120,10 +127,17 @@ def sphere_complex(n: int, t: int) -> EquivariantComplex:
 
 class QuotientComplex(NamedTuple):
     """Integral cell complex of the quotient space. basis[d] lists the cells
-    (cells j_1..j_r, twists a_2..a_r) of degree d; boundaries[d] is the
-    boundary into degree d-1 in column-major form: boundaries[d][col] is the
-    {row: int} map of the nonzero entries of the boundary of basis[d][col]
-    (boundaries[0] is None)."""
+    (cells j_1..j_r, twists a_2..a_r) of degree d, sorted; boundaries[d] is
+    the boundary into degree d-1 in column-major form: boundaries[d][col] is
+    the {row: int} map of the nonzero entries of the boundary of
+    basis[d][col] (boundaries[0] is None).
+
+    With T = t^(r-1), cell (cells, h) sits at position k T + code(h), where
+    k ranks the cell tuple among those of its degree and code(h) reads the
+    twists as a base-t number, a_2 most significant. Z_t^(r-1) acts on every
+    degree by adding to the twists digit by digit mod t, and the boundary
+    commutes with that action: the column of (cells, h) is the column of
+    (cells, 0) with the twist part of each row moved by h."""
 
     spec: TupleSpec
     basis: tuple
@@ -138,91 +152,97 @@ class QuotientComplex(NamedTuple):
         return len(self.basis) - 1
 
 
-def _sphere_terms(j: int, t: int):
-    """Boundary of the degree-j sphere cell as (coefficient, group shift)."""
-    if j % 2 == 1:
-        if t == 1:
-            return ()
-        return ((-1, 0), (1, 1))
-    return tuple((1, c) for c in range(t))
+class _Moves(dict):
+    """moves[x][h] is the code of the twists x + h, added digit by digit mod
+    t, for each code h < t^(r-1); a table is made when its x is first used.
+    The tables share one int object per code, so each entry costs a pointer."""
+
+    def __init__(self, t: int, r: int):
+        self.t, self.r = t, r
+        self.codes = list(range(t ** (r - 1)))
+
+    def __missing__(self, x: int) -> list:
+        t, codes = self.t, [0]
+        for k in reversed(range(self.r - 1)):  # most significant digit first
+            a = x // t**k
+            codes = [y * t + (a + b) % t for y in codes for b in range(t)]
+        self[x] = codes = [self.codes[c] for c in codes]
+        return codes
 
 
 def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> QuotientComplex:
     """Tensor the sphere complexes over the group ring of the diagonal action;
-    quotient basis fixes the first coordinate's group element to the identity."""
+    the quotient basis fixes the first coordinate's group element to the
+    identity. Each cell tuple's boundary is worked out once, at twist 0, as
+    (face position, twist offset, value) triples from the spheres' group-ring
+    boundaries; its column at twist h moves every offset by h."""
     if not spec.finite:
         raise ValueError("no finite-quotient complex exists for t = INFINITY")
     t, r = spec.t, spec.r
-    total = t ** (r - 1)
-    for ni in spec.n:
-        total *= 2 * ni + 2
+    twists = t ** (r - 1)
+    total = twists * prod(2 * ni + 2 for ni in spec.n)
     if total > cap:
-        raise MemoryCapError(
-            f"quotient basis has {total} cells, above the cap {cap}"
-        )
+        raise MemoryCapError(f"quotient basis has {total} cells, above the cap {cap}")
 
-    dim = spec.dim
-    basis: list[list] = [[] for _ in range(dim + 1)]
-
-    def gen_cells(i: int, prefix: tuple):
-        if i == r:
-            yield prefix
-            return
-        for j in range(2 * spec.n[i] + 2):
-            yield from gen_cells(i + 1, prefix + (j,))
-
-    def gen_twists(count: int, prefix: tuple):
-        if count == 0:
-            yield prefix
-            return
-        for a in range(t):
-            yield from gen_twists(count - 1, prefix + (a,))
-
-    for cells in gen_cells(0, ()):
-        d = sum(cells)
-        for twists in gen_twists(r - 1, ()):
-            basis[d].append((cells, twists))
-    for rows in basis:
-        rows.sort()
-    index = [{cell: i for i, cell in enumerate(rows)} for rows in basis]
+    spheres = [sphere_complex(ni, t).diffs for ni in spec.n]
+    tuples: list[list] = [[] for _ in range(spec.dim + 1)]
+    for cells in product(*(range(len(diffs)) for diffs in spheres)):
+        tuples[sum(cells)].append(cells)
+    start = [{cells: k * twists for k, cells in enumerate(row)} for row in tuples]
+    # lambda^c on factor i moves the twists by c g_i: g_1 subtracts 1 from
+    # every twist, g_i (i > 1) adds 1 to a_i
+    ones = sum(t**k for k in range(r - 1))
+    moves = _Moves(t, r)
 
     boundaries: list = [None]
-    for d in range(1, dim + 1):
-        cols = []
-        for cells, twists in basis[d]:
-            col: dict = {}
-            for i in range(r):
-                j = cells[i]
-                if j == 0:
-                    continue
-                sign = -1 if sum(cells[:i]) % 2 else 1
-                new_cells = cells[:i] + (j - 1,) + cells[i + 1 :]
-                shift = 0 if i == 0 else twists[i - 1]
-                for coef, c in _sphere_terms(j, t):
-                    s = (shift + c) % t
-                    if i == 0:
-                        new_twists = tuple((a - s) % t for a in twists)
-                    else:
-                        new_twists = twists[: i - 1] + (s,) + twists[i:]
-                    row = index[d - 1][(new_cells, new_twists)]
-                    v = col.get(row, 0) + sign * coef
-                    if v:
-                        col[row] = v
-                    else:  # sign * coef is nonzero, so row was already present
-                        del col[row]
-            cols.append(col)
+    for d in range(1, spec.dim + 1):
+        cols: list = []
+        rows = list(range(len(tuples[d - 1]) * twists))  # one int per row, shared by the columns
+        for cells in tuples[d]:
+            template: dict = {}
+            for i, j in enumerate(cells):
+                if j:
+                    sign = -1 if sum(cells[:i]) % 2 else 1
+                    face = start[d - 1][cells[:i] + (j - 1,) + cells[i + 1 :]]
+                    for c, coef in enumerate(spheres[i][j]):
+                        x = -c % t * ones if i == 0 else c * t ** (r - 1 - i)
+                        template[face, x] = template.get((face, x), 0) + sign * coef
+            triples = [(face, moves[x], v) for (face, x), v in template.items() if v]
+            cols += [{rows[face + tr[h]]: v for face, tr, v in triples} for h in range(twists)]
         boundaries.append(tuple(cols))
 
-    cx = QuotientComplex(spec, tuple(tuple(b) for b in basis), tuple(boundaries))
+    twist_tuples = list(product(range(t), repeat=r - 1))
+    basis = tuple(tuple((cells, h) for cells in row for h in twist_tuples) for row in tuples)
+    cx = QuotientComplex(spec, basis, tuple(boundaries))
     _check_dd_zero(cx)
     return cx
 
 
 def _check_dd_zero(cx: QuotientComplex) -> None:
-    """Exact d o d = 0: each column of d_d, composed with d_{d-1}, is zero."""
+    """Exact proof that d o d = 0, from two checks on every degree d:
+    (a) each column of d_d equals the twist-0 column of its cell tuple with
+    every row moved by the column's own twist, and (b) d_{d-1} composed with
+    each twist-0 column of d_d is zero.
+
+    Why that suffices: write s_h for the move k T + x -> k T + code(x + h)
+    of cell positions (QuotientComplex), an action of Z_t^(r-1) on every
+    degree. (a) says d s_h c = s_h d c for each twist-0 cell c; every cell is
+    some s_g c, so d s_h (s_g c) = s_{h+g} d c = s_h s_g d c = s_h d (s_g c):
+    d commutes with every s_h on every cell. Then d d (s_h c) = s_h d d c,
+    which is zero by (b). Every stored column is examined, by (a)."""
+    t, r = cx.spec.t, cx.spec.r
+    twists = t ** (r - 1)
+    moves = _Moves(t, r)
+    for d in range(1, cx.dim + 1):
+        cols = cx.boundaries[d]
+        for k in range(0, len(cols), twists):
+            triples = [(row - row % twists, moves[row % twists], v) for row, v in cols[k].items()]
+            for h in range(1, twists):
+                if cols[k + h] != {face + tr[h]: v for face, tr, v in triples}:
+                    raise AssertionError(f"a column at degree {d} of {cx.spec} is not its twist-0 one moved")
     for d in range(2, cx.dim + 1):
         outer = cx.boundaries[d - 1]
-        for col in cx.boundaries[d]:
+        for col in cx.boundaries[d][::twists]:
             acc: dict = {}
             for mid, v in col.items():
                 for row, w in outer[mid].items():

@@ -39,7 +39,7 @@ def _sq_base(ring: CohomologyRing, base: tuple) -> dict:
     """Cartan formula over the base's word in the generators of the base
     factor, with Sq(g) = g + g^2 for each of them."""
     out = {ring.unit: 1}
-    for g in ring.factor.word[base]:
+    for g in ring.factor.word(base):
         gen = BasisMonomial(g)
         out = ring.mul(out, ring.add({gen: 1}, ring.multiply(gen, gen)))
     return out

@@ -76,6 +76,15 @@ def test_primality_beyond_trial_division():
     assert prime_factors(1000003**3 * 999983 * 2**5) == (2, 999983, 1000003)
 
 
+def test_prime_powers_of_large_primes():
+    # rho finds no factor of p^k quickly; an integer k-th root does, so each
+    # of these answers at once (the square above the bound was refused)
+    assert prime_factors((2**61 - 1) ** 2) == (2**61 - 1,)
+    assert prime_factors(1000000000039**2) == (1000000000039,)
+    assert prime_factors(1000000000039**4 * 7) == (7, 1000000000039)
+    assert prime_factors((2**31 - 1) ** 3 * (2**61 - 1) ** 2) == (2**31 - 1, 2**61 - 1)
+
+
 def test_primality_limit():
     # a witness proves compositeness at any size; primality is certified
     # only below the bound, and a number the test cannot decide is rejected

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from math import gcd
 
@@ -295,6 +296,121 @@ def test_dd_check_trips_on_a_negated_entry():
         _check_dd_zero(broken)
 
 
+def test_dd_check_trips_on_a_negated_entry_at_a_nonzero_twist():
+    # the same corruption in a column whose twists are not all 0: d o d fails
+    # there only, so the check must reach it through the twist action
+    cx = product_quotient_complex(TupleSpec((1, 1), 3))
+    d, col, mid = next(
+        (d, col, mid)
+        for d in range(2, cx.dim + 1)
+        for col, entries in enumerate(cx.boundaries[d])
+        if cx.basis[d][col][1] != (0,)
+        for mid in entries
+        if cx.boundaries[d - 1][mid]
+    )
+    bad_col = dict(cx.boundaries[d][col])
+    bad_col[mid] = -bad_col[mid]
+    bad = cx.boundaries[d][:col] + (bad_col,) + cx.boundaries[d][col + 1 :]
+    broken = QuotientComplex(cx.spec, cx.basis, cx.boundaries[:d] + (bad,) + cx.boundaries[d + 1 :])
+    with pytest.raises(AssertionError, match=f"degree {d}"):
+        _assert_dd_zero(broken.boundaries)
+    with pytest.raises(AssertionError, match=f"degree {d}"):
+        _check_dd_zero(broken)
+
+
+def _reference_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> QuotientComplex:
+    """The tuple-indexed builder the twist templates replaced: every entry is
+    found by building its row's (cells, twists) tuple and looking it up."""
+    t, r = spec.t, spec.r
+    total = t ** (r - 1)
+    for ni in spec.n:
+        total *= 2 * ni + 2
+    if total > cap:
+        raise MemoryCapError(f"quotient basis has {total} cells, above the cap {cap}")
+
+    def sphere_terms(j):
+        if j % 2 == 1:
+            return () if t == 1 else ((-1, 0), (1, 1))
+        return tuple((1, c) for c in range(t))
+
+    basis: list[list] = [[] for _ in range(spec.dim + 1)]
+    for cells in itertools.product(*(range(2 * ni + 2) for ni in spec.n)):
+        for twists in itertools.product(range(t), repeat=r - 1):
+            basis[sum(cells)].append((cells, twists))
+    for rows in basis:
+        rows.sort()
+    index = [{cell: i for i, cell in enumerate(rows)} for rows in basis]
+    boundaries: list = [None]
+    for d in range(1, spec.dim + 1):
+        cols = []
+        for cells, twists in basis[d]:
+            col: dict = {}
+            for i in range(r):
+                j = cells[i]
+                if j == 0:
+                    continue
+                sign = -1 if sum(cells[:i]) % 2 else 1
+                new_cells = cells[:i] + (j - 1,) + cells[i + 1 :]
+                shift = 0 if i == 0 else twists[i - 1]
+                for coef, c in sphere_terms(j):
+                    s = (shift + c) % t
+                    if i == 0:
+                        new_twists = tuple((a - s) % t for a in twists)
+                    else:
+                        new_twists = twists[: i - 1] + (s,) + twists[i:]
+                    row = index[d - 1][(new_cells, new_twists)]
+                    v = col.get(row, 0) + sign * coef
+                    if v:
+                        col[row] = v
+                    else:
+                        del col[row]
+            cols.append(col)
+        boundaries.append(tuple(cols))
+    return QuotientComplex(spec, tuple(tuple(b) for b in basis), tuple(boundaries))
+
+
+def _assert_dd_zero(boundaries) -> None:
+    """d o d = 0 composed column by column over every column, independent of
+    the twist action that _check_dd_zero relies on."""
+    for d in range(2, len(boundaries)):
+        for col in boundaries[d]:
+            acc: dict = {}
+            for mid, v in col.items():
+                for row, w in boundaries[d - 1][mid].items():
+                    acc[row] = acc.get(row, 0) + v * w
+            assert not any(acc.values()), f"d o d != 0 at degree {d}"
+
+
+def test_complex_matches_reference_builder():
+    for spec in list(grid_specs(ts=(1, 2, 3, 4, 6))) + [TupleSpec((1,) * 5, 2)]:
+        assert product_quotient_complex(spec) == _reference_complex(spec), spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.lists(st.integers(0, 2), min_size=1, max_size=4),
+    t=st.integers(1, 7),
+)
+def test_complex_matches_reference_builder_property(n, t):
+    spec, cap = TupleSpec(tuple(sorted(n)), t), 4000
+    try:
+        expected = _reference_complex(spec, cap)
+    except MemoryCapError:
+        with pytest.raises(MemoryCapError):
+            product_quotient_complex(spec, cap)
+        return
+    cx = product_quotient_complex(spec, cap)
+    assert cx == expected
+    _assert_dd_zero(cx.boundaries)
+
+
+def test_compare_with_a_twist_group_of_12500():
+    # T = t^(r-1) = 12500 twists per cell tuple, within the default cap
+    spec = TupleSpec((0, 0), 12500)
+    assert compare_with_theory(spec, ZZ).ok
+    assert compare_with_theory(spec, GF(2)).ok
+
+
 # sha256 of the cell counts and boundary invariant factors of every
 # acceptance-grid spec and (1^5;2), recorded with the row-major sweep that
 # preceded the column-ordered one
@@ -396,7 +512,7 @@ def test_boundary_factors_of_scrambled_chain_complexes(top, pieces, nonunit, fre
         expected.append(_diagonal_invariant_factors(k for _, _, k in diag[d]))
         assert smith_normal_form(mixed) == expected[d]
     cx = QuotientComplex(None, tuple(tuple(range(n)) for n in ranks), tuple(boundaries))
-    _check_dd_zero(cx)
+    _assert_dd_zero(cx.boundaries)
     assert boundary_factors(cx) == tuple(expected)
 
 

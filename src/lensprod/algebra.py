@@ -8,7 +8,7 @@ so values can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, inf as INFINITY
+from math import gcd, inf as INFINITY
 from typing import NamedTuple
 
 __all__ = [
@@ -419,13 +419,6 @@ def binom_mod2_expand(k: int, precision: int) -> TruncPoly:
     return TruncPoly.of(
         f2, [binom_mod2(k, j) for j in range(precision + 1)], precision
     )
-
-
-def binom_expand(k: int, precision: int, dom: Coeff = ZZ) -> TruncPoly:
-    """(1+z)^k over an arbitrary domain (exact binomial coefficients)."""
-    if k < 0:
-        raise ValueError("exponent must be non-negative")
-    return TruncPoly.of(dom, [comb(k, j) for j in range(precision + 1)], precision)
 
 
 # ---------------------------------------------------------------------------

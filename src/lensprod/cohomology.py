@@ -20,12 +20,14 @@ the base factor for degree reasons, while w * x_S are basis monomials.
 
 A BaseFactor holds the factor as tables keyed by its base tuples ('z', a),
 ('w',) and ('yz', eps, a): degrees, torsion, exponent vectors (from which a
-product of two bases and a base's word in the generators are read), the
-powers of z, the generators and the relations. base_factor builds them once
-per (n1, t, mode); no other part of the ring reads the presentation.
-CohomologyRing is generic over it: a product of basis monomials is the sum
-of the bases' exponent vectors looked up in a table, the union of the
-exterior subsets, and the Koszul sign of the odd letters.
+product of two bases is read), the powers of z, the generators and the
+relations. base_factor builds them once per (n1, t, mode); no other part of
+the ring reads the presentation. CohomologyRing is generic over it: a
+product of basis monomials is the sum of the bases' exponent vectors looked
+up in a table, the union of the exterior subsets, and the Koszul sign of the
+odd letters. The cup length and the zero-divisor cup length of a ring are
+those of its base factor plus r - 1, so their searches run on the r = 1 ring
+alone.
 
 Rings are immutable after construction and all queries are pure.
 """
@@ -144,14 +146,13 @@ class BaseFactor(NamedTuple):
     """The ring of the r = 1 space over one coefficient mode, as tables keyed
     by base tuples. Every structure constant of the factor is 1 (a product
     of two bases is a base or zero) and no product of bases carries a sign.
-    Products and words are read off the exponent vectors when asked for, so
-    the tables grow linearly in n1."""
+    Products are read off the exponent vectors when asked for, so the tables
+    grow linearly in n1."""
 
     degree: dict  # base -> degree
     torsion: dict  # base -> q for a Z/q summand, 0 for a free or field one
     exponents: dict  # base -> its exponents over the two letters
     bases: dict  # exponent vector -> base, rewritten vectors included
-    letters: tuple  # the generator each exponent counts, in degree order
     z_powers: tuple  # the bases of z^0, z^1, ..., up to the last nonzero one
     generators: tuple  # the positive-degree generators, in degree order
     relations: tuple  # relation strings
@@ -170,10 +171,6 @@ class BaseFactor(NamedTuple):
         (i1, j1), (i2, j2) = self.exponents[b1], self.exponents[b2]
         return self.bases.get((i1 + i2, j1 + j2))
 
-    def word(self, base: tuple) -> tuple:
-        """The base's generators with repeats, in degree order."""
-        return tuple(g for g, k in zip(self.letters, self.exponents[base]) for _ in range(k))
-
 
 # Bounded so a long-running process keeps bounded memory, and sized above the
 # working sets of the acceptance grid (95 specs over Z, F2 and F3: 285 rings
@@ -188,7 +185,7 @@ def base_factor(n1: int, t, mode: CoeffMode) -> BaseFactor:
 
     Each presentation names its generators with their degrees, its bases as
     exponent vectors over them, and the exponent vectors a relation rewrites
-    (y^2 = z); the products, words and degrees follow from the exponents."""
+    (y^2 = z); the products and degrees follow from the exponents."""
     pres = mode.presentation
     rewrite: dict = {}
     torsion: dict = {}
@@ -227,7 +224,6 @@ def base_factor(n1: int, t, mode: CoeffMode) -> BaseFactor:
         torsion={b: torsion.get(b, 0) for b in exps},
         exponents=exps,
         bases=bases,
-        letters=tuple(g for g, _ in gens),
         z_powers=tuple(z_powers),
         generators=tuple(g for g, _ in gens if g in exps),
         relations=rels,
@@ -315,7 +311,9 @@ class CohomologyRing:
         swaps = sum(1 for a in m1.ext for b in m2.ext if b < a)
         swaps += len(m1.ext) * (self.factor.degree[m2.base] % 2)
         mono = BasisMonomial(base, tuple(sorted(m1.ext + m2.ext)))
-        return self._normalize({mono: -1 if swaps % 2 else 1})
+        # +-1 is nonzero in every field and modulo every torsion order
+        c, q = self.dom(-1 if swaps % 2 else 1), self.factor.torsion[base]
+        return {mono: c % q if q else c}
 
     def _normalize(self, elem: dict) -> dict:
         out = {}
@@ -536,55 +534,51 @@ def change_coefficients(ring: CohomologyRing, p: int) -> ReductionMap:
 # cup-length searches
 
 
-def _right_table(ring: CohomologyRing, gens: tuple) -> tuple[dict, list]:
-    """(index, table): index maps each basis monomial to its position, and
-    table[g][i] is (j, c) with basis[i] * gens[g] = c basis[j], or None when
-    the product is zero. Built per call; the ring itself stays untouched."""
-    index = {m: i for i, m in enumerate(ring.basis)}
-    table = []
-    for g in gens:
-        row = []
-        for m in ring.basis:
-            prod = ring.multiply(m, g)
-            row.append(next(((index[m2], c) for m2, c in prod.items()), None))
-        table.append(row)
-    return index, table
+def _base_ring(ring: CohomologyRing) -> CohomologyRing:
+    """The ring B of the r = 1 space; ring is B tensor Lambda[x_2..x_r]."""
+    return build_ring(TupleSpec(ring.spec.n[:1], ring.spec.t), ring.dom)
 
 
 def cup_length(ring: CohomologyRing) -> int:
-    """Largest m with a nonzero product of m positive-degree classes, by
-    exhaustive search over products of ring generators."""
+    """Largest m with a nonzero product of m positive-degree classes.
+
+    The ring is B tensor Lambda[x_2..x_r], so its cup length is that of the
+    base factor B plus r - 1: x_i^2 = 0 leaves at most r - 1 exterior
+    factors, and a nonzero product in B times x_2...x_r is a nonzero basis
+    monomial. B, with at most 2 n1 + 2 basis elements, is searched over
+    products of its generators."""
     if not ring.is_field:
         raise ValueError("cup length is computed in field modes")
-    gens = ring.positive_generators()
-    index, table = _right_table(ring, gens)
-    best = [0] * len(ring.basis)
-    for g in gens:
-        best[index[g]] = 1
-    for i in range(len(best)):  # basis is sorted by degree: products land later
-        length = best[i]
-        if not length:
-            continue
-        for row in table:
-            prod = row[i]
-            if prod is not None and best[prod[0]] < length + 1:
-                best[prod[0]] = length + 1
-    return max(best, default=0)
+    base = _base_ring(ring)
+    gens = base.positive_generators()
+    best = dict.fromkeys(gens, 1)
+    for m in base.basis:  # sorted by degree: products land later
+        if m in best:
+            for g in gens:
+                for prod in base.multiply(m, g):
+                    best[prod] = max(best.get(prod, 0), best[m] + 1)
+    return max(best.values(), default=0) + ring.spec.r - 1
 
 
 def tensor_mul(ring: CohomologyRing, e1: dict, e2: dict) -> dict:
     """Product in ring tensor ring with the Koszul sign; elements are maps
-    (m_left, m_right) -> coefficient."""
+    (m_left, m_right) -> coefficient. A product with the unit, one side of
+    every bar g x 1 - 1 x g, is taken without a lookup."""
     out: dict = {}
-    for (a1, b1), c1 in e1.items():
-        for (a2, b2), c2 in e2.items():
-            sign = -1 if (ring.degree(b1) * ring.degree(a2)) % 2 else 1
-            for ma, ca in ring.multiply(a1, a2).items():
-                for mb, cb in ring.multiply(b1, b2).items():
+    unit = ring.unit
+    for (a2, b2), c2 in e2.items():
+        a2_odd = ring.degree(a2) % 2
+        for (a1, b1), c1 in e1.items():
+            left = {a1: 1} if a2 == unit else ring.multiply(a1, a2)
+            if not left:
+                continue
+            sign = -1 if a2_odd and ring.degree(b1) % 2 else 1
+            for mb, cb in ({b1: 1} if b2 == unit else ring.multiply(b1, b2)).items():
+                for ma, ca in left.items():
                     key = (ma, mb)
                     out[key] = out.get(key, 0) + sign * c1 * c2 * ca * cb
-    dom = ring.dom
-    return {k: dom(v) for k, v in out.items() if dom(v) != dom(0)}
+    dom, zero = ring.dom, ring.dom(0)
+    return {k: c for k, v in out.items() if (c := dom(v)) != zero}
 
 
 def zero_divisor_cup_length(ring: CohomologyRing) -> int:
@@ -592,43 +586,31 @@ def zero_divisor_cup_length(ring: CohomologyRing) -> int:
     g x 1 - 1 x g, g a ring generator; a lower bound for the reduced
     topological complexity.
 
-    Tensors are {(i, j): c} over basis positions, and the search runs over
-    non-decreasing generator sequences."""
+    The ring is B tensor Lambda[x_2..x_r], so its zero-divisor cup length is
+    that of the base factor B plus r - 1: each bar x_i x 1 - 1 x x_i squares
+    to 0, which leaves at most r - 1 exterior bars, and the product of the
+    distinct bars has its 1 x x_2...x_r term with coefficient +-1, so it
+    times a nonzero product of B's bars is nonzero. B is searched over
+    non-decreasing sequences of its bars."""
     if not ring.is_field:
         raise ValueError("zero-divisor cup length is computed in field modes")
-    gens = ring.positive_generators()
-    index, table = _right_table(ring, gens)
-    odd = [ring.degree(m) % 2 for m in ring.basis]
-    dom = ring.dom
-    zero = dom(0)
+    base = _base_ring(ring)
+    one, dom = base.unit, base.dom
+    gens = base.positive_generators()
+    bars = [{(g, one): dom(1), (one, g): dom(-1)} for g in gens]
+    degrees = [base.degree(g) for g in gens]
     best = 0
-
-    def times_bar(elem: dict, g: int) -> dict:
-        """elem * (g x 1 - 1 x g): (a, b) c goes to
-        (-1)^{|g||b|} c (a g) x b - c a x (b g)."""
-        row, g_odd = table[g], odd[index[gens[g]]]
-        out: dict = {}
-        for (a, b), c in elem.items():
-            prod = row[a]
-            if prod is not None:
-                j, ca = prod
-                v = -c * ca if g_odd and odd[b] else c * ca
-                out[(j, b)] = out.get((j, b), 0) + v
-            prod = row[b]
-            if prod is not None:
-                j, cb = prod
-                out[(a, j)] = out.get((a, j), 0) - c * cb
-        out = {k: dom(v) for k, v in out.items()}
-        return {k: v for k, v in out.items() if v != zero}
-
-    def extend(elem: dict, start: int, length: int) -> None:
-        nonlocal best
+    stack = [({(one, one): dom(1)}, 0, 0, 0)]
+    while stack:
+        elem, start, length, degree = stack.pop()
         best = max(best, length)
-        for g in range(start, len(gens)):
-            nxt = times_bar(elem, g)
+        # B tensor B is zero above degree 2 dim, and each further bar adds at
+        # least degrees[start], the bars being in degree order
+        room = 2 * base.spec.dim - degree
+        if start == len(bars) or length + room // degrees[start] <= best:
+            continue
+        for i in reversed(range(start, len(bars))):  # the lowest bar is popped first
+            nxt = tensor_mul(base, elem, bars[i])
             if nxt:
-                extend(nxt, g, length + 1)
-
-    one = index[ring.unit]
-    extend({(one, one): dom(1)}, 0, 0)
-    return best
+                stack.append((nxt, i, length + 1, degree + degrees[i]))
+    return best + ring.spec.r - 1

@@ -217,7 +217,9 @@ def tc_bounds(spec: TupleSpec, base_tc_override: tuple[int, int] | None = None) 
     estimate 2 r (cat(base) + 1) - 2; lower bound: zero-divisor cup length,
     improved to the cat lower bound. Base TC is exact (2 n1) for t = INFINITY
     and an interval for finite t unless overridden."""
-    base_spec = TupleSpec((spec.n[0],), spec.t)
+    zcl = max(
+        zero_divisor_cup_length(build_ring(spec, dom)) for dom in field_modes(spec)
+    )
     if base_tc_override is not None:
         b_lo, b_hi = base_tc_override
         if b_lo < 0:
@@ -228,16 +230,10 @@ def tc_bounds(spec: TupleSpec, base_tc_override: tuple[int, int] | None = None) 
     elif not spec.finite:
         base = (2 * spec.n[0], 2 * spec.n[0])
     else:
-        zcl_base = max(
-            zero_divisor_cup_length(build_ring(base_spec, dom))
-            for dom in field_modes(base_spec)
-        )
-        base = (zcl_base, 2 * (2 * spec.n[0] + 1))
+        # the zero-divisor cup length of the r = 1 space is r - 1 less
+        base = (zcl - spec.r + 1, 2 * (2 * spec.n[0] + 1))
     estuno = 2 * spec.r * (_cat_base(spec) + 1) - 2
     hi = min(estuno, spec.r * (1 + base[1]) - 1)
-    zcl = max(
-        zero_divisor_cup_length(build_ring(spec, dom)) for dom in field_modes(spec)
-    )
     lo = max(zcl, cat_bounds(spec)[0])
     if lo > hi:
         if base_tc_override is not None:

@@ -54,10 +54,14 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 50_000
+# boundary entries allowed per unit of the cap; the most any test spec needs
+# is 6.9, (1,1,2;6) under a cap of 4000
+ENTRIES_PER_CELL = 10
 
 
 class MemoryCapError(ValueError):
-    """Raised when the quotient basis would exceed the configured cap."""
+    """Raised when the quotient basis would exceed the configured cap, or its
+    boundaries ENTRIES_PER_CELL times the cap in entries."""
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +187,16 @@ def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> Quotien
     total = twists * prod(2 * ni + 2 for ni in spec.n)
     if total > cap:
         raise MemoryCapError(f"quotient basis has {total} cells, above the cap {cap}")
+    # A column has one entry per nonzero group-ring coefficient of each
+    # face's sphere boundary: 2 for lambda - 1 (none when t = 1) and t for the
+    # norm element. For r >= 2 no two share a row, so this is the entry
+    # count; for r = 1 it counts the coefficients the build walks.
+    entries = sum(total // (2 * ni + 2) * ((2 * ni + 2) * (t > 1) + ni * t) for ni in spec.n)
+    if entries > ENTRIES_PER_CELL * cap:
+        raise MemoryCapError(
+            f"quotient boundaries have {entries} entries, "
+            f"above {ENTRIES_PER_CELL} times the cap {cap}"
+        )
 
     spheres = [sphere_complex(ni, t).diffs for ni in spec.n]
     tuples: list[list] = [[] for _ in range(spec.dim + 1)]

@@ -1,15 +1,16 @@
 """Mod-2 Steenrod squares on the F_2 cohomology rings, total Stiefel-Whitney
 classes of the tangent bundle, and the orientability/Spin predicates.
 
-The total square is defined on generators. Each generator g of the base
-factor has Sq(g) = g + g^2: y has degree 1; z has degree 2 and reduces an
-integral class, so Sq^1 z = 0; w is pulled back from the r = 1 space, whose
-top class it is, so its only positive square there that could survive is
-Sq^{2 n_1 + 1} w = w^2 = 0. The exterior generators have
-Sq(x_i) = (1+z)^{n_i+1} x_i, with z read as 0 when the presentation has no
-degree-2 class. A monomial's square is the product of its letters' squares
-(Cartan formula) over its word in these generators, with every product
-reduced by the ring's relations.
+Each generator g of the base factor has Sq(g) = g + g^2: y has degree 1; z
+has degree 2 and reduces an integral class, so Sq^1 z = 0; w is pulled back
+from the r = 1 space, whose top class it is, so its only positive square
+there that could survive is Sq^{2 n_1 + 1} w = w^2 = 0. By the Cartan
+formula the bases of the base factor have squares in closed form:
+Sq(z^a) = (z + z^2)^a = sum_j C(a, j) z^{a+j}, Sq(y z^a) = (y + y^2) Sq(z^a)
+and Sq(w) = w. The exterior generators have Sq(x_i) = (1+z)^{n_i+1} x_i,
+with z read as 0 when the presentation has no degree-2 class, and a
+monomial's square is its base's square times those of its x_i, with every
+product reduced by the ring's relations.
 """
 
 from __future__ import annotations
@@ -35,25 +36,32 @@ def _require_f2(ring: CohomologyRing) -> None:
         raise ValueError(f"Steenrod squares act on F_2 rings, not {ring.dom}")
 
 
+def _z_series(ring: CohomologyRing, a: int, k: int) -> dict:
+    """z^a (1+z)^k = sum_j C(k, j) z^{a+j} over F_2, without the powers of z
+    that vanish in the ring."""
+    out = {}
+    for j in range(k + 1):
+        m = ring.z_power(a + j)
+        if m is not None and binom_mod2(k, j):
+            out[m] = 1
+    return out
+
+
 def _sq_base(ring: CohomologyRing, base: tuple) -> dict:
-    """Cartan formula over the base's word in the generators of the base
-    factor, with Sq(g) = g + g^2 for each of them."""
-    out = {ring.unit: 1}
-    for g in ring.factor.word(base):
-        gen = BasisMonomial(g)
-        out = ring.mul(out, ring.add({gen: 1}, ring.multiply(gen, gen)))
+    """Sq(z^a) = z^a (1+z)^a, Sq(y z^a) = (y + y^2) Sq(z^a) and Sq(w) = w."""
+    if base == ("w",):
+        return {BasisMonomial(base): 1}
+    eps, a = base[1:] if base[0] == "yz" else (0, base[1])
+    out = _z_series(ring, a, a)
+    if eps:
+        y = BasisMonomial(("yz", 1, 0))
+        out = ring.mul(ring.add({y: 1}, ring.multiply(y, y)), out)
     return out
 
 
 def _sq_ext(ring: CohomologyRing, i: int) -> dict:
     """Sq(x_i) = (1+z)^{n_i+1} x_i."""
-    ni = ring.spec.n[i - 1]
-    zpart: dict = {}
-    for j in range(ni + 2):
-        if binom_mod2(ni + 1, j):
-            m = ring.z_power(j)
-            if m is not None:
-                zpart[m] = 1
+    zpart = _z_series(ring, 0, ring.spec.n[i - 1] + 1)
     return ring.mul(zpart, {BasisMonomial(ring.unit.base, (i,)): 1})
 
 

@@ -18,7 +18,6 @@ from lensprod.algebra import (
     TruncPoly,
     TupleSpec,
     ZZ,
-    binom_expand,
     binom_mod2,
 )
 from lensprod.cli import run as cli_run
@@ -41,7 +40,7 @@ from lensprod.oracle import compare_with_theory
 from lensprod.splittings import mu1, verify_wedge
 from lensprod.steenrod import sq_k, sq_k_elem, stiefel_whitney_total, total_sq
 
-from _grid import full_grid_specs, grid_specs
+from _grid import binom_expand, full_grid_specs, grid_specs
 
 ORACLE_TS = (1, 2, 3, 4, 6)
 

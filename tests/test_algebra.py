@@ -15,7 +15,6 @@ from lensprod.algebra import (
     TupleSpec,
     ZZ,
     binom_mod2_expand,
-    binom_expand,
     PRIMALITY_BOUND,
     elementary_divisors,
     is_prime,
@@ -23,6 +22,8 @@ from lensprod.algebra import (
     prime_factors,
 )
 from lensprod.cohomology import BasisMonomial, BundleSpec
+
+from _grid import binom_expand
 
 
 def test_nu_p_examples():

@@ -73,6 +73,20 @@ def test_unsupported_combinations_exit_3():
         assert code == 3, (args, err)
 
 
+def test_oracle_entry_cap_exits_3(monkeypatch):
+    from lensprod import oracle
+
+    def unbuilt(n, t):
+        raise AssertionError("sphere complexes built")
+
+    monkeypatch.setattr(oracle, "sphere_complex", unbuilt)
+    code, out, err = go(["--n", "1,1", "--t", "3125", "oracle", "--json"])
+    assert code == 3 and out == ""
+    assert err.startswith("unsupported: quotient boundaries have 78225000 entries")
+    code, out, err = go(["--n", "1,1", "--t", "3125", "report", "--json"])
+    assert code == 0 and json.loads(out)["oracle"] == {"checked": False, "match": True}
+
+
 def test_domain_rejections_exit_2():
     for args in (
         ["--n", "1,1", "--t", "inf", "invariants", "--gd", "9"],

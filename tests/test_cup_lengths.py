@@ -1,8 +1,9 @@
-"""The table-driven cup-length searches against the brute-force searches
-they replaced: the same search over dict-valued elements built from
-ring.multiply and tensor_mul, kept here as the reference."""
+"""The cup-length searches, which run on the base factor and add r - 1,
+against brute-force searches over the whole ring: dict-valued elements built
+from ring.multiply and tensor_mul, kept here as the reference."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lensprod.algebra import GF, INFINITY, QQ, TupleSpec
 from lensprod.cohomology import (
@@ -64,6 +65,20 @@ def test_cup_length_matches_brute_force_on_grid():
         assert cup_length(ring) == reference_cup_length(ring), ring
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+    t=st.sampled_from((INFINITY,) + tuple(range(1, 17))),
+)
+def test_searches_match_brute_force_property(n, t):
+    # every presentation: Q and F_p for p | t, and F2, F3 in any other
+    spec = TupleSpec(tuple(sorted(n)), t)
+    for dom in dict.fromkeys(field_modes(spec) + (GF(2), GF(3))):
+        ring = build_ring(spec, dom)
+        assert cup_length(ring) == reference_cup_length(ring), ring
+        assert zero_divisor_cup_length(ring) == reference_zcl(ring), ring
+
+
 @pytest.mark.parametrize(
     "n, t, dom, zcl, cl",
     [
@@ -72,6 +87,11 @@ def test_cup_length_matches_brute_force_on_grid():
         ((1,) * 6, 2, QQ, 6, 6),
         ((1,) * 6, 2, GF(2), 8, 8),
         ((1,) * 7, INFINITY, QQ, 8, 7),
+        # past the reach of the brute force: zcl and cup length of the base
+        # factor plus 11
+        ((1,) * 12, 2, QQ, 12, 12),
+        ((1,) * 12, 2, GF(2), 14, 14),
+        ((1,) * 12, INFINITY, QQ, 13, 12),
     ],
 )
 def test_zcl_heavy_specs_pinned(n, t, dom, zcl, cl):

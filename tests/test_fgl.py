@@ -2,13 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lensprod.algebra import GF, QQ, TruncPoly, ZZ, binom_expand
+from lensprod.algebra import GF, QQ, TruncPoly, ZZ
 from lensprod.fgl import (
     make_additive,
     make_custom,
     make_multiplicative,
     t_series,
 )
+
+from _grid import binom_expand
 
 
 def test_additive_law_coefficients():

@@ -8,8 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from lensprod.algebra import GF, GradedAbGroup, QQ, TupleSpec, ZZ
 from lensprod.cohomology import base_factor, build_ring, resolve_mode
+from lensprod import oracle as oracle_module
 from lensprod.oracle import (
     DEFAULT_CAP,
+    ENTRIES_PER_CELL,
     ComparisonReport,
     MemoryCapError,
     QuotientComplex,
@@ -159,6 +161,30 @@ def test_homology_rational():
 def test_memory_cap():
     with pytest.raises(MemoryCapError):
         product_quotient_complex(TupleSpec((2, 2, 2), 6), cap=100)
+
+
+def test_entry_cap_refuses_before_building(monkeypatch):
+    # (1,1;t) has 16 t cells and 8 t (t + 4) boundary entries: t = 3125 fits
+    # the default cell cap exactly, with 78,225,000 entries
+    def unbuilt(n, t):
+        raise AssertionError("sphere complexes built")
+
+    monkeypatch.setattr(oracle_module, "sphere_complex", unbuilt)
+    for t in (249, 3125):
+        with pytest.raises(MemoryCapError, match="entries"):
+            product_quotient_complex(TupleSpec((1, 1), t))
+    with pytest.raises(AssertionError, match="built"):  # 499,968 entries
+        product_quotient_complex(TupleSpec((1, 1), 248))
+
+
+def test_entry_cap_counts_the_built_entries():
+    for spec in (TupleSpec((1, 1), 40), TupleSpec((1, 2), 20)):
+        cx = product_quotient_complex(spec)
+        entries = sum(len(col) for cols in cx.boundaries[1:] for col in cols)
+        cells = sum(cx.ranks)
+        assert entries > ENTRIES_PER_CELL * cells
+        with pytest.raises(MemoryCapError, match=f"have {entries} entries"):
+            product_quotient_complex(spec, cap=cells)
 
 
 def test_no_oracle_for_infinite_t():

@@ -1,5 +1,6 @@
 import cmath
 import random
+from math import comb
 
 import pytest
 
@@ -15,8 +16,9 @@ from lensprod.splittings import (
     verify_wedge,
     wedge_decomposition,
 )
+from lensprod.steenrod import sq_k
 
-from _grid import full_grid_specs
+from _grid import full_grid_specs, tuples
 
 
 def test_clifford_table():
@@ -265,3 +267,70 @@ def test_verify_wedge_grid():
         for k in (0, 1, 2):
             for dom in field_modes(spec):
                 assert verify_wedge(spec, k, dom).ok, (spec, k, dom)
+
+
+# ---------------------------------------------------------------------------
+# the splitting as modules over the Steenrod algebra
+
+F2 = GF(2)
+
+
+def _f2_rank(vectors) -> int:
+    """Rank over F_2 of vectors given as int bitmasks."""
+    pivots: dict = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
+def _stunted_sq(t, e: int, k: int) -> int:
+    """Sq^k on the degree-e class of a mod-2 stunted CP_m(t) with t = INFINITY
+    or t even, from the textbook formulas: Sq^{2j} z^a = C(a, j) z^{a+j} and
+    odd squares zero for t = INFINITY and for 4 | t (where Sq^{2j} acts on
+    y z^a as on z^a); for t = 2 mod 4 the classes are u^e, as on RP^{2m+1},
+    with Sq^k u^e = C(e, k) u^{e+k}."""
+    if t == INFINITY or t % 4 == 0:
+        return 0 if k % 2 else comb(e // 2, k // 2) % 2
+    return comb(e, k) % 2
+
+
+def _space_sq_ranks(spec: TupleSpec) -> dict:
+    """{(k, d): rank of Sq^k: H~^d -> H~^{d+k}} over F_2, k >= 1, nonzero
+    ranks only, from the steenrod module."""
+    ring = build_ring(spec, F2)
+    out = {}
+    for d, sources in ring.basis_by_degree.items():
+        for k in range(1, spec.dim - d + 1):
+            row = {m: i for i, m in enumerate(ring.basis_by_degree.get(d + k, ()))}
+            rank = _f2_rank(sum(1 << row[m2] for m2 in sq_k(ring, m, k)) for m in sources)
+            if d and rank:
+                out[k, d] = rank
+    return out
+
+
+def _wedge_sq_ranks(spec: TupleSpec) -> dict:
+    """The same ranks summed over the wedge summands of the suspension, each
+    summand's degree e read as the space's degree e + shift - 1."""
+    out: dict = {}
+    for s in wedge_decomposition(spec):
+        degrees = set(stunted_cohomology(s.t, s.top, s.bottom, F2).degrees())
+        for e in degrees:
+            for k in range(1, max(degrees) - e + 1):
+                if e + k in degrees and _stunted_sq(s.t, e, k):
+                    key = (k, e + s.shift - 1)
+                    out[key] = out.get(key, 0) + 1
+    return out
+
+
+def test_wedge_splitting_is_one_of_steenrod_modules():
+    # a stable homotopy equivalence is an isomorphism of modules over the
+    # Steenrod algebra, so every Sq^k has the same rank on both sides
+    for t in (INFINITY, 2, 4, 6, 8, 12):
+        for tup in tuples(nmax=3, rmax=3):
+            spec = TupleSpec(tup, t)
+            assert _space_sq_ranks(spec) == _wedge_sq_ranks(spec), spec

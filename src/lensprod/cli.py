@@ -142,6 +142,8 @@ def parse(argv) -> Query:
         elif a in valued:
             if i + 1 >= len(args):
                 raise UsageError(f"{a} needs a value")
+            if valued[a] in flags:
+                raise UsageError(f"{a} given twice")
             flags[valued[a]] = args[i + 1]
             i += 1
         elif a in COMMANDS:

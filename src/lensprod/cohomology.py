@@ -25,9 +25,10 @@ relations. base_factor builds them once per (n1, t, mode); no other part of
 the ring reads the presentation. CohomologyRing is generic over it: a
 product of basis monomials is the sum of the bases' exponent vectors looked
 up in a table, the union of the exterior subsets, and the Koszul sign of the
-odd letters. The cup length and the zero-divisor cup length of a ring are
-those of its base factor plus r - 1, so their searches run on the r = 1 ring
-alone.
+odd letters. The base factor is also a tensor product of truncated
+polynomial algebras k[g]/(g^h), its letters, so the cup length and the
+zero-divisor cup length of a ring are closed-form sums over the letters,
+plus 1 for each x_i.
 
 Rings are immutable after construction and all queries are pure.
 """
@@ -71,7 +72,6 @@ __all__ = [
     "cup_length",
     "zero_divisor_cup_length",
     "field_modes",
-    "tensor_mul",
 ]
 
 FREE = "free"
@@ -123,7 +123,7 @@ class BasisMonomial(NamedTuple):
     base: tuple
     ext: tuple = ()
 
-    def label(self) -> str:
+    def __str__(self) -> str:
         parts = []
         if self.base == ("w",):
             parts.append("w")
@@ -137,9 +137,6 @@ class BasisMonomial(NamedTuple):
                 parts.append(f"z^{a}")
         parts += [f"x{i}" for i in self.ext]
         return "*".join(parts) if parts else "1"
-
-    def __str__(self):
-        return self.label()
 
 
 class BaseFactor(NamedTuple):
@@ -156,6 +153,7 @@ class BaseFactor(NamedTuple):
     z_powers: tuple  # the bases of z^0, z^1, ..., up to the last nonzero one
     generators: tuple  # the positive-degree generators, in degree order
     relations: tuple  # relation strings
+    letters: tuple  # (degree, height) of each tensor factor k[g]/(g^height)
 
     # compared and hashed by identity, since the tables are dicts
     __eq__ = object.__eq__
@@ -185,18 +183,22 @@ def base_factor(n1: int, t, mode: CoeffMode) -> BaseFactor:
 
     Each presentation names its generators with their degrees, its bases as
     exponent vectors over them, and the exponent vectors a relation rewrites
-    (y^2 = z); the products and degrees follow from the exponents."""
+    (y^2 = z); the products and degrees follow from the exponents. Its letters
+    write it as a tensor product of truncated polynomial algebras k[g]/(g^h)."""
     pres = mode.presentation
     rewrite: dict = {}
     torsion: dict = {}
+    letters: tuple = ()  # none over Z, where the cup lengths are refused
     if pres == PRIMARY:
         gens = ((("yz", 1, 0), 1), (("yz", 0, 1), 2))
         exps = {("yz", eps, a): (eps, a) for a in range(n1 + 1) for eps in (0, 1)}
         if mode.dom.p == 2 and mode.e == 1:
             rewrite = {(2, a): (0, a + 1) for a in range(n1 + 1)}
             rels = ("y^2 = z", f"z^{n1 + 1} = 0")
+            letters = ((1, 2 * n1 + 2),)
         else:
             rels = ("y^2 = 0", f"z^{n1 + 1} = 0")
+            letters = ((1, 2), (2, n1 + 1))
     else:
         # z^a for a <= n1, and w for finite t; z itself is zero when t acts
         # invertibly, and over Z when t = 1
@@ -207,12 +209,14 @@ def base_factor(n1: int, t, mode: CoeffMode) -> BaseFactor:
             exps[("w",)] = (0, 1)
         if pres == FREE:
             rels = (f"z^{n1 + 1} = 0",)
+            letters = ((2, n1 + 1),)
         elif pres == INTEGRAL:
             torsion = {("z", a): t for a in range(1, z_top + 1)}
             series = fgl.t_series(fgl.make_additive(ZZ, n1 + 1), t, n1 + 1)
             rels = (f"z^{n1 + 1} = 0", f"{series.poly} = 0", "w*z = 0, w^2 = 0")
         else:
             rels = ("z = 0 (t acts invertibly)", "w^2 = 0")
+            letters = ((2 * n1 + 1, 2),)
 
     degree = {b: sum(d * k for (_, d), k in zip(gens, v)) for b, v in exps.items()}
     bases = {v: b for b, v in exps.items()}
@@ -227,6 +231,7 @@ def base_factor(n1: int, t, mode: CoeffMode) -> BaseFactor:
         z_powers=tuple(z_powers),
         generators=tuple(g for g, _ in gens if g in exps),
         relations=rels,
+        letters=letters,
     )
 
 
@@ -379,11 +384,7 @@ def graded_groups(ring: CohomologyRing) -> GradedAbGroup:
 def poincare_polynomial(ring: CohomologyRing) -> PoincareSeries:
     if not ring.is_field:
         raise ValueError("Poincare polynomial needs field coefficients")
-    dims: dict[int, int] = {}
-    for m in ring.basis:
-        d = ring.degree(m)
-        dims[d] = dims.get(d, 0) + 1
-    return PoincareSeries.from_dict(dims)
+    return PoincareSeries.from_dict({d: len(ms) for d, ms in ring.basis_by_degree.items()})
 
 
 def field_modes(spec: TupleSpec) -> tuple[Coeff, ...]:
@@ -445,16 +446,12 @@ class ProjectionRule(NamedTuple):
     t_prime: object
     omega_multiplier: object  # int for finite t', None otherwise
 
-    def apply_base(self, base: tuple):
-        if base[0] == "w":
-            if self.omega_multiplier is None:
-                raise ValueError("the t' = INFINITY ring has no w class")
-            return self.omega_multiplier, base
-        return 1, base
-
     def apply(self, m: BasisMonomial):
-        c, base = self.apply_base(m.base)
-        return c, BasisMonomial(base, m.ext)
+        if m.base != ("w",):
+            return 1, m
+        if self.omega_multiplier is None:
+            raise ValueError("the t' = INFINITY ring has no w class")
+        return self.omega_multiplier, m
 
     def push(self, m: BasisMonomial, source: CohomologyRing, target: CohomologyRing) -> dict:
         """Image in the target (t) ring of a basis monomial of the source
@@ -531,54 +528,18 @@ def change_coefficients(ring: CohomologyRing, p: int) -> ReductionMap:
 
 
 # ---------------------------------------------------------------------------
-# cup-length searches
-
-
-def _base_ring(ring: CohomologyRing) -> CohomologyRing:
-    """The ring B of the r = 1 space; ring is B tensor Lambda[x_2..x_r]."""
-    return build_ring(TupleSpec(ring.spec.n[:1], ring.spec.t), ring.dom)
+# cup lengths
 
 
 def cup_length(ring: CohomologyRing) -> int:
     """Largest m with a nonzero product of m positive-degree classes.
 
-    The ring is B tensor Lambda[x_2..x_r], so its cup length is that of the
-    base factor B plus r - 1: x_i^2 = 0 leaves at most r - 1 exterior
-    factors, and a nonzero product in B times x_2...x_r is a nonzero basis
-    monomial. B, with at most 2 n1 + 2 basis elements, is searched over
-    products of its generators."""
+    A product in a tensor product of algebras over a field is nonzero when
+    each factor's part is, and g^{h-1} is the top power in k[g]/(g^h): the
+    sum of h - 1 over the base factor's letters, plus 1 for each x_i."""
     if not ring.is_field:
         raise ValueError("cup length is computed in field modes")
-    base = _base_ring(ring)
-    gens = base.positive_generators()
-    best = dict.fromkeys(gens, 1)
-    for m in base.basis:  # sorted by degree: products land later
-        if m in best:
-            for g in gens:
-                for prod in base.multiply(m, g):
-                    best[prod] = max(best.get(prod, 0), best[m] + 1)
-    return max(best.values(), default=0) + ring.spec.r - 1
-
-
-def tensor_mul(ring: CohomologyRing, e1: dict, e2: dict) -> dict:
-    """Product in ring tensor ring with the Koszul sign; elements are maps
-    (m_left, m_right) -> coefficient. A product with the unit, one side of
-    every bar g x 1 - 1 x g, is taken without a lookup."""
-    out: dict = {}
-    unit = ring.unit
-    for (a2, b2), c2 in e2.items():
-        a2_odd = ring.degree(a2) % 2
-        for (a1, b1), c1 in e1.items():
-            left = {a1: 1} if a2 == unit else ring.multiply(a1, a2)
-            if not left:
-                continue
-            sign = -1 if a2_odd and ring.degree(b1) % 2 else 1
-            for mb, cb in ({b1: 1} if b2 == unit else ring.multiply(b1, b2)).items():
-                for ma, ca in left.items():
-                    key = (ma, mb)
-                    out[key] = out.get(key, 0) + sign * c1 * c2 * ca * cb
-    dom, zero = ring.dom, ring.dom(0)
-    return {k: c for k, v in out.items() if (c := dom(v)) != zero}
+    return sum(h - 1 for _, h in ring.factor.letters) + ring.spec.r - 1
 
 
 def zero_divisor_cup_length(ring: CohomologyRing) -> int:
@@ -586,31 +547,29 @@ def zero_divisor_cup_length(ring: CohomologyRing) -> int:
     g x 1 - 1 x g, g a ring generator; a lower bound for the reduced
     topological complexity.
 
-    The ring is B tensor Lambda[x_2..x_r], so its zero-divisor cup length is
-    that of the base factor B plus r - 1: each bar x_i x 1 - 1 x x_i squares
-    to 0, which leaves at most r - 1 exterior bars, and the product of the
-    distinct bars has its 1 x x_2...x_r term with coefficient +-1, so it
-    times a nonzero product of B's bars is nonzero. B is searched over
-    non-decreasing sequences of its bars."""
+    The zero divisors of a tensor product are generated by the factors', so
+    the count is a sum over the letters and the x_i (Farber's tensor bound,
+    "Topological complexity of motion planning", 2003, is an equality). The
+    bar of an odd letter squares to 0 when 2 is invertible, and so does each
+    x_i's: each counts 1. The m-th power of any other letter's bar is
+    sum_a +-C(m, a) g^a x g^{m-a}, which is nonzero while some a, m - a <= h - 1
+    have C(m, a) nonzero in the field."""
     if not ring.is_field:
         raise ValueError("zero-divisor cup length is computed in field modes")
-    base = _base_ring(ring)
-    one, dom = base.unit, base.dom
-    gens = base.positive_generators()
-    bars = [{(g, one): dom(1), (one, g): dom(-1)} for g in gens]
-    degrees = [base.degree(g) for g in gens]
-    best = 0
-    stack = [({(one, one): dom(1)}, 0, 0, 0)]
-    while stack:
-        elem, start, length, degree = stack.pop()
-        best = max(best, length)
-        # B tensor B is zero above degree 2 dim, and each further bar adds at
-        # least degrees[start], the bars being in degree order
-        room = 2 * base.spec.dim - degree
-        if start == len(bars) or length + room // degrees[start] <= best:
-            continue
-        for i in reversed(range(start, len(bars))):  # the lowest bar is popped first
-            nxt = tensor_mul(base, elem, bars[i])
-            if nxt:
-                stack.append((nxt, i, length + 1, degree + degrees[i]))
-    return best + ring.spec.r - 1
+    p = ring.dom.p  # 0 over Q
+    counts = [1 if d % 2 and p != 2 else _carry_free_max(h - 1, p) for d, h in ring.factor.letters]
+    return sum(counts) + ring.spec.r - 1
+
+
+def _carry_free_max(m: int, p: int) -> int:
+    """Largest a + b over 0 <= a, b <= m with C(a + b, a) nonzero mod p, or
+    over Q when p = 0. By Kummer's theorem that means no carry in base p.
+    Above the highest digit m_j of m with 2 m_j >= p, a = b = m; there
+    a_j + b_j = p - 1 with b_j < m_j, which frees b below, so every lower
+    digit of a + b is p - 1."""
+    q = place = 1
+    while p and place <= m:
+        if 2 * (m // place % p) >= p:
+            q = place * p
+        place *= p
+    return 2 * (m - m % q) + q - 1

@@ -277,12 +277,15 @@ def span_report(spec: TupleSpec, span_base_input: int | None = None) -> SpanInfo
         stablespan = None
 
     guarantee = False
-    spin_arith = spec.n[0] == 0 or nr % 2 == 0
-    if vector_field_exists(spec):
+    field = vector_field_exists(spec)
+    # only the two dim = 3 mod 8 clauses read chi*; the dimension is odd there
+    parity = field and dim % 8 == 3 and (spec.n[0] == 0 or nr % 2 == 0)
+    chi_star = kervaire_semichar(spec) if parity else None
+    if field:
         if (spec.r - spec.delta) % 2 == 0:
             guarantee = True
             clauses.append("span = stablespan: r - delta_t even")
-        elif dim % 8 == 3 and spin_arith and kervaire_semichar(spec) == 0:
+        elif parity and chi_star == 0:
             guarantee = True
             clauses.append("span = stablespan: dim = 3 mod 8, chi* = 0, parity")
     else:
@@ -291,12 +294,7 @@ def span_report(spec: TupleSpec, span_base_input: int | None = None) -> SpanInfo
     span = None
     if guarantee and stablespan is not None:
         span = stablespan
-    elif (
-        vector_field_exists(spec)
-        and dim % 8 == 3
-        and spin_arith
-        and kervaire_semichar(spec) != 0
-    ):
+    elif parity and chi_star != 0:
         span = 3
         clauses.append("span forced to 3: dim = 3 mod 8, parity, chi* != 0")
     return SpanInfo(stablespan, span, guarantee, tuple(clauses))

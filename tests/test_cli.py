@@ -60,6 +60,18 @@ def test_parse_errors_exit_2():
         assert code == 2, args
 
 
+def test_repeated_valued_flag_exits_2():
+    for flag, args in (
+        ("--t", ["--n", "1", "--t", "2", "--t", "3", "ring"]),
+        ("--n", ["--n", "1", "ring", "--n", "2", "--t", "2"]),
+        ("--coeff", ["--n", "1", "--t", "2", "ring", "--coeff", "Q", "--coeff", "Q"]),
+    ):
+        code, out, err = go(args)
+        assert (code, out, err) == (2, "", f"error: {flag} given twice\n"), args
+    # a repeated boolean flag changes nothing and stays accepted
+    assert go(["--n", "1", "--t", "2", "ring", "--json", "--json"])[0] == 0
+
+
 def test_unsupported_combinations_exit_3():
     for args in (
         ["--n", "1", "--t", "inf", "steenrod", "--coeff", "Q"],

@@ -1,20 +1,35 @@
-"""The cup-length searches, which run on the base factor and add r - 1,
-against brute-force searches over the whole ring: dict-valued elements built
-from ring.multiply and tensor_mul, kept here as the reference."""
+"""The closed-form cup lengths, sums over the base factor's letters plus
+r - 1, against brute-force searches over the whole ring: dict-valued elements
+built from ring.multiply and tensor_mul, kept here as the reference."""
+
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lensprod.algebra import GF, INFINITY, QQ, TupleSpec
 from lensprod.cohomology import (
+    _carry_free_max,
     build_ring,
     cup_length,
     field_modes,
-    tensor_mul,
     zero_divisor_cup_length,
 )
 
 from _grid import full_grid_specs
+
+
+def tensor_mul(ring, e1: dict, e2: dict) -> dict:
+    """Product in ring tensor ring with the Koszul sign; elements are maps
+    (m_left, m_right) -> coefficient."""
+    out: dict = {}
+    for (a2, b2), c2 in e2.items():
+        for (a1, b1), c1 in e1.items():
+            sign = -1 if ring.degree(a2) % 2 and ring.degree(b1) % 2 else 1
+            for ma, ca in ring.multiply(a1, a2).items():
+                for mb, cb in ring.multiply(b1, b2).items():
+                    out[(ma, mb)] = out.get((ma, mb), 0) + sign * c1 * c2 * ca * cb
+    return {k: c for k, v in out.items() if (c := ring.dom(v)) != ring.dom(0)}
 
 
 def reference_cup_length(ring) -> int:
@@ -65,6 +80,26 @@ def test_cup_length_matches_brute_force_on_grid():
         assert cup_length(ring) == reference_cup_length(ring), ring
 
 
+def test_closed_forms_match_brute_force_on_base_factors():
+    # r = 1 up to n1 = 16, where the letters are tallest: carries in base 2,
+    # 3 and 5, over every presentation
+    for t in (INFINITY, 2, 4, 3, 9, 5, 6, 10, 15):
+        for n1 in range(17):
+            spec = TupleSpec((n1,), t)
+            for dom in dict.fromkeys(field_modes(spec) + (GF(2), GF(3), GF(5))):
+                ring = build_ring(spec, dom)
+                assert cup_length(ring) == reference_cup_length(ring), ring
+                assert zero_divisor_cup_length(ring) == reference_zcl(ring), ring
+
+
+def test_carry_free_max_is_the_largest_sum_with_a_unit_binomial():
+    for p in (0, 2, 3, 5, 7):
+        for m in range(40):
+            pairs = ((a, b) for a in range(m + 1) for b in range(m + 1))
+            best = max(a + b for a, b in pairs if p == 0 or comb(a + b, a) % p)
+            assert _carry_free_max(m, p) == best, (m, p)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.lists(st.integers(0, 4), min_size=1, max_size=6),
@@ -92,6 +127,13 @@ def test_searches_match_brute_force_property(n, t):
         ((1,) * 12, 2, QQ, 12, 12),
         ((1,) * 12, 2, GF(2), 14, 14),
         ((1,) * 12, INFINITY, QQ, 13, 12),
+        # one tall letter: 2^s - 1 for F2[y]/y^{2 n + 2} (Farber, Tabachnikov
+        # and Yuzvinsky), and the base-3 digits of 40 = 1111_3
+        ((60,), 2, GF(2), 127, 121),
+        ((100,), 2, GF(2), 255, 201),
+        ((200,), 2, GF(2), 511, 401),
+        ((40,), INFINITY, QQ, 80, 40),
+        ((40,), 9, GF(3), 81, 41),
     ],
 )
 def test_zcl_heavy_specs_pinned(n, t, dom, zcl, cl):

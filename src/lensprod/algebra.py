@@ -201,16 +201,6 @@ class Coeff(NamedTuple("Coeff", [("kind", str), ("p", int)])):
             return x in (1, -1)
         return x != 0
 
-    def inv(self, x):
-        x = self(x)
-        if not self.is_unit(x):
-            raise ZeroDivisionError(f"{x} is not invertible in {self}")
-        if self.kind == "Fp":
-            return pow(x, -1, self.p)
-        if self.kind == "Q":
-            return 1 / x
-        return x
-
     def __str__(self):
         return f"F{self.p}" if self.kind == "Fp" else self.kind
 

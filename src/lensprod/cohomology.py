@@ -18,17 +18,18 @@ Here w is the odd-degree class of the base factor in degree 2 n1 + 1 (it
 restricts from the covering sphere); it kills every positive-degree class of
 the base factor for degree reasons, while w * x_S are basis monomials.
 
-A BaseFactor holds the factor as tables keyed by its base tuples ('z', a),
-('w',) and ('yz', eps, a): degrees, torsion, exponent vectors (from which a
-product of two bases is read), the powers of z, the generators and the
-relations. base_factor builds them once per (n1, t, mode); no other part of
-the ring reads the presentation. CohomologyRing is generic over it: a
-product of basis monomials is the sum of the bases' exponent vectors looked
-up in a table, the union of the exterior subsets, and the Koszul sign of the
-odd letters. The base factor is also a tensor product of truncated
-polynomial algebras k[g]/(g^h), its letters, so the cup length and the
-zero-divisor cup length of a ring are closed-form sums over the letters,
-plus 1 for each x_i.
+A basis monomial's base is the exponent triple (e, a, b) of y^e z^a w^b,
+the same letters in every presentation. A BaseFactor holds the triples that
+are bases, with their degrees and torsion, its generators and relations, and
+whether y^2 = z; base_factor builds it once per (n1, t, mode) and no other
+part of the ring reads the presentation. A product of two bases adds their
+triples, rewrites y^2 as z when the relation holds, and is zero unless the
+sum is a base. CohomologyRing is generic over the factor: a product of basis
+monomials is that product of bases, the union of the exterior subsets, and
+the Koszul sign of the odd letters. The base factor is also a tensor product
+of truncated polynomial algebras k[g]/(g^h), its letters, so the cup length
+and the zero-divisor cup length of a ring are closed-form sums over the
+letters, plus 1 for each x_i.
 
 Rings are immutable after construction and all queries are pure.
 """
@@ -118,39 +119,30 @@ class BundleSpec(NamedTuple("BundleSpec", [("k", int), ("base", TupleSpec)])):
 
 
 class BasisMonomial(NamedTuple):
-    """base part ('z', a) | ('w',) | ('yz', eps, a) times an exterior subset."""
+    """y^e z^a w^b x_S: base is the exponent triple (e, a, b) and ext the
+    sorted exterior subset S."""
 
     base: tuple
     ext: tuple = ()
 
     def __str__(self) -> str:
-        parts = []
-        if self.base == ("w",):
-            parts.append("w")
-        else:
-            eps, a = self.base[1:] if self.base[0] == "yz" else (0, self.base[1])
-            if eps:
-                parts.append("y")
-            if a == 1:
-                parts.append("z")
-            elif a > 1:
-                parts.append(f"z^{a}")
+        parts = [g if k == 1 else f"{g}^{k}" for g, k in zip("yzw", self.base) if k]
         parts += [f"x{i}" for i in self.ext]
         return "*".join(parts) if parts else "1"
 
 
+_UNIT_BASE = (0, 0, 0)
+_GENERATOR_BASES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # y, z and w
+
+
 class BaseFactor(NamedTuple):
-    """The ring of the r = 1 space over one coefficient mode, as tables keyed
-    by base tuples. Every structure constant of the factor is 1 (a product
-    of two bases is a base or zero) and no product of bases carries a sign.
-    Products are read off the exponent vectors when asked for, so the tables
-    grow linearly in n1."""
+    """The ring of the r = 1 space over one coefficient mode, its bases being
+    exponent triples. Every structure constant of the factor is 1 (a product
+    of two bases is a base or zero) and no product of bases carries a sign."""
 
     degree: dict  # base -> degree
     torsion: dict  # base -> q for a Z/q summand, 0 for a free or field one
-    exponents: dict  # base -> its exponents over the two letters
-    bases: dict  # exponent vector -> base, rewritten vectors included
-    z_powers: tuple  # the bases of z^0, z^1, ..., up to the last nonzero one
+    y_squared_is_z: bool  # the relation y^2 = z, else y^2 = 0 where y exists
     generators: tuple  # the positive-degree generators, in degree order
     relations: tuple  # relation strings
     letters: tuple  # (degree, height) of each tensor factor k[g]/(g^height)
@@ -160,14 +152,13 @@ class BaseFactor(NamedTuple):
     __ne__ = object.__ne__
     __hash__ = object.__hash__
 
-    @property
-    def unit(self) -> tuple:
-        return self.z_powers[0]
-
     def product(self, b1: tuple, b2: tuple):
         """b1 * b2 as a base, or None when the product is zero."""
-        (i1, j1), (i2, j2) = self.exponents[b1], self.exponents[b2]
-        return self.bases.get((i1 + i2, j1 + j2))
+        e, a, b = (i + j for i, j in zip(b1, b2))
+        if e == 2 and self.y_squared_is_z:
+            e, a = 0, a + 1
+        base = (e, a, b)
+        return base if base in self.degree else None
 
 
 # Bounded so a long-running process keeps bounded memory, and sized above the
@@ -179,21 +170,18 @@ _RING_CACHE_SIZE = 512
 
 @lru_cache(maxsize=_FACTOR_CACHE_SIZE)
 def base_factor(n1: int, t, mode: CoeffMode) -> BaseFactor:
-    """The base factor's tables, the one place that reads the presentation.
+    """The base factor, the one place that reads the presentation.
 
-    Each presentation names its generators with their degrees, its bases as
-    exponent vectors over them, and the exponent vectors a relation rewrites
-    (y^2 = z); the products and degrees follow from the exponents. Its letters
-    write it as a tensor product of truncated polynomial algebras k[g]/(g^h)."""
+    Each presentation lists its bases as exponent triples over y, z and w,
+    with degrees 1, 2 and 2 n1 + 1; its letters write it as a tensor product
+    of truncated polynomial algebras k[g]/(g^h)."""
     pres = mode.presentation
-    rewrite: dict = {}
-    torsion: dict = {}
+    y_squared_is_z = False
     letters: tuple = ()  # none over Z, where the cup lengths are refused
     if pres == PRIMARY:
-        gens = ((("yz", 1, 0), 1), (("yz", 0, 1), 2))
-        exps = {("yz", eps, a): (eps, a) for a in range(n1 + 1) for eps in (0, 1)}
-        if mode.dom.p == 2 and mode.e == 1:
-            rewrite = {(2, a): (0, a + 1) for a in range(n1 + 1)}
+        bases = [(eps, a, 0) for a in range(n1 + 1) for eps in (0, 1)]
+        y_squared_is_z = mode.dom.p == 2 and mode.e == 1
+        if y_squared_is_z:
             rels = ("y^2 = z", f"z^{n1 + 1} = 0")
             letters = ((1, 2 * n1 + 2),)
         else:
@@ -203,33 +191,26 @@ def base_factor(n1: int, t, mode: CoeffMode) -> BaseFactor:
         # z^a for a <= n1, and w for finite t; z itself is zero when t acts
         # invertibly, and over Z when t = 1
         z_top = 0 if pres == UNIT or t == 1 else n1
-        gens = ((("z", 1), 2), (("w",), 2 * n1 + 1))
-        exps = {("z", a): (a, 0) for a in range(z_top + 1)}
+        bases = [(0, a, 0) for a in range(z_top + 1)]
         if pres != FREE:
-            exps[("w",)] = (0, 1)
+            bases.append((0, 0, 1))
         if pres == FREE:
             rels = (f"z^{n1 + 1} = 0",)
             letters = ((2, n1 + 1),)
         elif pres == INTEGRAL:
-            torsion = {("z", a): t for a in range(1, z_top + 1)}
             series = fgl.t_series(fgl.make_additive(ZZ, n1 + 1), t, n1 + 1)
             rels = (f"z^{n1 + 1} = 0", f"{series.poly} = 0", "w*z = 0, w^2 = 0")
         else:
             rels = ("z = 0 (t acts invertibly)", "w^2 = 0")
             letters = ((2 * n1 + 1, 2),)
 
-    degree = {b: sum(d * k for (_, d), k in zip(gens, v)) for b, v in exps.items()}
-    bases = {v: b for b, v in exps.items()}
-    bases.update((v, bases[w]) for v, w in rewrite.items() if w in bases)
-    # in every presentation the even-degree bases are exactly the powers of z
-    z_powers = sorted((b for b in exps if degree[b] % 2 == 0), key=degree.get)
+    degree = {(e, a, b): e + 2 * a + (2 * n1 + 1) * b for e, a, b in bases}
     return BaseFactor(
         degree=degree,
-        torsion={b: torsion.get(b, 0) for b in exps},
-        exponents=exps,
-        bases=bases,
-        z_powers=tuple(z_powers),
-        generators=tuple(g for g, _ in gens if g in exps),
+        # over Z every positive power of z has order t
+        torsion={base: t if pres == INTEGRAL and base[1] else 0 for base in bases},
+        y_squared_is_z=y_squared_is_z,
+        generators=tuple(g for g in _GENERATOR_BASES if g in degree),
         relations=rels,
         letters=letters,
     )
@@ -250,7 +231,8 @@ class CohomologyRing:
         monomials = [
             BasisMonomial(base, ext) for ext in _subsets(exterior) for base in self.factor.degree
         ]
-        monomials.sort(key=lambda m: (self._degree_raw(m), m))
+        # w-based monomials first in a tied degree, the order the outputs keep
+        monomials.sort(key=lambda m: (self._degree_raw(m), -m.base[2], m))
         self.basis: tuple = tuple(monomials)
         self._basis_set = frozenset(monomials)
         by_degree: dict[int, list] = {}
@@ -281,7 +263,7 @@ class CohomologyRing:
 
     @property
     def unit(self) -> BasisMonomial:
-        return BasisMonomial(self.factor.unit)
+        return BasisMonomial(_UNIT_BASE)
 
     def torsion_order(self, m: BasisMonomial) -> int:
         """0 for a free/field summand, q >= 2 for Z/q (integral mode only)."""
@@ -290,13 +272,13 @@ class CohomologyRing:
 
     def z_power(self, a: int):
         """The basis monomial representing z^a, or None when z^a = 0."""
-        z_powers = self.factor.z_powers
-        return BasisMonomial(z_powers[a]) if 0 <= a < len(z_powers) else None
+        base = (0, a, 0)
+        return BasisMonomial(base) if base in self.factor.degree else None
 
     def positive_generators(self) -> tuple:
         """Ring generators of positive degree, as basis monomials."""
         return tuple(BasisMonomial(g) for g in self.factor.generators) + tuple(
-            BasisMonomial(self.factor.unit, (i,)) for i in range(2, self.spec.r + 1)
+            BasisMonomial(_UNIT_BASE, (i,)) for i in range(2, self.spec.r + 1)
         )
 
     # -- multiplication -----------------------------------------------------
@@ -447,7 +429,7 @@ class ProjectionRule(NamedTuple):
     omega_multiplier: object  # int for finite t', None otherwise
 
     def apply(self, m: BasisMonomial):
-        if m.base != ("w",):
+        if not m.base[2]:
             return 1, m
         if self.omega_multiplier is None:
             raise ValueError("the t' = INFINITY ring has no w class")
@@ -462,19 +444,13 @@ class ProjectionRule(NamedTuple):
         if source.spec.n != target.spec.n:
             raise ValueError("the projection maps rings of the same tuple")
         source._require(m)
-        base = m.base
-        if base[0] == "yz":
+        if source.mode.presentation == PRIMARY:
             # the rule covers z, the x_i and w; the degree-1 class of the
             # p-primary presentations does not pull back by name
             raise ValueError("push is defined on the z/w presentations only")
-        if base[0] == "w":
-            img, c = BasisMonomial(("w",), m.ext), self.omega_multiplier
-        else:
-            zp = target.z_power(base[1])
-            if zp is None:
-                return {}
-            img, c = BasisMonomial(zp.base, m.ext), 1
-        return target._normalize({img: c})
+        if m.base not in target.factor.degree:
+            return {}
+        return target._normalize({m: self.omega_multiplier if m.base[2] else 1})
 
 
 def projection_pi_star(t: int, t_prime) -> ProjectionRule:
@@ -512,18 +488,14 @@ def change_coefficients(ring: CohomologyRing, p: int) -> ReductionMap:
     if ring.mode.presentation not in (FREE, INTEGRAL):
         raise ValueError("coefficient reduction starts from the integral ring")
     target = build_ring(ring.spec, GF(p))
-    z_powers = ring.factor.z_powers
     # w reduces to the top class of the target's base factor: y z^{n1} when
-    # p divides t, else w itself
+    # p divides t, else w itself; z^a reduces to z^a, which dies when p does
+    # not divide t
     top = max(target.factor.degree, key=target.factor.degree.get)
     table = []
     for m in ring.basis:
-        if m.base not in z_powers:
-            table.append((m, BasisMonomial(top, m.ext)))
-            continue
-        # z^a reduces to z^a, which dies when p does not divide t
-        img = target.z_power(z_powers.index(m.base))
-        table.append((m, None if img is None else BasisMonomial(img.base, m.ext)))
+        base = top if m.base[2] else m.base
+        table.append((m, BasisMonomial(base, m.ext) if base in target.factor.degree else None))
     return ReductionMap(ring, target, tuple(table))
 
 

@@ -4,18 +4,18 @@ classes of the tangent bundle, and the orientability/Spin predicates.
 Each generator g of the base factor has Sq(g) = g + g^2: y has degree 1; z
 has degree 2 and reduces an integral class, so Sq^1 z = 0; w is pulled back
 from the r = 1 space, whose top class it is, so its only positive square
-there that could survive is Sq^{2 n_1 + 1} w = w^2 = 0. By the Cartan
-formula the bases of the base factor have squares in closed form:
-Sq(z^a) = (z + z^2)^a = sum_j C(a, j) z^{a+j}, Sq(y z^a) = (y + y^2) Sq(z^a)
-and Sq(w) = w. The exterior generators have Sq(x_i) = (1+z)^{n_i+1} x_i,
-with z read as 0 when the presentation has no degree-2 class, and a
-monomial's square is its base's square times those of its x_i, with every
-product reduced by the ring's relations.
+there that could survive is Sq^{2 n_1 + 1} w = w^2 = 0. The exterior
+generators have Sq(x_i) = (1+z)^{n_i+1} x_i. By the Cartan formula every
+basis monomial then has its square in one closed form,
+
+    Sq(y^e z^a w^b x_S) = y^e z^a w^b (1+y)^e (1+z)^k x_S,
+    k = a + sum_{i in S} (n_i + 1),
+
+each term's base reduced by the base factor's product (y^2 = z or 0, and
+w z = 0).
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .algebra import GF, TruncPoly, TupleSpec, binom_mod2, binom_mod2_expand
 from .cohomology import BasisMonomial, CohomologyRing
@@ -36,52 +36,22 @@ def _require_f2(ring: CohomologyRing) -> None:
         raise ValueError(f"Steenrod squares act on F_2 rings, not {ring.dom}")
 
 
-def _z_series(ring: CohomologyRing, a: int, k: int) -> dict:
-    """z^a (1+z)^k = sum_j C(k, j) z^{a+j} over F_2, without the powers of z
-    that vanish in the ring."""
-    out = {}
-    for j in range(k + 1):
-        m = ring.z_power(a + j)
-        if m is not None and binom_mod2(k, j):
-            out[m] = 1
-    return out
-
-
-def _sq_base(ring: CohomologyRing, base: tuple) -> dict:
-    """Sq(z^a) = z^a (1+z)^a, Sq(y z^a) = (y + y^2) Sq(z^a) and Sq(w) = w."""
-    if base == ("w",):
-        return {BasisMonomial(base): 1}
-    eps, a = base[1:] if base[0] == "yz" else (0, base[1])
-    out = _z_series(ring, a, a)
-    if eps:
-        y = BasisMonomial(("yz", 1, 0))
-        out = ring.mul(ring.add({y: 1}, ring.multiply(y, y)), out)
-    return out
-
-
-def _sq_ext(ring: CohomologyRing, i: int) -> dict:
-    """Sq(x_i) = (1+z)^{n_i+1} x_i."""
-    zpart = _z_series(ring, 0, ring.spec.n[i - 1] + 1)
-    return ring.mul(zpart, {BasisMonomial(ring.unit.base, (i,)): 1})
-
-
 def total_sq(ring: CohomologyRing, m: BasisMonomial) -> dict:
-    """Total Steenrod square of a basis monomial as an F_2 combination."""
+    """Total Steenrod square of a basis monomial as an F_2 combination:
+    the sum of y^i z^j m over i <= e and C(k, j) odd, where z^j with
+    j > n_1 vanishes. Since e <= 1, no two terms reduce to the same base."""
     _require_f2(ring)
     ring._require(m)
-    return dict(_total_sq_items(ring, m))
-
-
-@lru_cache(maxsize=4096)
-def _total_sq_items(ring: CohomologyRing, m: BasisMonomial) -> tuple:
-    """total_sq as an immutable tuple of (monomial, coefficient) pairs,
-    cached by (ring, m) outside the shared ring. By the Cartan formula the
-    square of base * x_S is the cached square of m without its last x_i
-    times Sq(x_i), so the base's square is computed once per base."""
-    if not m.ext:
-        return tuple(_sq_base(ring, m.base).items())
-    rest = dict(_total_sq_items(ring, BasisMonomial(m.base, m.ext[:-1])))
-    return tuple(ring.mul(rest, _sq_ext(ring, m.ext[-1])).items())
+    e, a, _ = m.base
+    k = a + sum(ring.spec.n[i - 1] + 1 for i in m.ext)
+    out = {}
+    for i in range(e + 1):
+        for j in range(min(k, ring.spec.n[0]) + 1):
+            if binom_mod2(k, j):
+                base = ring.factor.product(m.base, (i, j, 0))
+                if base is not None:
+                    out[BasisMonomial(base, m.ext)] = 1
+    return out
 
 
 def sq_k(ring: CohomologyRing, m: BasisMonomial, k: int) -> dict:

@@ -24,6 +24,13 @@ are reduced in order, each with compression (Bauer-Kerber-Reininghaus,
 "Clear and Compress", 2014): the rows of d_{d+1} at the unit-pivot columns
 of d_d are dropped first, exact over Z since d o d = 0 is checked before.
 
+The boundaries come out of one generator, `_boundaries`, one degree at a
+time. `product_quotient_complex` collects them and checks the whole
+complex. The factors behind `compare_with_theory` stream them instead
+(`_cached_factors`): for each degree d, build d_d, check it against d_{d-1}
+(`_check_degree`), drop d_{d-1}, and only then reduce d_d. So each degree
+is checked before its SNF, and two boundaries are held, not the complex.
+
 There is no oracle for t = INFINITY: the circle quotient is not a finite free
 quotient. That regime is validated elsewhere (duality, Euler characteristics,
 wedge bookkeeping).
@@ -34,7 +41,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import prod
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .algebra import Coeff, GradedAbGroup, TupleSpec, ZZ
 
@@ -174,17 +181,13 @@ class _Moves(dict):
         return codes
 
 
-def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> QuotientComplex:
-    """Tensor the sphere complexes over the group ring of the diagonal action;
-    the quotient basis fixes the first coordinate's group element to the
-    identity. Each cell tuple's boundary is worked out once, at twist 0, as
-    (face position, twist offset, value) triples from the spheres' group-ring
-    boundaries; its column at twist h moves every offset by h."""
+def _cell_tuples(spec: TupleSpec, cap: int) -> list[list]:
+    """The cell tuples (j_1..j_r) of each degree, in product order, after
+    refusing a complex above the cap in cells or in boundary entries."""
     if not spec.finite:
         raise ValueError("no finite-quotient complex exists for t = INFINITY")
-    t, r = spec.t, spec.r
-    twists = t ** (r - 1)
-    total = twists * prod(2 * ni + 2 for ni in spec.n)
+    t = spec.t
+    total = t ** (spec.r - 1) * prod(2 * ni + 2 for ni in spec.n)
     if total > cap:
         raise MemoryCapError(f"quotient basis has {total} cells, above the cap {cap}")
     # A column has one entry per nonzero group-ring coefficient of each
@@ -197,18 +200,25 @@ def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> Quotien
             f"quotient boundaries have {entries} entries, "
             f"above {ENTRIES_PER_CELL} times the cap {cap}"
         )
-
-    spheres = [sphere_complex(ni, t).diffs for ni in spec.n]
     tuples: list[list] = [[] for _ in range(spec.dim + 1)]
-    for cells in product(*(range(len(diffs)) for diffs in spheres)):
+    for cells in product(*(range(2 * ni + 2) for ni in spec.n)):
         tuples[sum(cells)].append(cells)
+    return tuples
+
+
+def _boundaries(spec: TupleSpec, tuples: list, moves: _Moves) -> Iterator[tuple]:
+    """d_1, d_2, ..., d_dim of the quotient complex, column-major, one degree
+    per step, so a caller can drop each boundary once it has used it. Each
+    cell tuple's boundary is worked out once, at twist 0, as (face position,
+    twist offset, value) triples from the spheres' group-ring boundaries; its
+    column at twist h moves every offset by h through `moves`."""
+    t, r = spec.t, spec.r
+    twists = t ** (r - 1)
+    spheres = [sphere_complex(ni, t).diffs for ni in spec.n]
     start = [{cells: k * twists for k, cells in enumerate(row)} for row in tuples]
     # lambda^c on factor i moves the twists by c g_i: g_1 subtracts 1 from
     # every twist, g_i (i > 1) adds 1 to a_i
     ones = sum(t**k for k in range(r - 1))
-    moves = _Moves(t, r)
-
-    boundaries: list = [None]
     for d in range(1, spec.dim + 1):
         cols: list = []
         rows = list(range(len(tuples[d - 1]) * twists))  # one int per row, shared by the columns
@@ -223,20 +233,49 @@ def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> Quotien
                         template[face, x] = template.get((face, x), 0) + sign * coef
             triples = [(face, moves[x], v) for (face, x), v in template.items() if v]
             cols += [{rows[face + tr[h]]: v for face, tr, v in triples} for h in range(twists)]
-        boundaries.append(tuple(cols))
+        yield tuple(cols)
 
-    twist_tuples = list(product(range(t), repeat=r - 1))
+
+def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> QuotientComplex:
+    """Tensor the sphere complexes over the group ring of the diagonal action;
+    the quotient basis fixes the first coordinate's group element to the
+    identity. The boundaries come from `_boundaries`, and the whole complex
+    is checked by `_check_dd_zero` before it is returned."""
+    tuples = _cell_tuples(spec, cap)
+    boundaries = (None,) + tuple(_boundaries(spec, tuples, _Moves(spec.t, spec.r)))
+    twist_tuples = list(product(range(spec.t), repeat=spec.r - 1))
     basis = tuple(tuple((cells, h) for cells in row for h in twist_tuples) for row in tuples)
-    cx = QuotientComplex(spec, basis, tuple(boundaries))
+    cx = QuotientComplex(spec, basis, boundaries)
     _check_dd_zero(cx)
     return cx
 
 
+def _check_degree(spec: TupleSpec, d: int, lower, upper: tuple, moves: _Moves) -> None:
+    """The two checks behind `_check_dd_zero` at degree d, on upper = d_d and
+    lower = d_{d-1} (None when d = 1): (a) each column of d_d equals the
+    twist-0 column of its cell tuple with every row moved by the column's
+    own twist, and (b) d_{d-1} composed with each twist-0 column of d_d is
+    zero."""
+    twists = spec.t ** (spec.r - 1)
+    for k in range(0, len(upper), twists):
+        triples = [(row - row % twists, moves[row % twists], v) for row, v in upper[k].items()]
+        for h in range(1, twists):
+            if upper[k + h] != {face + tr[h]: v for face, tr, v in triples}:
+                raise AssertionError(f"a column at degree {d} of {spec} is not its twist-0 one moved")
+    if lower is None:
+        return
+    for col in upper[::twists]:
+        acc: dict = {}
+        for mid, v in col.items():
+            for row, w in lower[mid].items():
+                acc[row] = acc.get(row, 0) + v * w
+        if any(acc.values()):
+            raise AssertionError(f"d o d != 0 at degree {d} of {spec}")
+
+
 def _check_dd_zero(cx: QuotientComplex) -> None:
-    """Exact proof that d o d = 0, from two checks on every degree d:
-    (a) each column of d_d equals the twist-0 column of its cell tuple with
-    every row moved by the column's own twist, and (b) d_{d-1} composed with
-    each twist-0 column of d_d is zero.
+    """Exact proof that d o d = 0, from checks (a) and (b) of `_check_degree`
+    on every degree.
 
     Why that suffices: write s_h for the move k T + x -> k T + code(x + h)
     of cell positions (QuotientComplex), an action of Z_t^(r-1) on every
@@ -244,25 +283,9 @@ def _check_dd_zero(cx: QuotientComplex) -> None:
     some s_g c, so d s_h (s_g c) = s_{h+g} d c = s_h s_g d c = s_h d (s_g c):
     d commutes with every s_h on every cell. Then d d (s_h c) = s_h d d c,
     which is zero by (b). Every stored column is examined, by (a)."""
-    t, r = cx.spec.t, cx.spec.r
-    twists = t ** (r - 1)
-    moves = _Moves(t, r)
+    moves = _Moves(cx.spec.t, cx.spec.r)
     for d in range(1, cx.dim + 1):
-        cols = cx.boundaries[d]
-        for k in range(0, len(cols), twists):
-            triples = [(row - row % twists, moves[row % twists], v) for row, v in cols[k].items()]
-            for h in range(1, twists):
-                if cols[k + h] != {face + tr[h]: v for face, tr, v in triples}:
-                    raise AssertionError(f"a column at degree {d} of {cx.spec} is not its twist-0 one moved")
-    for d in range(2, cx.dim + 1):
-        outer = cx.boundaries[d - 1]
-        for col in cx.boundaries[d][::twists]:
-            acc: dict = {}
-            for mid, v in col.items():
-                for row, w in outer[mid].items():
-                    acc[row] = acc.get(row, 0) + v * w
-            if any(acc.values()):
-                raise AssertionError(f"d o d != 0 at degree {d} of {cx.spec}")
+        _check_degree(cx.spec, d, cx.boundaries[d - 1], cx.boundaries[d], moves)
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +315,17 @@ def _snf_factors(columns, cleared=frozenset()) -> tuple[tuple[int, ...], set]:
     entry whose row meets the fewest columns, clears that row with column
     operations and drops the pivot row and column. Passes repeat until one
     finds no +-1 pivot; the residual goes to the dense SNF."""
-    kept = ({i: v for i, v in col.items() if i not in cleared} for col in columns)
-    cols = {j: col for j, col in enumerate(kept) if col}
+    cols: dict[int, dict[int, int]] = {}
     rows: dict[int, set[int]] = {}
-    for j, col in cols.items():
-        for i in col:
-            rows.setdefault(i, set()).add(j)
+    for j, col in enumerate(columns):  # the working copy and its row index in one pass
+        col = {i: v for i, v in col.items() if i not in cleared}
+        if col:
+            cols[j] = col
+            for i in col:
+                if i in rows:
+                    rows[i].add(j)
+                else:
+                    rows[i] = {j}
 
     pivots = set()
     found = True
@@ -508,10 +536,23 @@ _COHOMOLOGY_CACHE_SIZE = 512
 
 @lru_cache(maxsize=_FACTORS_CACHE_SIZE)
 def _cached_factors(spec: TupleSpec, cap: int) -> tuple[tuple[int, ...], tuple]:
-    """Cell counts and boundary invariant factors of spec's complex. The
-    complex itself (d o d = 0 checked when built) is not kept."""
-    cx = product_quotient_complex(spec, cap)
-    return cx.ranks, boundary_factors(cx)
+    """Cell counts and boundary invariant factors of spec's complex, streamed
+    one degree at a time: for each d, build d_d, check it against d_{d-1}
+    (`_check_degree`, both parts), drop d_{d-1}, then reduce d_d with the
+    pivots of d_{d-1}'s sweep cleared. So no boundary is reduced before its
+    check, and at most two boundaries are alive at once, besides the SNF's
+    working copy of d_d. The cell counts are the cell tuples per degree
+    times t^(r-1); the basis is never built."""
+    tuples = _cell_tuples(spec, cap)
+    moves = _Moves(spec.t, spec.r)
+    out, lower, cleared = [()], None, frozenset()
+    for d, upper in enumerate(_boundaries(spec, tuples, moves), start=1):
+        _check_degree(spec, d, lower, upper, moves)
+        lower = upper  # drops d_{d-1}
+        factors, cleared = _snf_factors(upper, cleared)
+        out.append(factors)
+    twists = spec.t ** (spec.r - 1)
+    return tuple(len(row) * twists for row in tuples), tuple(out)
 
 
 @lru_cache(maxsize=_COHOMOLOGY_CACHE_SIZE)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -342,6 +343,67 @@ def test_dd_check_trips_on_a_negated_entry_at_a_nonzero_twist():
         _assert_dd_zero(broken.boundaries)
     with pytest.raises(AssertionError, match=f"degree {d}"):
         _check_dd_zero(broken)
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_stream_checks_each_degree_before_its_snf(monkeypatch, twisted):
+    # negate one entry of d_d as the degree generator yields it, in a twist-0
+    # column or in one at a nonzero twist: the streamed factors must refuse
+    # at degree d having reduced only d_1 .. d_{d-1}
+    spec = TupleSpec((1, 1), 3)
+    cx = product_quotient_complex(spec)
+    d, col, mid = next(
+        (d, col, mid)
+        for d in range(2, cx.dim + 1)
+        for col, entries in enumerate(cx.boundaries[d])
+        if (cx.basis[d][col][1] != (0,)) == twisted
+        for mid in entries
+        if cx.boundaries[d - 1][mid]
+    )
+    build, snf = oracle_module._boundaries, oracle_module._snf_factors
+    yielded, reduced = [], []
+
+    def corrupted(*args):
+        for b in build(*args):
+            if len(yielded) + 1 == d:
+                bad_col = dict(b[col])
+                bad_col[mid] = -bad_col[mid]
+                b = b[:col] + (bad_col,) + b[col + 1 :]
+            yielded.append(b)
+            yield b
+
+    def recorded(columns, cleared=frozenset()):
+        reduced.append(columns)
+        return snf(columns, cleared)
+
+    monkeypatch.setattr(oracle_module, "_boundaries", corrupted)
+    monkeypatch.setattr(oracle_module, "_snf_factors", recorded)
+    _cached_factors.cache_clear()
+    with pytest.raises(AssertionError, match=f"degree {d} of"):
+        _cached_factors(spec, DEFAULT_CAP)
+    assert len(yielded) == d
+    assert [id(b) for b in reduced] == [id(b) for b in yielded[: d - 1]]
+
+
+@pytest.mark.parametrize("n, t", [((2, 2, 2), 6), ((2, 2, 2, 2), 3)])
+def test_streamed_factors_peak_below_the_whole_complex(n, t):
+    # the streamed pipeline holds two boundaries, not the whole complex: its
+    # traced peak stays well under the traced size of the complex (about 0.3
+    # of it; holding every boundary made it about 1.2)
+    spec = TupleSpec(n, t)
+    _cached_factors.cache_clear()
+    tracemalloc.start()
+    try:
+        cx = product_quotient_complex(spec)
+        size = tracemalloc.get_traced_memory()[0]
+        del cx
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _cached_factors(spec, DEFAULT_CAP)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * size, (peak, size)
 
 
 def _reference_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> QuotientComplex:

@@ -6,7 +6,7 @@ monomials of its ring."""
 from hypothesis import given, settings, strategies as st
 
 from lensprod.algebra import GF, INFINITY, ZZ, TupleSpec
-from lensprod.cohomology import build_ring, change_coefficients
+from lensprod.cohomology import build_ring, change_coefficients, restriction_p
 from lensprod.steenrod import total_sq
 
 specs = st.builds(
@@ -58,3 +58,14 @@ def test_change_coefficients_is_a_ring_map(spec, p, data):
     m1, m2 = monomials(data, red.source, 2)
     lhs = apply_linear(red.image, red.target, red.source.multiply(m1, m2))
     assert lhs == red.target.mul(red.image(m1), red.image(m2)), (spec, p, m1, m2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=specs, dom=st.sampled_from((ZZ, GF(2), GF(3))), data=st.data())
+def test_restriction_is_a_ring_map(spec, dom, data):
+    ring = build_ring(spec, dom)
+    kept = {1} | set(data.draw(st.lists(st.integers(1, spec.r)), label="kept"))
+    res = restriction_p(ring, kept)
+    m1, m2 = monomials(data, res.sub, 2)
+    lhs = apply_linear(lambda m: {res.image(m): 1}, ring, res.sub.multiply(m1, m2))
+    assert lhs == ring.multiply(res.image(m1), res.image(m2)), (spec, kept, m1, m2)

@@ -161,9 +161,10 @@ class BaseFactor(NamedTuple):
         return base if base in self.degree else None
 
 
-# Bounded so a long-running process keeps bounded memory, and sized above the
-# working sets of the acceptance grid (95 specs over Z, F2 and F3: 285 rings
-# on 45 base factors) and of the test suite (444 rings on 76 base factors).
+# Bounded so a long-running process keeps bounded memory. build_ring serves
+# the CLI and the calculator (the oracle's comparison builds its ring and
+# keeps none); both sizes are above the acceptance grid's working set, 95
+# specs over Z, F2 and F3: 285 rings on 45 base factors.
 _FACTOR_CACHE_SIZE = 128
 _RING_CACHE_SIZE = 512
 

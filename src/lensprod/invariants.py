@@ -114,6 +114,10 @@ def kervaire_semichar(spec: TupleSpec):
             stacklevel=2,
         )
         return Fraction(euler_char(spec), 2)
+    return _odd_semichar(spec)
+
+
+def _odd_semichar(spec: TupleSpec) -> int:
     betti = _betti(spec, GF(2))
     value = sum(betti[d] for d in range(0, len(betti), 2)) % 2
     expected = _kervaire_case_value(spec)
@@ -172,6 +176,10 @@ def stably_parallelizable(spec: TupleSpec) -> TriState:
 
 
 def parallelizable(spec: TupleSpec) -> TriState:
+    return _parallelizable(spec, stably_parallelizable(spec))
+
+
+def _parallelizable(spec: TupleSpec, stable: TriState) -> TriState:
     n1, r = spec.n[0], spec.r
     if n1 == 0:
         if not spec.finite and r == 2 and spec.n[1] not in (0, 1, 3):
@@ -181,7 +189,7 @@ def parallelizable(spec: TupleSpec) -> TriState:
         even = (spec.size_sum + r) % 2 == 0
         return TRUE if (n1 == 1 and r > 1 and even) else FALSE
     if r > 1:
-        return stably_parallelizable(spec)
+        return stable
     if n1 == 1:
         return TRUE  # closed orientable 3-manifold
     return unknown("classical lens space; see literature")
@@ -189,8 +197,12 @@ def parallelizable(spec: TupleSpec) -> TriState:
 
 def vector_field_exists(spec: TupleSpec) -> bool:
     """r > 1 or finite t; equivalently the Euler characteristic vanishes."""
+    return _vector_field(spec, euler_char(spec))
+
+
+def _vector_field(spec: TupleSpec, chi: int) -> bool:
     value = spec.r > 1 or spec.finite
-    if value != (euler_char(spec) == 0):
+    if value != (chi == 0):
         raise AssertionError(f"Poincare-Hopf cross-check failed for {spec}")
     return value
 
@@ -261,13 +273,19 @@ def span_report(spec: TupleSpec, span_base_input: int | None = None) -> SpanInfo
     from a literature value span((|n|+r) gamma over the base) when supplied.
     The guarantee flag records the two span = stablespan criteria; the
     forced clause pins span = 3."""
+    return _span(spec, span_base_input, stably_parallelizable(spec), vector_field_exists(spec))
+
+
+def _span(spec: TupleSpec, span_base_input, stable: TriState, field: bool, chi_star=None) -> SpanInfo:
+    """span_report from its inputs already evaluated: stable parallelizability,
+    the vector field and, when known, the Kervaire semi-characteristic."""
     dim = spec.dim
     nr = spec.size_sum + spec.r
     clauses = []
     if span_base_input is not None and not 0 <= span_base_input <= 2 * nr:
         raise ValueError(f"span of a rank-{2 * nr} real bundle lies in [0, {2 * nr}]")
 
-    if bool(stably_parallelizable(spec)):
+    if bool(stable):
         stablespan = dim
         clauses.append("stably parallelizable: stablespan = dim")
     elif span_base_input is not None:
@@ -277,10 +295,10 @@ def span_report(spec: TupleSpec, span_base_input: int | None = None) -> SpanInfo
         stablespan = None
 
     guarantee = False
-    field = vector_field_exists(spec)
     # only the two dim = 3 mod 8 clauses read chi*; the dimension is odd there
     parity = field and dim % 8 == 3 and (spec.n[0] == 0 or nr % 2 == 0)
-    chi_star = kervaire_semichar(spec) if parity else None
+    if parity and chi_star is None:
+        chi_star = _odd_semichar(spec)
     if field:
         if (spec.r - spec.delta) % 2 == 0:
             guarantee = True
@@ -401,23 +419,27 @@ def invariant_report(
     span_base: int | None = None,
     tc_override: tuple[int, int] | None = None,
 ) -> InvariantReport:
+    """Every invariant of spec, each evaluated once and handed on to the
+    ones that read it."""
     from .steenrod import is_orientable, is_spin
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        chi_star = kervaire_semichar(spec)
+    chi = euler_char(spec)
+    # kervaire_semichar's value, without its even-dimension warning
+    chi_star = Fraction(chi, 2) if spec.dim % 2 == 0 else _odd_semichar(spec)
+    field = _vector_field(spec, chi)
+    stable = stably_parallelizable(spec)
     return InvariantReport(
         spec=spec,
-        chi=euler_char(spec),
+        chi=chi,
         chi_star=chi_star,
         orientable=is_orientable(spec),
         spin=is_spin(spec),
-        has_nonzero_field=vector_field_exists(spec),
-        stably_parallelizable=stably_parallelizable(spec),
-        parallelizable=parallelizable(spec),
+        has_nonzero_field=field,
+        stably_parallelizable=stable,
+        parallelizable=_parallelizable(spec, stable),
         cat=cat_bounds(spec),
         tc=tc_bounds(spec, tc_override),
-        span=span_report(spec, span_base),
+        span=_span(spec, span_base, stable, field, chi_star),
         imm=immersion_dim(spec, gd),
         gd_input=gd,
     )

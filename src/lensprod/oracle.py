@@ -10,26 +10,29 @@ coefficients). A comparison routine converts the result to cohomology and
 matches it degree by degree against the predicted ring.
 
 Boundaries are stored column-major, one {row: value} map per cell, and the
-SNF starts from the columns without rebuilding an index. Z_t^(r-1) acts on
-the quotient by translating the twists, and the boundary commutes with that
-action, so each cell tuple's boundary is worked out once, at twist 0, and
-moved to the other twists. The exact d o d = 0 check rests on the same
-symmetry: it proves that every stored column is its twist-0 column moved,
-and that d o d = 0 on the twist-0 columns, which together give d o d = 0 on
-every column (see `_check_dd_zero`). The SNF is a sparse unit-pivot
-elimination (Dumas-Saunders-Villard, "On efficient sparse integer matrix
-Smith normal forms", JSC 2001) in passes over the columns, shortest first
-(see `_snf_factors`), then a dense SNF of the small residual. The boundaries
-are reduced in order, each with compression (Bauer-Kerber-Reininghaus,
-"Clear and Compress", 2014): the rows of d_{d+1} at the unit-pivot columns
-of d_d are dropped first, exact over Z since d o d = 0 is checked before.
+SNF reduces those columns in place. Z_t^(r-1) acts on the quotient by
+translating the twists, and the boundary commutes with that action, so each
+cell tuple's boundary is worked out once, at twist 0, and moved to the other
+twists. The exact d o d = 0 check rests on the same symmetry: it proves that
+every stored column is its full twist-0 column moved, and that d o d = 0 on
+the full twist-0 columns, which together give d o d = 0 on every column (see
+`_check_dd_zero`). The SNF is a sparse unit-pivot elimination
+(Dumas-Saunders-Villard, "On efficient sparse integer matrix Smith normal
+forms", JSC 2001) in passes over the columns, shortest first (see
+`_snf_factors`), then a dense SNF of the small residual. The boundaries are
+reduced in order, each with compression (Bauer-Kerber-Reininghaus, "Clear
+and Compress", 2014): the rows of d_{d+1} at the unit-pivot columns of d_d
+are left out, exact over Z since d o d = 0 is checked before.
 
-The boundaries come out of one generator, `_boundaries`, one degree at a
-time. `product_quotient_complex` collects them and checks the whole
-complex. The factors behind `compare_with_theory` stream them instead
-(`_cached_factors`): for each degree d, build d_d, check it against d_{d-1}
-(`_check_degree`), drop d_{d-1}, and only then reduce d_d. So each degree
-is checked before its SNF, and two boundaries are held, not the complex.
+The boundaries come from one builder, `_boundaries`, one degree per call,
+with the rows the caller names left out. `product_quotient_complex` leaves
+none out and checks the whole complex. The factors behind
+`compare_with_theory` leave out the rows compression drops
+(`_cached_factors`): for each degree d, build d_d without them, check every
+kept entry and d o d against d_{d-1}'s twist-0 triples (`_check_degree`),
+keep d_d's own twist-0 triples, and only then reduce d_d's columns in place.
+So each degree is checked before its SNF, the dropped rows are never built,
+and nothing is copied.
 
 There is no oracle for t = INFINITY: the circle quotient is not a finite free
 quotient. That regime is validated elsewhere (duality, Euler characteristics,
@@ -41,7 +44,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import prod
-from typing import Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .algebra import Coeff, GradedAbGroup, TupleSpec, ZZ
 
@@ -206,43 +209,56 @@ def _cell_tuples(spec: TupleSpec, cap: int) -> list[list]:
     return tuples
 
 
-def _boundaries(spec: TupleSpec, tuples: list, moves: _Moves) -> Iterator[tuple]:
-    """d_1, d_2, ..., d_dim of the quotient complex, column-major, one degree
-    per step, so a caller can drop each boundary once it has used it. Each
-    cell tuple's boundary is worked out once, at twist 0, as (face position,
-    twist offset, value) triples from the spheres' group-ring boundaries; its
-    column at twist h moves every offset by h through `moves`."""
+def _boundaries(spec: TupleSpec, tuples: list, moves: _Moves) -> Callable:
+    """The boundaries of the quotient complex as a function of the degree,
+    so a caller holds only the degrees it is using. boundary(d, cleared)
+    returns (tops, cols): tops[k] is the full twist-0 column of the k-th cell
+    tuple of degree d, and cols every column of d_d, k T + h at twist h, with
+    the rows in `cleared` left out. Each cell tuple's boundary is worked out
+    once, at twist 0, as (face position, twist offset, value) triples from
+    the spheres' group-ring boundaries; its column at twist h moves every
+    offset by h through `moves`."""
     t, r = spec.t, spec.r
     twists = t ** (r - 1)
     spheres = [sphere_complex(ni, t).diffs for ni in spec.n]
-    start = [{cells: k * twists for k, cells in enumerate(row)} for row in tuples]
     # lambda^c on factor i moves the twists by c g_i: g_1 subtracts 1 from
     # every twist, g_i (i > 1) adds 1 to a_i
     ones = sum(t**k for k in range(r - 1))
-    for d in range(1, spec.dim + 1):
-        cols: list = []
+
+    def boundary(d: int, cleared=()) -> tuple[list, list]:
+        start = {cells: k * twists for k, cells in enumerate(tuples[d - 1])}
         rows = list(range(len(tuples[d - 1]) * twists))  # one int per row, shared by the columns
+        tops: list = []
+        cols: list = []
         for cells in tuples[d]:
             template: dict = {}
             for i, j in enumerate(cells):
                 if j:
                     sign = -1 if sum(cells[:i]) % 2 else 1
-                    face = start[d - 1][cells[:i] + (j - 1,) + cells[i + 1 :]]
+                    face = start[cells[:i] + (j - 1,) + cells[i + 1 :]]
                     for c, coef in enumerate(spheres[i][j]):
                         x = -c % t * ones if i == 0 else c * t ** (r - 1 - i)
                         template[face, x] = template.get((face, x), 0) + sign * coef
             triples = [(face, moves[x], v) for (face, x), v in template.items() if v]
-            cols += [{rows[face + tr[h]]: v for face, tr, v in triples} for h in range(twists)]
-        yield tuple(cols)
+            tops.append({rows[face + tr[0]]: v for face, tr, v in triples})
+            for h in range(twists):
+                cols.append(
+                    {rows[row]: v for face, tr, v in triples if (row := face + tr[h]) not in cleared}
+                )
+        return tops, cols
+
+    return boundary
 
 
 def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> QuotientComplex:
     """Tensor the sphere complexes over the group ring of the diagonal action;
     the quotient basis fixes the first coordinate's group element to the
-    identity. The boundaries come from `_boundaries`, and the whole complex
-    is checked by `_check_dd_zero` before it is returned."""
+    identity. The boundaries come from `_boundaries` with no rows cleared,
+    and the whole complex is checked by `_check_dd_zero` before it is
+    returned."""
     tuples = _cell_tuples(spec, cap)
-    boundaries = (None,) + tuple(_boundaries(spec, tuples, _Moves(spec.t, spec.r)))
+    boundary = _boundaries(spec, tuples, _Moves(spec.t, spec.r))
+    boundaries = (None,) + tuple(tuple(boundary(d)[1]) for d in range(1, spec.dim + 1))
     twist_tuples = list(product(range(spec.t), repeat=spec.r - 1))
     basis = tuple(tuple((cells, h) for cells in row for h in twist_tuples) for row in tuples)
     cx = QuotientComplex(spec, basis, boundaries)
@@ -250,42 +266,62 @@ def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> Quotien
     return cx
 
 
-def _check_degree(spec: TupleSpec, d: int, lower, upper: tuple, moves: _Moves) -> None:
-    """The two checks behind `_check_dd_zero` at degree d, on upper = d_d and
-    lower = d_{d-1} (None when d = 1): (a) each column of d_d equals the
-    twist-0 column of its cell tuple with every row moved by the column's
-    own twist, and (b) d_{d-1} composed with each twist-0 column of d_d is
-    zero."""
+def _check_degree(spec: TupleSpec, d: int, lower, tops, cols, cleared, moves: _Moves) -> list:
+    """The two checks behind `_check_dd_zero` at degree d. tops[k] is the
+    full twist-0 column of the k-th cell tuple of degree d, cols the stored
+    columns of d_d, with the rows in `cleared` left out, and lower the
+    twist-0 triples of d_{d-1} that this check returned at degree d - 1
+    (None when d = 1). (a) Each stored column k T + h equals tops[k] with
+    every row moved by the twist h and the cleared rows left out. (b) d_{d-1}
+    composed with each tops[k] is zero, reading the column of d_{d-1} at
+    k' T + h as the triples lower[k'] moved by h. Returns the twist-0
+    triples of d_d: (row - code, moves[code], value) for each entry of each
+    tops[k], code = row mod T."""
     twists = spec.t ** (spec.r - 1)
-    for k in range(0, len(upper), twists):
-        triples = [(row - row % twists, moves[row % twists], v) for row, v in upper[k].items()]
-        for h in range(1, twists):
-            if upper[k + h] != {face + tr[h]: v for face, tr, v in triples}:
+    if len(cols) != len(tops) * twists:
+        raise AssertionError(f"degree {d} of {spec} has {len(cols)} columns, not {len(tops) * twists}")
+    upper = []
+    for k, top in enumerate(tops):
+        triples = [(row - row % twists, moves[row % twists], v) for row, v in top.items()]
+        for h in range(twists):
+            moved = {row: v for face, tr, v in triples if (row := face + tr[h]) not in cleared}
+            if cols[k * twists + h] != moved:
                 raise AssertionError(f"a column at degree {d} of {spec} is not its twist-0 one moved")
-    if lower is None:
-        return
-    for col in upper[::twists]:
-        acc: dict = {}
-        for mid, v in col.items():
-            for row, w in lower[mid].items():
-                acc[row] = acc.get(row, 0) + v * w
-        if any(acc.values()):
-            raise AssertionError(f"d o d != 0 at degree {d} of {spec}")
+        upper.append(triples)
+    if lower is not None:
+        for top in tops:
+            acc: dict = {}
+            for mid, v in top.items():
+                h = mid % twists
+                for face, tr, w in lower[mid // twists]:
+                    row = face + tr[h]
+                    acc[row] = acc.get(row, 0) + v * w
+            if any(acc.values()):
+                raise AssertionError(f"d o d != 0 at degree {d} of {spec}")
+    return upper
 
 
 def _check_dd_zero(cx: QuotientComplex) -> None:
     """Exact proof that d o d = 0, from checks (a) and (b) of `_check_degree`
-    on every degree.
+    on every degree, with the stored twist-0 columns as the full ones and no
+    rows cleared.
 
-    Why that suffices: write s_h for the move k T + x -> k T + code(x + h)
-    of cell positions (QuotientComplex), an action of Z_t^(r-1) on every
-    degree. (a) says d s_h c = s_h d c for each twist-0 cell c; every cell is
-    some s_g c, so d s_h (s_g c) = s_{h+g} d c = s_h s_g d c = s_h d (s_g c):
-    d commutes with every s_h on every cell. Then d d (s_h c) = s_h d d c,
-    which is zero by (b). Every stored column is examined, by (a)."""
+    Why that suffices, in the form the streamed factors use too: write s_h
+    for the move k T + x -> k T + code(x + h) of cell positions
+    (QuotientComplex), an action of Z_t^(r-1) on every degree, and D for the
+    map whose column at s_h c, c a twist-0 cell, is s_h applied to c's full
+    twist-0 column. So D s_h c = s_h D c for each twist-0 c; every cell is
+    some s_g c, so D s_h (s_g c) = s_{h+g} D c = s_h s_g D c = s_h D (s_g c):
+    D commutes with every s_h on every cell. (b) reads d_{d-1} as D, and
+    says D D c = 0 for each twist-0 c; so D D (s_h c) = s_h D D c = 0, and D
+    is a chain complex. (a) says every stored column is that of D, less the
+    cleared rows; with none cleared, the stored boundaries are D."""
     moves = _Moves(cx.spec.t, cx.spec.r)
+    twists = cx.spec.t ** (cx.spec.r - 1)
+    lower = None
     for d in range(1, cx.dim + 1):
-        _check_degree(cx.spec, d, cx.boundaries[d - 1], cx.boundaries[d], moves)
+        cols = cx.boundaries[d]
+        lower = _check_degree(cx.spec, d, lower, cols[::twists], cols, (), moves)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +339,11 @@ def smith_normal_form(matrix) -> tuple[int, ...]:
     return _snf_factors(cols.values())[0]
 
 
-def _snf_factors(columns, cleared=frozenset()) -> tuple[tuple[int, ...], set]:
+def _snf_factors(columns) -> tuple[tuple[int, ...], set]:
     """Invariant factors of a sparse integer matrix given as its columns,
-    each a {row: value} map, with the rows in `cleared` dropped first; also
-    the set of columns the unit sweep took as pivots.
+    each a {row: value} map, and the set of columns the unit sweep took as
+    pivots. The columns are reduced in place: a caller that keeps its matrix
+    passes a copy.
 
     Unit-pivot sweep first: boundary matrices here are mostly made of +-1
     entries, so eliminating on +-1 pivots removes nearly everything without
@@ -317,8 +354,7 @@ def _snf_factors(columns, cleared=frozenset()) -> tuple[tuple[int, ...], set]:
     finds no +-1 pivot; the residual goes to the dense SNF."""
     cols: dict[int, dict[int, int]] = {}
     rows: dict[int, set[int]] = {}
-    for j, col in enumerate(columns):  # the working copy and its row index in one pass
-        col = {i: v for i, v in col.items() if i not in cleared}
+    for j, col in enumerate(columns):  # the row index
         if col:
             cols[j] = col
             for i in col:
@@ -464,9 +500,10 @@ def boundary_factors(cx: QuotientComplex) -> tuple[tuple[int, ...], ...]:
     pivot block is triangular with +-1 diagonal, so every cycle is zero at
     the pivot cells; im d_{d+1} lies in the cycles, so d_{d+1} = U [R; 0]
     with U unimodular and SNF(d_{d+1}) = SNF(R)."""
-    out, cleared = [()], frozenset()
+    out, cleared = [()], ()
     for b in cx.boundaries[1:]:
-        factors, cleared = _snf_factors(b, cleared)
+        copy = [{i: v for i, v in col.items() if i not in cleared} for col in b]
+        factors, cleared = _snf_factors(copy)
         out.append(factors)
     return tuple(out)
 
@@ -527,47 +564,46 @@ class ComparisonReport(NamedTuple):
 
 
 # Bounded so a long-running process keeps bounded memory, and sized above the
-# acceptance grid's working set (95 specs, checked over Z, F2 and F3: 285
-# (spec, coefficient) pairs) so a pass over it takes no misses after the first
-# use of each spec.
+# acceptance grid's 95 specs, so a pass over the grid over Z, F2 and F3
+# builds each complex once.
 _FACTORS_CACHE_SIZE = 128
-_COHOMOLOGY_CACHE_SIZE = 512
 
 
 @lru_cache(maxsize=_FACTORS_CACHE_SIZE)
 def _cached_factors(spec: TupleSpec, cap: int) -> tuple[tuple[int, ...], tuple]:
-    """Cell counts and boundary invariant factors of spec's complex, streamed
-    one degree at a time: for each d, build d_d, check it against d_{d-1}
-    (`_check_degree`, both parts), drop d_{d-1}, then reduce d_d with the
-    pivots of d_{d-1}'s sweep cleared. So no boundary is reduced before its
-    check, and at most two boundaries are alive at once, besides the SNF's
-    working copy of d_d. The cell counts are the cell tuples per degree
-    times t^(r-1); the basis is never built."""
+    """Cell counts and boundary invariant factors of spec's complex, one
+    degree at a time: for each d, build d_d with the rows that d_{d-1}'s
+    sweep took as pivots left out, check it (`_check_degree`, both parts,
+    against the twist-0 triples of d_{d-1}), keep its own twist-0 triples
+    for degree d + 1, and reduce its columns in place. Every entry the
+    reduction reads is checked first, d_{d-1} is held only as its twist-0
+    triples, and the reduced columns are not copied. The cell counts are the
+    cell tuples per degree times t^(r-1); the basis is never built."""
     tuples = _cell_tuples(spec, cap)
     moves = _Moves(spec.t, spec.r)
-    out, lower, cleared = [()], None, frozenset()
-    for d, upper in enumerate(_boundaries(spec, tuples, moves), start=1):
-        _check_degree(spec, d, lower, upper, moves)
-        lower = upper  # drops d_{d-1}
-        factors, cleared = _snf_factors(upper, cleared)
+    boundary = _boundaries(spec, tuples, moves)
+    out, lower, pivots = [()], None, ()
+    for d in range(1, spec.dim + 1):
+        tops, cols = boundary(d, pivots)
+        lower = _check_degree(spec, d, lower, tops, cols, pivots, moves)
+        del tops
+        factors, pivots = _snf_factors(cols)
         out.append(factors)
     twists = spec.t ** (spec.r - 1)
     return tuple(len(row) * twists for row in tuples), tuple(out)
 
 
-@lru_cache(maxsize=_COHOMOLOGY_CACHE_SIZE)
-def _cached_oracle_cohomology(spec: TupleSpec, dom: Coeff, cap: int) -> GradedAbGroup:
-    groups = _homology_groups(*_cached_factors(spec, cap), dom)
-    return cohomology_from_homology(HomologyResult(groups, dom), spec.dim)
-
-
 def compare_with_theory(spec: TupleSpec, dom: Coeff = ZZ, cap: int = DEFAULT_CAP) -> ComparisonReport:
     """Oracle cohomology vs the predicted ring, degree by degree after
-    elementary-divisor normalization. A mismatch signals a bug in one side."""
-    from .cohomology import build_ring, graded_groups
+    elementary-divisor normalization. A mismatch signals a bug in one side.
+    Only the factors are cached: the groups and the ring are rebuilt per
+    call, as a pass over the grid compares each (spec, coefficient) once."""
+    from .cohomology import CohomologyRing, graded_groups, resolve_mode
 
-    oracle_side = _cached_oracle_cohomology(spec, dom, cap).normalized()
-    theory_side = graded_groups(build_ring(spec, dom)).normalized()
+    groups = _homology_groups(*_cached_factors(spec, cap), dom)
+    oracle_side = cohomology_from_homology(HomologyResult(groups, dom), spec.dim)
+    oracle_side = oracle_side.normalized()
+    theory_side = graded_groups(CohomologyRing(spec, resolve_mode(spec, dom))).normalized()
     rows = []
     ok = True
     for d in range(spec.dim + 1):

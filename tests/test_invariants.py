@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -345,3 +346,54 @@ def test_invariant_report_cp2():
 def test_invariant_report_gd_passthrough():
     rep = invariant_report(TupleSpec((1, 1), INFINITY), gd=0)
     assert rep.imm == 6
+
+
+@pytest.mark.parametrize(
+    "n, t",
+    [((1, 1, 1), 2), ((1, 1), 2), ((1,), 2), ((0, 0, 0), 3), ((1, 2), INFINITY), ((2,), INFINITY)],
+)
+def test_invariant_report_evaluates_each_invariant_once(monkeypatch, n, t):
+    # the report hands chi, chi*, the vector field and stable
+    # parallelizability on to the invariants that read them, so each is
+    # evaluated once, and each Betti sequence is read once
+    import lensprod.invariants as inv
+
+    spec = TupleSpec(n, t)
+    calls: dict = {}
+
+    def counted(name):
+        real = getattr(inv, name)
+
+        def wrapper(*args):
+            calls.setdefault(name, []).append(args)
+            return real(*args)
+
+        monkeypatch.setattr(inv, name, wrapper)
+
+    for name in (
+        "euler_char",
+        "_betti",
+        "stably_parallelizable",
+        "vector_field_exists",
+        "_vector_field",
+        "kervaire_semichar",
+        "_odd_semichar",
+    ):
+        counted(name)
+    rep = invariant_report(spec, span_base=2)
+    count = {name: len(args) for name, args in calls.items()}
+    assert count["euler_char"] == 1
+    assert count["stably_parallelizable"] == 1
+    assert count.get("vector_field_exists", 0) + count["_vector_field"] == 1
+    semichars = count.get("kervaire_semichar", 0) + count.get("_odd_semichar", 0)
+    assert semichars == spec.dim % 2
+    assert len(set(calls["_betti"])) == len(calls["_betti"])
+    monkeypatch.undo()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        chi_star = kervaire_semichar(spec)
+    assert rep.chi == euler_char(spec) and rep.chi_star == chi_star
+    assert rep.has_nonzero_field == vector_field_exists(spec)
+    assert rep.stably_parallelizable == stably_parallelizable(spec)
+    assert rep.parallelizable == parallelizable(spec)
+    assert rep.span == span_report(spec, 2)

@@ -1,8 +1,9 @@
 import hashlib
 import itertools
 import random
+import sys
 import tracemalloc
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +18,6 @@ from lensprod.oracle import (
     MemoryCapError,
     QuotientComplex,
     _cached_factors,
-    _cached_oracle_cohomology,
     _check_dd_zero,
     _dense_snf,
     boundary_factors,
@@ -345,51 +345,75 @@ def test_dd_check_trips_on_a_negated_entry_at_a_nonzero_twist():
         _check_dd_zero(broken)
 
 
-@pytest.mark.parametrize("twisted", [False, True])
-def test_stream_checks_each_degree_before_its_snf(monkeypatch, twisted):
-    # negate one entry of d_d as the degree generator yields it, in a twist-0
-    # column or in one at a nonzero twist: the streamed factors must refuse
-    # at degree d having reduced only d_1 .. d_{d-1}
+@pytest.mark.parametrize("where", ["stored-twist-0", "stored-twisted", "full-twist-0"])
+def test_stream_checks_each_degree_before_its_snf(monkeypatch, where):
+    # negate one entry of d_d as the builder returns it: a kept entry of a
+    # stored column at twist 0 or at a nonzero twist, or an entry of a full
+    # twist-0 column at a row the reduction leaves out, together with the
+    # entries it moves to in the stored columns, so that only the d o d check
+    # can see it. The streamed factors must refuse at degree d having
+    # reduced only d_1 .. d_{d-1}
     spec = TupleSpec((1, 1), 3)
     cx = product_quotient_complex(spec)
-    d, col, mid = next(
-        (d, col, mid)
-        for d in range(2, cx.dim + 1)
-        for col, entries in enumerate(cx.boundaries[d])
-        if (cx.basis[d][col][1] != (0,)) == twisted
-        for mid in entries
-        if cx.boundaries[d - 1][mid]
-    )
-    build, snf = oracle_module._boundaries, oracle_module._snf_factors
-    yielded, reduced = [], []
+    twists = spec.t ** (spec.r - 1)
+    moves = oracle_module._Moves(spec.t, spec.r)
+    make, snf = oracle_module._boundaries, oracle_module._snf_factors
+    built, reduced, corrupted = [], [], []
 
-    def corrupted(*args):
-        for b in build(*args):
-            if len(yielded) + 1 == d:
-                bad_col = dict(b[col])
-                bad_col[mid] = -bad_col[mid]
-                b = b[:col] + (bad_col,) + b[col + 1 :]
-            yielded.append(b)
-            yield b
+    def negate(column: dict, row: int) -> dict:
+        return {**column, row: -column[row]} if row in column else column
 
-    def recorded(columns, cleared=frozenset()):
+    def corrupting(*args):
+        boundary = make(*args)
+
+        def corrupted_boundary(d, cleared=()):
+            tops, cols = boundary(d, cleared)
+            if where == "full-twist-0":
+                sites = [(k, mid) for k, top in enumerate(tops) for mid in top if mid in cleared]
+            else:
+                sites = [
+                    (col, mid)
+                    for col, entries in enumerate(cols)
+                    if (col % twists != 0) == (where == "stored-twisted")
+                    for mid in entries
+                ]
+            sites = [(i, mid) for i, mid in sites if d >= 2 and cx.boundaries[d - 1][mid]]
+            if sites and not corrupted:
+                i, mid = sites[0]
+                if where == "full-twist-0":
+                    tops[i] = negate(tops[i], mid)
+                    face, code = mid - mid % twists, mid % twists
+                    for h in range(twists):
+                        cols[i * twists + h] = negate(cols[i * twists + h], face + moves[code][h])
+                else:
+                    cols[i] = negate(cols[i], mid)
+                corrupted.append(d)
+            built.append(cols)
+            return tops, cols
+
+        return corrupted_boundary
+
+    def recorded(columns):
         reduced.append(columns)
-        return snf(columns, cleared)
+        return snf(columns)
 
-    monkeypatch.setattr(oracle_module, "_boundaries", corrupted)
+    monkeypatch.setattr(oracle_module, "_boundaries", corrupting)
     monkeypatch.setattr(oracle_module, "_snf_factors", recorded)
-    _cached_factors.cache_clear()
-    with pytest.raises(AssertionError, match=f"degree {d} of"):
-        _cached_factors(spec, DEFAULT_CAP)
-    assert len(yielded) == d
-    assert [id(b) for b in reduced] == [id(b) for b in yielded[: d - 1]]
+    with pytest.raises(AssertionError) as raised:
+        _cached_factors.__wrapped__(spec, DEFAULT_CAP)
+    assert corrupted, "no entry to corrupt"
+    d = corrupted[0]
+    assert f"degree {d} of" in str(raised.value)
+    assert len(built) == d
+    assert [id(b) for b in reduced] == [id(b) for b in built[: d - 1]]
 
 
 @pytest.mark.parametrize("n, t", [((2, 2, 2), 6), ((2, 2, 2, 2), 3)])
 def test_streamed_factors_peak_below_the_whole_complex(n, t):
-    # the streamed pipeline holds two boundaries, not the whole complex: its
-    # traced peak stays well under the traced size of the complex (about 0.3
-    # of it; holding every boundary made it about 1.2)
+    # the streamed pipeline builds only the rows the reduction keeps and
+    # reduces them in place: its traced peak stays well under the traced
+    # size of the complex (about 0.21 of it; holding every boundary made it
+    # about 1.2, and copying full boundaries into the reduction about 0.32)
     spec = TupleSpec(n, t)
     _cached_factors.cache_clear()
     tracemalloc.start()
@@ -403,7 +427,64 @@ def test_streamed_factors_peak_below_the_whole_complex(n, t):
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak <= 0.6 * size, (peak, size)
+    assert peak <= 0.27 * size, (peak, size)
+
+
+def _lru_sizes() -> dict:
+    return {
+        (name, attr): value.cache_info().currsize
+        for name, module in list(sys.modules.items())
+        if name.startswith("lensprod")
+        for attr, value in vars(module).items()
+        if callable(getattr(value, "cache_info", None))
+    }
+
+
+def test_compare_with_theory_keeps_only_the_factors():
+    # a comparison caches its complex's factors and nothing else: no ring,
+    # no cohomology groups
+    spec, dom = TupleSpec((1, 2), 5), GF(3)
+    _cached_factors.cache_clear()
+    base_factor(spec.n[0], spec.t, resolve_mode(spec, dom))  # shared with the calculator
+    rings = build_ring.cache_info().currsize
+    before = _lru_sizes()
+    assert compare_with_theory(spec, dom).ok
+    after = _lru_sizes()
+    assert build_ring.cache_info().currsize == rings
+    grown = {key: after[key] - before.get(key, 0) for key in after if after[key] != before.get(key)}
+    assert grown == {("lensprod.oracle", "_cached_factors"): 1}
+
+
+def _cells(spec: TupleSpec) -> int:
+    return spec.t ** (spec.r - 1) * prod(2 * ni + 2 for ni in spec.n)
+
+
+# r <= 4, n_i <= 2 and t <= 7, at most 8000 cells to keep the draws quick
+oracle_specs = st.builds(
+    lambda n, t: TupleSpec(tuple(sorted(n)), t),
+    st.lists(st.integers(0, 2), min_size=1, max_size=4),
+    st.integers(1, 7),
+).filter(lambda spec: _cells(spec) <= 8000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=oracle_specs)
+@example(spec=TupleSpec((1, 1), 150))
+@example(spec=TupleSpec((0, 0), 12500))
+def test_in_place_factors_match_the_copying_path(spec):
+    # the stream builds only the kept rows and reduces them in place;
+    # boundary_factors copies the whole complex's boundaries first, and it
+    # and smith_normal_form leave their input as it was
+    cx = product_quotient_complex(spec)
+    kept = [[dict(col) for col in b] for b in cx.boundaries[1:]]
+    assert _cached_factors.__wrapped__(spec, DEFAULT_CAP) == (cx.ranks, boundary_factors(cx))
+    assert [list(b) for b in cx.boundaries[1:]] == kept
+    rows, cols = cx.ranks[0], cx.ranks[1]
+    if rows * cols <= 100_000:
+        matrix = [[cx.boundaries[1][j].get(i, 0) for j in range(cols)] for i in range(rows)]
+        copy = [row[:] for row in matrix]
+        assert smith_normal_form(matrix) == boundary_factors(cx)[1]
+        assert matrix == copy
 
 
 def _reference_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> QuotientComplex:
@@ -611,7 +692,6 @@ def test_oracle_caches_hold_the_grid():
     factors = {(spec.n[0], spec.t, resolve_mode(spec, dom)) for spec, dom in pairs}
     for cache, working_set in (
         (_cached_factors, len(specs)),
-        (_cached_oracle_cohomology, len(pairs)),
         (build_ring, len(pairs)),
         (base_factor, len(factors)),
     ):

@@ -3,9 +3,11 @@ n_i <= 4 and t in {8, 9, 12, 16, inf}, so odd t (where w is present) and
 nu_2(t) >= 3 are drawn as well. Each example draws a spec and basis
 monomials of its ring."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
-from lensprod.algebra import GF, INFINITY, ZZ, TupleSpec
+from lensprod.algebra import GF, INFINITY, QQ, ZZ, TupleSpec
 from lensprod.cohomology import build_ring, change_coefficients, restriction_p
 from lensprod.steenrod import total_sq
 
@@ -69,3 +71,43 @@ def test_restriction_is_a_ring_map(spec, dom, data):
     m1, m2 = monomials(data, res.sub, 2)
     lhs = apply_linear(lambda m: {res.image(m): 1}, ring, res.sub.multiply(m1, m2))
     assert lhs == ring.multiply(res.image(m1), res.image(m2)), (spec, kept, m1, m2)
+
+
+def _rank(matrix: list, p: int | None) -> int:
+    """Rank of a matrix of ints (mod p) or Fractions (p None), by Gaussian
+    elimination."""
+    rows = [[Fraction(v) if p is None else v % p for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col] if p is None else pow(rows[rank][col], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+                if p is not None:
+                    rows[i] = [a % p for a in rows[i]]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=specs, dom=st.sampled_from((GF(2), GF(3), QQ)))
+def test_poincare_duality(spec, dom):
+    # over a field the top group is one-dimensional and the cup pairing
+    # H^d x H^(dim-d) -> H^dim is nonsingular in every degree
+    ring = build_ring(spec, dom)
+    dim = spec.dim
+    (top,) = ring.basis_by_degree[dim]
+    p = None if dom.kind == "Q" else dom.p
+    for d in range(dim + 1):
+        left = ring.basis_by_degree.get(d, ())
+        right = ring.basis_by_degree.get(dim - d, ())
+        assert len(left) == len(right), (spec, d)
+        if not left:
+            continue
+        pairing = [[ring.multiply(a, b).get(top, 0) for b in right] for a in left]
+        assert _rank(pairing, p) == len(left), (spec, d)

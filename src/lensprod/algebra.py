@@ -317,11 +317,6 @@ class TruncPoly(NamedTuple):
     def coeff(self, j: int):
         return self.coeffs[j] if 0 <= j <= self.prec else self.dom(0)
 
-    @property
-    def is_zero(self) -> bool:
-        z = self.dom(0)
-        return all(c == z for c in self.coeffs)
-
     def truncate(self, prec: int) -> "TruncPoly":
         if prec >= self.prec:
             return self  # immutable, so sharing it is safe

@@ -271,11 +271,6 @@ class CohomologyRing:
         self._require(m)
         return self.factor.torsion[m.base]
 
-    def z_power(self, a: int):
-        """The basis monomial representing z^a, or None when z^a = 0."""
-        base = (0, a, 0)
-        return BasisMonomial(base) if base in self.factor.degree else None
-
     def positive_generators(self) -> tuple:
         """Ring generators of positive degree, as basis monomials."""
         return tuple(BasisMonomial(g) for g in self.factor.generators) + tuple(

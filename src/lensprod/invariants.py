@@ -229,6 +229,10 @@ def tc_bounds(spec: TupleSpec, base_tc_override: tuple[int, int] | None = None) 
     estimate 2 r (cat(base) + 1) - 2; lower bound: zero-divisor cup length,
     improved to the cat lower bound. Base TC is exact (2 n1) for t = INFINITY
     and an interval for finite t unless overridden."""
+    return _tc_bounds(spec, base_tc_override, cat_bounds(spec)[0])
+
+
+def _tc_bounds(spec: TupleSpec, base_tc_override, cat_lo: int) -> tuple[int, int]:
     zcl = max(
         zero_divisor_cup_length(build_ring(spec, dom)) for dom in field_modes(spec)
     )
@@ -246,7 +250,7 @@ def tc_bounds(spec: TupleSpec, base_tc_override: tuple[int, int] | None = None) 
         base = (zcl - spec.r + 1, 2 * (2 * spec.n[0] + 1))
     estuno = 2 * spec.r * (_cat_base(spec) + 1) - 2
     hi = min(estuno, spec.r * (1 + base[1]) - 1)
-    lo = max(zcl, cat_bounds(spec)[0])
+    lo = max(zcl, cat_lo)
     if lo > hi:
         if base_tc_override is not None:
             raise ValueError(
@@ -428,6 +432,7 @@ def invariant_report(
     chi_star = Fraction(chi, 2) if spec.dim % 2 == 0 else _odd_semichar(spec)
     field = _vector_field(spec, chi)
     stable = stably_parallelizable(spec)
+    cat = cat_bounds(spec)
     return InvariantReport(
         spec=spec,
         chi=chi,
@@ -437,8 +442,8 @@ def invariant_report(
         has_nonzero_field=field,
         stably_parallelizable=stable,
         parallelizable=_parallelizable(spec, stable),
-        cat=cat_bounds(spec),
-        tc=tc_bounds(spec, tc_override),
+        cat=cat,
+        tc=_tc_bounds(spec, tc_override, cat[0]),
         span=_span(spec, span_base, stable, field, chi_star),
         imm=immersion_dim(spec, gd),
         gd_input=gd,

@@ -12,27 +12,30 @@ matches it degree by degree against the predicted ring.
 Boundaries are stored column-major, one {row: value} map per cell, and the
 SNF reduces those columns in place. Z_t^(r-1) acts on the quotient by
 translating the twists, and the boundary commutes with that action, so each
-cell tuple's boundary is worked out once, at twist 0, and moved to the other
-twists. The exact d o d = 0 check rests on the same symmetry: it proves that
-every stored column is its full twist-0 column moved, and that d o d = 0 on
-the full twist-0 columns, which together give d o d = 0 on every column (see
-`_check_dd_zero`). The SNF is a sparse unit-pivot elimination
-(Dumas-Saunders-Villard, "On efficient sparse integer matrix Smith normal
-forms", JSC 2001) in passes over the columns, shortest first (see
-`_snf_factors`), then a dense SNF of the small residual. The boundaries are
-reduced in order, each with compression (Bauer-Kerber-Reininghaus, "Clear
-and Compress", 2014): the rows of d_{d+1} at the unit-pivot columns of d_d
-are left out, exact over Z since d o d = 0 is checked before.
+cell tuple's boundary is worked out once, at twist 0, as triples, and moved
+to the other twists. The exact d o d = 0 check rests on the same symmetry:
+d o d = 0 on the twist-0 columns, with every column the twist-0 one moved,
+gives d o d = 0 on every column (see `_check_dd_zero`). The SNF is a sparse
+unit-pivot elimination (Dumas-Saunders-Villard, "On efficient sparse integer
+matrix Smith normal forms", JSC 2001) in passes over the columns, shortest
+first (see `_snf_factors`), then a dense SNF of the small residual. The
+boundaries are reduced in order, each with compression (Bauer-Kerber-
+Reininghaus, "Clear and Compress", 2014): the rows of d_{d+1} at the
+unit-pivot columns of d_d are left out, exact over Z since d o d = 0 is
+checked before.
 
-The boundaries come from one builder, `_boundaries`, one degree per call,
-with the rows the caller names left out. `product_quotient_complex` leaves
-none out and checks the whole complex. The factors behind
-`compare_with_theory` leave out the rows compression drops
-(`_cached_factors`): for each degree d, build d_d without them, check every
-kept entry and d o d against d_{d-1}'s twist-0 triples (`_check_degree`),
-keep d_d's own twist-0 triples, and only then reduce d_d's columns in place.
-So each degree is checked before its SNF, the dropped rows are never built,
-and nothing is copied.
+The twist-0 triples come from one builder, `_boundaries`, one degree per
+call, and the columns from one helper, `_columns`, which moves them to every
+twist and leaves out the rows the caller names. `product_quotient_complex`
+leaves none out and checks the whole complex with `_check_dd_zero`, which
+checks that the stored columns are the twist-0 ones moved (part (a)) and
+d o d on the twist-0 columns (part (b)), so it serves a complex from any
+source. The factors behind `compare_with_theory` (`_cached_factors`) need no
+part (a): for each degree d they build d_d's twist-0 triples, check d o d on
+them against d_{d-1}'s (`_check_degree`), and only then make d_d's columns
+from the checked triples, once, without the rows compression drops, and
+reduce them in place. So each degree is checked before its SNF, each column
+is built once, the dropped rows are never built, and nothing is copied.
 
 There is no oracle for t = INFINITY: the circle quotient is not a finite free
 quotient. That regime is validated elsewhere (duality, Euler characteristics,
@@ -211,13 +214,12 @@ def _cell_tuples(spec: TupleSpec, cap: int) -> list[list]:
 
 def _boundaries(spec: TupleSpec, tuples: list, moves: _Moves) -> Callable:
     """The boundaries of the quotient complex as a function of the degree,
-    so a caller holds only the degrees it is using. boundary(d, cleared)
-    returns (tops, cols): tops[k] is the full twist-0 column of the k-th cell
-    tuple of degree d, and cols every column of d_d, k T + h at twist h, with
-    the rows in `cleared` left out. Each cell tuple's boundary is worked out
-    once, at twist 0, as (face position, twist offset, value) triples from
-    the spheres' group-ring boundaries; its column at twist h moves every
-    offset by h through `moves`."""
+    so a caller holds only the degrees it is using. boundary(d) returns the
+    twist-0 triples of d_d: for the k-th cell tuple of degree d, one
+    (face, moves[x], value) triple per nonzero entry of its column at twist
+    0, which sits in row face + x, face = k' T the position of the face's
+    cell tuple and x < T a twist code. They are worked out from the spheres'
+    group-ring boundaries; `_columns` moves them to the other twists."""
     t, r = spec.t, spec.r
     twists = t ** (r - 1)
     spheres = [sphere_complex(ni, t).diffs for ni in spec.n]
@@ -225,11 +227,9 @@ def _boundaries(spec: TupleSpec, tuples: list, moves: _Moves) -> Callable:
     # every twist, g_i (i > 1) adds 1 to a_i
     ones = sum(t**k for k in range(r - 1))
 
-    def boundary(d: int, cleared=()) -> tuple[list, list]:
+    def boundary(d: int) -> list:
         start = {cells: k * twists for k, cells in enumerate(tuples[d - 1])}
-        rows = list(range(len(tuples[d - 1]) * twists))  # one int per row, shared by the columns
-        tops: list = []
-        cols: list = []
+        out: list = []
         for cells in tuples[d]:
             template: dict = {}
             for i, j in enumerate(cells):
@@ -239,26 +239,37 @@ def _boundaries(spec: TupleSpec, tuples: list, moves: _Moves) -> Callable:
                     for c, coef in enumerate(spheres[i][j]):
                         x = -c % t * ones if i == 0 else c * t ** (r - 1 - i)
                         template[face, x] = template.get((face, x), 0) + sign * coef
-            triples = [(face, moves[x], v) for (face, x), v in template.items() if v]
-            tops.append({rows[face + tr[0]]: v for face, tr, v in triples})
-            for h in range(twists):
-                cols.append(
-                    {rows[row]: v for face, tr, v in triples if (row := face + tr[h]) not in cleared}
-                )
-        return tops, cols
+            out.append([(face, moves[x], v) for (face, x), v in template.items() if v])
+        return out
 
     return boundary
+
+
+def _columns(triples: list, twists: int, cleared, nrows: int) -> list:
+    """The columns of the map D whose column k T + h is triples[k] moved by
+    the twist h, {face + moves[x][h]: value}, with the rows in `cleared` left
+    out. The rows are one int per row of the nrows, shared by the columns."""
+    rows = list(range(nrows))
+    return [
+        {rows[row]: v for face, tr, v in top if (row := face + tr[h]) not in cleared}
+        for top in triples
+        for h in range(twists)
+    ]
 
 
 def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> QuotientComplex:
     """Tensor the sphere complexes over the group ring of the diagonal action;
     the quotient basis fixes the first coordinate's group element to the
-    identity. The boundaries come from `_boundaries` with no rows cleared,
-    and the whole complex is checked by `_check_dd_zero` before it is
-    returned."""
+    identity. The boundaries are the `_columns` of `_boundaries`' triples with
+    no rows cleared, and the whole complex is checked by `_check_dd_zero`
+    before it is returned."""
     tuples = _cell_tuples(spec, cap)
     boundary = _boundaries(spec, tuples, _Moves(spec.t, spec.r))
-    boundaries = (None,) + tuple(tuple(boundary(d)[1]) for d in range(1, spec.dim + 1))
+    twists = spec.t ** (spec.r - 1)
+    boundaries = (None,) + tuple(
+        tuple(_columns(boundary(d), twists, (), len(tuples[d - 1]) * twists))
+        for d in range(1, spec.dim + 1)
+    )
     twist_tuples = list(product(range(spec.t), repeat=spec.r - 1))
     basis = tuple(tuple((cells, h) for cells in row for h in twist_tuples) for row in tuples)
     cx = QuotientComplex(spec, basis, boundaries)
@@ -266,35 +277,20 @@ def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> Quotien
     return cx
 
 
-def _check_degree(spec: TupleSpec, d: int, lower, tops, cols, cleared, moves: _Moves) -> list:
-    """The two checks behind `_check_dd_zero` at degree d. tops[k] is the
-    full twist-0 column of the k-th cell tuple of degree d, cols the stored
-    columns of d_d, with the rows in `cleared` left out, and lower the
-    twist-0 triples of d_{d-1} that this check returned at degree d - 1
-    (None when d = 1). (a) Each stored column k T + h equals tops[k] with
-    every row moved by the twist h and the cleared rows left out. (b) d_{d-1}
-    composed with each tops[k] is zero, reading the column of d_{d-1} at
-    k' T + h as the triples lower[k'] moved by h. Returns the twist-0
-    triples of d_d: (row - code, moves[code], value) for each entry of each
-    tops[k], code = row mod T."""
-    twists = spec.t ** (spec.r - 1)
-    if len(cols) != len(tops) * twists:
-        raise AssertionError(f"degree {d} of {spec} has {len(cols)} columns, not {len(tops) * twists}")
-    upper = []
-    for k, top in enumerate(tops):
-        triples = [(row - row % twists, moves[row % twists], v) for row, v in top.items()]
-        for h in range(twists):
-            moved = {row: v for face, tr, v in triples if (row := face + tr[h]) not in cleared}
-            if cols[k * twists + h] != moved:
-                raise AssertionError(f"a column at degree {d} of {spec} is not its twist-0 one moved")
-        upper.append(triples)
+def _check_degree(spec: TupleSpec, d: int, lower, upper: list) -> list:
+    """Check (b) of `_check_dd_zero` at degree d, and return upper. upper[k]
+    holds the twist-0 triples of the k-th cell tuple of degree d, lower those
+    of d_{d-1}, as this check returned them at degree d - 1 (None when
+    d = 1). d_{d-1} composed with each twist-0 column of d_d is zero, reading
+    the column of d_{d-1} at k' T + h as lower[k'] moved by h."""
     if lower is not None:
-        for top in tops:
+        twists = spec.t ** (spec.r - 1)
+        for top in upper:
             acc: dict = {}
-            for mid, v in top.items():
-                h = mid % twists
-                for face, tr, w in lower[mid // twists]:
-                    row = face + tr[h]
+            for mid, tr, v in top:  # an entry at the twist-0 cell mid moved by h
+                h = tr[0]
+                for face, tr2, w in lower[mid // twists]:
+                    row = face + tr2[h]
                     acc[row] = acc.get(row, 0) + v * w
             if any(acc.values()):
                 raise AssertionError(f"d o d != 0 at degree {d} of {spec}")
@@ -302,26 +298,35 @@ def _check_degree(spec: TupleSpec, d: int, lower, tops, cols, cleared, moves: _M
 
 
 def _check_dd_zero(cx: QuotientComplex) -> None:
-    """Exact proof that d o d = 0, from checks (a) and (b) of `_check_degree`
-    on every degree, with the stored twist-0 columns as the full ones and no
-    rows cleared.
+    """Exact proof that d o d = 0, for a complex from any source, by two
+    checks on every degree d. Read each stored twist-0 column as triples
+    (row - x, moves[x], value), x = row mod T. (a) The stored columns of d_d
+    are the `_columns` of those triples, none cleared. (b) `_check_degree`.
 
-    Why that suffices, in the form the streamed factors use too: write s_h
-    for the move k T + x -> k T + code(x + h) of cell positions
-    (QuotientComplex), an action of Z_t^(r-1) on every degree, and D for the
-    map whose column at s_h c, c a twist-0 cell, is s_h applied to c's full
-    twist-0 column. So D s_h c = s_h D c for each twist-0 c; every cell is
-    some s_g c, so D s_h (s_g c) = s_{h+g} D c = s_h s_g D c = s_h D (s_g c):
-    D commutes with every s_h on every cell. (b) reads d_{d-1} as D, and
-    says D D c = 0 for each twist-0 c; so D D (s_h c) = s_h D D c = 0, and D
-    is a chain complex. (a) says every stored column is that of D, less the
-    cleared rows; with none cleared, the stored boundaries are D."""
+    Why that suffices: write s_h for the move k T + x -> k T + code(x + h)
+    of cell positions (QuotientComplex), an action of Z_t^(r-1) on every
+    degree, and D for the map whose column at s_h c, c a twist-0 cell, is
+    s_h applied to c's twist-0 column, as `_columns` makes it. So
+    D s_h c = s_h D c for each twist-0 c; every cell is some s_g c, so
+    D s_h (s_g c) = s_{h+g} D c = s_h s_g D c = s_h D (s_g c): D commutes
+    with every s_h on every cell. (b) reads d_{d-1} as D, and says D D c = 0
+    for each twist-0 c; so D D (s_h c) = s_h D D c = 0, and D is a chain
+    complex. (a) says the stored boundaries are D. The streamed factors
+    (`_cached_factors`) need no (a): they run (b) on the builder's triples
+    and make their columns from them with `_columns`, so the columns they
+    reduce are D's by construction, less the cleared rows."""
     moves = _Moves(cx.spec.t, cx.spec.r)
     twists = cx.spec.t ** (cx.spec.r - 1)
     lower = None
     for d in range(1, cx.dim + 1):
         cols = cx.boundaries[d]
-        lower = _check_degree(cx.spec, d, lower, cols[::twists], cols, (), moves)
+        upper = [
+            [(row - row % twists, moves[row % twists], v) for row, v in top.items()]
+            for top in cols[::twists]
+        ]
+        if list(cols) != _columns(upper, twists, (), len(cx.basis[d - 1])):
+            raise AssertionError(f"a column at degree {d} of {cx.spec} is not its twist-0 one moved")
+        lower = _check_degree(cx.spec, d, lower, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -380,22 +385,29 @@ def _snf_factors(columns) -> tuple[tuple[int, ...], set]:
             piv = col.pop(i)
             prow = rows.pop(i)
             prow.discard(j)
-            for j2 in prow:
-                col2 = cols[j2]
-                mult = col2.pop(i) * piv  # exact: piv is +-1
-                for i2, v in col.items():
-                    w = col2.get(i2, 0) - mult * v
-                    if w:
-                        if i2 not in col2:
-                            rows[i2].add(j2)
-                        col2[i2] = w
-                    else:  # mult * v is nonzero, so i2 was present
-                        del col2[i2]
-                        rows[i2].discard(j2)
-                if not col2:
-                    del cols[j2]
-            for i2 in col:
-                rows[i2].discard(j)
+            if col:
+                for j2 in prow:
+                    col2 = cols[j2]
+                    mult = col2.pop(i) * piv  # exact: piv is +-1
+                    for i2, v in col.items():
+                        w = col2.get(i2, 0) - mult * v
+                        if w:
+                            if i2 not in col2:
+                                rows[i2].add(j2)
+                            col2[i2] = w
+                        else:  # mult * v is nonzero, so i2 was present
+                            del col2[i2]
+                            rows[i2].discard(j2)
+                    if not col2:
+                        del cols[j2]
+                for i2 in col:
+                    rows[i2].discard(j)
+            else:  # a unit vector: clearing its row only drops the row's entries
+                for j2 in prow:
+                    col2 = cols[j2]
+                    del col2[i]
+                    if not col2:
+                        del cols[j2]
             del cols[j]
             pivots.add(j)
             found = True
@@ -511,15 +523,18 @@ def boundary_factors(cx: QuotientComplex) -> tuple[tuple[int, ...], ...]:
 def _homology_groups(ranks: tuple, factors: tuple, dom: Coeff) -> GradedAbGroup:
     """H_* from the cell counts and the boundary invariant factors. Over F_p
     a boundary's rank counts the factors p does not divide, since its SNF
-    D = U d V has U, V unimodular and so invertible mod p."""
+    D = U d V has U, V unimodular and so invertible mod p. Each boundary's
+    factors are a divisibility chain, so its 1s come first and only the
+    factors after them are read one by one."""
     factors = factors + ((),)  # the map out of the top degree is zero
+    units = [fs.count(1) for fs in factors]
     if dom.kind == "Fp":
-        rank = [sum(1 for q in fs if q % dom.p) for fs in factors]
+        rank = [u + sum(1 for q in fs[u:] if q % dom.p) for u, fs in zip(units, factors)]
     else:
         rank = [len(fs) for fs in factors]
     data: dict[int, tuple[int, tuple[int, ...]]] = {}
     for d, cells in enumerate(ranks):
-        torsion = () if dom.is_field else tuple(q for q in factors[d + 1] if q > 1)
+        torsion = () if dom.is_field else factors[d + 1][units[d + 1] :]
         data[d] = (cells - rank[d] - rank[d + 1], torsion)
     return GradedAbGroup.of(data)
 
@@ -572,24 +587,22 @@ _FACTORS_CACHE_SIZE = 128
 @lru_cache(maxsize=_FACTORS_CACHE_SIZE)
 def _cached_factors(spec: TupleSpec, cap: int) -> tuple[tuple[int, ...], tuple]:
     """Cell counts and boundary invariant factors of spec's complex, one
-    degree at a time: for each d, build d_d with the rows that d_{d-1}'s
-    sweep took as pivots left out, check it (`_check_degree`, both parts,
-    against the twist-0 triples of d_{d-1}), keep its own twist-0 triples
-    for degree d + 1, and reduce its columns in place. Every entry the
-    reduction reads is checked first, d_{d-1} is held only as its twist-0
+    degree at a time: for each d, build d_d's twist-0 triples, check d o d
+    on them against d_{d-1}'s (`_check_degree`), keep them for degree d + 1,
+    and only then make d_d's columns from them (`_columns`), with the rows
+    that d_{d-1}'s sweep took as pivots left out, and reduce those in place.
+    Each column is built once, from the checked triples, so it is D's by
+    construction (see `_check_dd_zero`); d_{d-1} is held only as its twist-0
     triples, and the reduced columns are not copied. The cell counts are the
     cell tuples per degree times t^(r-1); the basis is never built."""
     tuples = _cell_tuples(spec, cap)
-    moves = _Moves(spec.t, spec.r)
-    boundary = _boundaries(spec, tuples, moves)
+    boundary = _boundaries(spec, tuples, _Moves(spec.t, spec.r))
+    twists = spec.t ** (spec.r - 1)
     out, lower, pivots = [()], None, ()
     for d in range(1, spec.dim + 1):
-        tops, cols = boundary(d, pivots)
-        lower = _check_degree(spec, d, lower, tops, cols, pivots, moves)
-        del tops
-        factors, pivots = _snf_factors(cols)
+        lower = _check_degree(spec, d, lower, boundary(d))
+        factors, pivots = _snf_factors(_columns(lower, twists, pivots, len(tuples[d - 1]) * twists))
         out.append(factors)
-    twists = spec.t ** (spec.r - 1)
     return tuple(len(row) * twists for row in tuples), tuple(out)
 
 

@@ -1,13 +1,16 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from io import StringIO
 from pathlib import Path
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from lensprod.algebra import GF, INFINITY, QQ, TupleSpec, ZZ
-from lensprod.cli import parse, run
+from lensprod.cli import COMMANDS, parse, run
 
 from _grid import grid_specs
 
@@ -385,3 +388,62 @@ def test_benchmark_corpus_replays_byte_identical():
         code, out, err = go(q["argv"])
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert (code, digest) == (q["exit"], q["sha256"]), (q["argv"], err)
+
+
+# the exit codes in the README's table
+README_EXIT_CODES = {
+    int(code)
+    for code in re.findall(
+        r"^\| `(\d+)` \|", (Path(__file__).resolve().parents[1] / "README.md").read_text(), re.M
+    )
+}
+
+# (good values, bad values) of each valued flag but --n and --t
+_FLAG_VALUES = {
+    "--coeff": (("Z", "Q", "F2", "F:3"), ("F:4", "F:", "G")),
+    "--k": (("0", "1", "2"), ("-1", "x")),
+    "--gd": (("0", "1", "5"), ("-3", "x")),
+    "--span-base": (("0", "2", "9"), ("-1", "x")),
+    "--tc-override": (("0,0", "1,2", "3,1", "-1,4"), ("2", "a,b")),
+    "--precision": (("0", "3", "8"), ("-1", "x")),
+    "--law": (("additive", "multiplicative"), ("x",)),
+    "--unit": (("0", "1", "2"), ("x",)),
+    "--cap": (("1", "100", "4000"), ("0", "x")),
+}
+
+
+def _rarely(draw) -> bool:
+    # hypothesis leans to the ends of a range, so the rare case is inside it
+    return draw(st.integers(0, 6)) == 3
+
+
+@st.composite
+def _argv(draw):
+    """A command line of the README's commands and flags with n_i <= 3 and
+    r <= 3, mostly valid: now and then a bad value, a dropped word, a stray
+    token or a missing last value, in any order."""
+    n = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    good_n = (",".join(map(str, sorted(n))), ",".join(map(str, n)))
+    words = [
+        [draw(st.sampled_from(COMMANDS))],
+        ["--n", draw(st.sampled_from(("", "a", "1,,2", "-1") if _rarely(draw) else good_n))],
+        ["--t", draw(st.sampled_from(("0", "-2", "x") if _rarely(draw) else ("1", "2", "3", "4", "inf")))],
+    ]
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=2)):
+        good, bad = _FLAG_VALUES[flag]
+        words.append([flag, draw(st.sampled_from(bad if _rarely(draw) else good))])
+    for flag in ("--json", "--sort"):
+        if draw(st.booleans()):
+            words.append([flag])
+    if _rarely(draw):
+        words.append([draw(st.sampled_from(COMMANDS + ("--bogus", "3", "--help")))])
+    if _rarely(draw):
+        del words[draw(st.integers(0, len(words) - 1))]
+    argv = [a for w in draw(st.permutations(words)) for a in w]
+    return argv[:-1] if _rarely(draw) else argv
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argv())
+def test_run_never_raises_and_exits_with_a_documented_code(argv):
+    assert go(argv)[0] in README_EXIT_CODES

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from lensprod.algebra import GF, INFINITY, TupleSpec
-from lensprod.cohomology import build_ring, poincare_polynomial
+from lensprod.cohomology import build_ring, field_modes, poincare_polynomial
 from lensprod.invariants import (
     cat_bounds,
     euler_char,
@@ -353,9 +353,10 @@ def test_invariant_report_gd_passthrough():
     [((1, 1, 1), 2), ((1, 1), 2), ((1,), 2), ((0, 0, 0), 3), ((1, 2), INFINITY), ((2,), INFINITY)],
 )
 def test_invariant_report_evaluates_each_invariant_once(monkeypatch, n, t):
-    # the report hands chi, chi*, the vector field and stable
-    # parallelizability on to the invariants that read them, so each is
-    # evaluated once, and each Betti sequence is read once
+    # the report hands chi, chi*, the vector field, stable
+    # parallelizability and the cat bounds on to the invariants that read
+    # them, so each is evaluated once, cup lengths once per field mode, and
+    # each Betti sequence is read once
     import lensprod.invariants as inv
 
     spec = TupleSpec(n, t)
@@ -378,6 +379,8 @@ def test_invariant_report_evaluates_each_invariant_once(monkeypatch, n, t):
         "_vector_field",
         "kervaire_semichar",
         "_odd_semichar",
+        "cat_bounds",
+        "cup_length",
     ):
         counted(name)
     rep = invariant_report(spec, span_base=2)
@@ -387,6 +390,8 @@ def test_invariant_report_evaluates_each_invariant_once(monkeypatch, n, t):
     assert count.get("vector_field_exists", 0) + count["_vector_field"] == 1
     semichars = count.get("kervaire_semichar", 0) + count.get("_odd_semichar", 0)
     assert semichars == spec.dim % 2
+    assert count["cat_bounds"] == 1
+    assert count["cup_length"] == len(field_modes(spec))
     assert len(set(calls["_betti"])) == len(calls["_betti"])
     monkeypatch.undo()
     with warnings.catch_warnings():
@@ -397,3 +402,4 @@ def test_invariant_report_evaluates_each_invariant_once(monkeypatch, n, t):
     assert rep.stably_parallelizable == stably_parallelizable(spec)
     assert rep.parallelizable == parallelizable(spec)
     assert rep.span == span_report(spec, 2)
+    assert rep.cat == cat_bounds(spec) and rep.tc == tc_bounds(spec)

@@ -347,65 +347,71 @@ def test_dd_check_trips_on_a_negated_entry_at_a_nonzero_twist():
 
 @pytest.mark.parametrize("where", ["stored-twist-0", "stored-twisted", "full-twist-0"])
 def test_stream_checks_each_degree_before_its_snf(monkeypatch, where):
-    # negate one entry of d_d as the builder returns it: a kept entry of a
-    # stored column at twist 0 or at a nonzero twist, or an entry of a full
-    # twist-0 column at a row the reduction leaves out, together with the
-    # entries it moves to in the stored columns, so that only the d o d check
-    # can see it. The streamed factors must refuse at degree d having
-    # reduced only d_1 .. d_{d-1}
+    # [full-twist-0]: negate one twist-0 triple of d_d as the builder returns
+    # it, at an entry whose row has a nonzero boundary, so d o d sees it. The
+    # streamed factors must refuse at degree d, having made and reduced the
+    # columns of d_1 .. d_{d-1} only. [stored-*]: the columns the reduction
+    # receives are the whole complex's boundaries with the cleared rows
+    # dropped, at twist 0 or at the nonzero twists, and are reduced uncopied
     spec = TupleSpec((1, 1), 3)
     cx = product_quotient_complex(spec)
+    expected = (cx.ranks, boundary_factors(cx))
     twists = spec.t ** (spec.r - 1)
-    moves = oracle_module._Moves(spec.t, spec.r)
-    make, snf = oracle_module._boundaries, oracle_module._snf_factors
-    built, reduced, corrupted = [], [], []
-
-    def negate(column: dict, row: int) -> dict:
-        return {**column, row: -column[row]} if row in column else column
+    make, columns, snf = oracle_module._boundaries, oracle_module._columns, oracle_module._snf_factors
+    made, reduced, corrupted = [], [], []
 
     def corrupting(*args):
         boundary = make(*args)
 
-        def corrupted_boundary(d, cleared=()):
-            tops, cols = boundary(d, cleared)
-            if where == "full-twist-0":
-                sites = [(k, mid) for k, top in enumerate(tops) for mid in top if mid in cleared]
-            else:
-                sites = [
-                    (col, mid)
-                    for col, entries in enumerate(cols)
-                    if (col % twists != 0) == (where == "stored-twisted")
-                    for mid in entries
-                ]
-            sites = [(i, mid) for i, mid in sites if d >= 2 and cx.boundaries[d - 1][mid]]
-            if sites and not corrupted:
-                i, mid = sites[0]
-                if where == "full-twist-0":
-                    tops[i] = negate(tops[i], mid)
-                    face, code = mid - mid % twists, mid % twists
-                    for h in range(twists):
-                        cols[i * twists + h] = negate(cols[i * twists + h], face + moves[code][h])
-                else:
-                    cols[i] = negate(cols[i], mid)
+        def corrupted_boundary(d):
+            triples = boundary(d)
+            if where == "full-twist-0" and d >= 2 and not corrupted:
+                k, e = next(
+                    (k, e)
+                    for k, top in enumerate(triples)
+                    for e, (face, tr, v) in enumerate(top)
+                    if cx.boundaries[d - 1][face + tr[0]]
+                )
+                face, tr, v = triples[k][e]
+                triples[k][e] = (face, tr, -v)
                 corrupted.append(d)
-            built.append(cols)
-            return tops, cols
+            return triples
 
         return corrupted_boundary
 
-    def recorded(columns):
-        reduced.append(columns)
-        return snf(columns)
+    def recorded_columns(*args):
+        made.append(columns(*args))
+        return made[-1]
+
+    def recorded_snf(cols):
+        received = [dict(col) for col in cols]
+        factors, pivots = snf(cols)
+        reduced.append((cols, received, pivots))
+        return factors, pivots
 
     monkeypatch.setattr(oracle_module, "_boundaries", corrupting)
-    monkeypatch.setattr(oracle_module, "_snf_factors", recorded)
-    with pytest.raises(AssertionError) as raised:
-        _cached_factors.__wrapped__(spec, DEFAULT_CAP)
-    assert corrupted, "no entry to corrupt"
-    d = corrupted[0]
-    assert f"degree {d} of" in str(raised.value)
-    assert len(built) == d
-    assert [id(b) for b in reduced] == [id(b) for b in built[: d - 1]]
+    monkeypatch.setattr(oracle_module, "_columns", recorded_columns)
+    monkeypatch.setattr(oracle_module, "_snf_factors", recorded_snf)
+    if where == "full-twist-0":
+        with pytest.raises(AssertionError) as raised:
+            _cached_factors.__wrapped__(spec, DEFAULT_CAP)
+        assert corrupted, "no entry to corrupt"
+        d = corrupted[0]
+        assert f"degree {d} of" in str(raised.value)
+        assert len(made) == d - 1
+    else:
+        assert _cached_factors.__wrapped__(spec, DEFAULT_CAP) == expected
+        assert len(reduced) == cx.dim
+        cleared, dropped = set(), 0
+        for d, (_, received, pivots) in enumerate(reduced, start=1):
+            kept = [{i: v for i, v in col.items() if i not in cleared} for col in cx.boundaries[d]]
+            assert len(received) == len(kept)
+            at = [j for j in range(len(kept)) if (j % twists == 0) == (where == "stored-twist-0")]
+            assert [received[j] for j in at] == [kept[j] for j in at]
+            dropped += sum(len(cx.boundaries[d][j]) - len(kept[j]) for j in at)
+            cleared = pivots
+        assert dropped, "no cleared row to drop"
+    assert [id(cols) for cols, _, _ in reduced] == [id(cols) for cols in made]
 
 
 @pytest.mark.parametrize("n, t", [((2, 2, 2), 6), ((2, 2, 2, 2), 3)])

@@ -1,7 +1,8 @@
 import pytest
 
-from lensprod.algebra import GF, INFINITY, QQ, TupleSpec, binom_mod2
+from lensprod.algebra import GF, INFINITY, QQ, TupleSpec, binom_mod2, nu_p
 from lensprod.cohomology import BasisMonomial, build_ring
+from lensprod.oracle import DEFAULT_CAP, _cached_factors
 from lensprod.steenrod import (
     is_orientable,
     is_spin,
@@ -11,7 +12,7 @@ from lensprod.steenrod import (
     total_sq,
 )
 
-from _grid import full_grid_specs
+from _grid import full_grid_specs, grid_specs
 
 
 def mono(base, ext=()):
@@ -193,3 +194,37 @@ def test_total_sq_leaves_the_shared_ring_untouched():
         total.clear()  # the caller owns the returned dict
         assert total_sq(ring, m)  # Sq^0 is the identity, so never empty
     assert vars(ring) == before
+
+
+def _f2_rank(vectors) -> int:
+    """Rank over F_2 of vectors given as int bitsets."""
+    pivots: dict = {}  # leading bit -> reduced vector
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
+def test_sq1_rank_counts_the_oracles_z2_summands():
+    # Sq^1 is the Bockstein, so its rank on H^d(X; F_2) is the number of Z/2
+    # summands of H^{d+1}(X; Z): the invariant factors q of d_{d+1} with
+    # nu_2(q) = 1. The factors come from the cell complex alone, so this
+    # reads total_sq against the oracle, not against the ring's relations
+    nonzero = 0
+    for spec in grid_specs():
+        ring = build_ring(spec, GF(2))
+        _, factors = _cached_factors(spec, DEFAULT_CAP)
+        index = {m: i for ms in ring.basis_by_degree.values() for i, m in enumerate(ms)}
+        for d in range(spec.dim):
+            images = [
+                sum(1 << index[m2] for m2 in sq_k(ring, m, 1))
+                for m in ring.basis_by_degree.get(d, ())
+            ]
+            rank = _f2_rank(images)
+            assert rank == sum(1 for q in factors[d + 1] if nu_p(2, q) == 1), (spec, d)
+            nonzero += rank > 0
+    assert nonzero

@@ -12,34 +12,39 @@ matches it degree by degree against the predicted ring.
 Boundaries are stored column-major, one {row: value} map per cell, and the
 SNF reduces those columns in place. Z_t^(r-1) acts on the quotient by
 translating the twists, and the boundary commutes with that action, so each
-cell tuple's boundary is worked out once, at twist 0, as triples, and moved
-to the other twists. The exact d o d = 0 check rests on the same symmetry:
-d o d = 0 on the twist-0 columns, with every column the twist-0 one moved,
-gives d o d = 0 on every column (see `_check_dd_zero`). The SNF is a sparse
-unit-pivot elimination (Dumas-Saunders-Villard, "On efficient sparse integer
-matrix Smith normal forms", JSC 2001) in passes over the columns, shortest
-first (see `_snf_factors`), then a dense SNF of the small residual. The
-boundaries are reduced in order, each with compression (Bauer-Kerber-
-Reininghaus, "Clear and Compress", 2014): the rows of d_{d+1} at the
-unit-pivot columns of d_d are left out, exact over Z since d o d = 0 is
-checked before.
+cell tuple's boundary is worked out once, at twist 0, as a template, and
+moved to the other twists. The exact d o d = 0 check rests on the same
+symmetry: d o d = 0 on the twist-0 columns, with every column the twist-0
+one moved, gives d o d = 0 on every column (see `_check_dd_zero`). The SNF
+is a sparse unit-pivot elimination (Dumas-Saunders-Villard, "On efficient
+sparse integer matrix Smith normal forms", JSC 2001) in passes over the
+columns, shortest first (see `_snf_factors`), then a dense SNF of the small
+residual. The boundaries are reduced in order, each with compression
+(Bauer-Kerber-Reininghaus, "Clear and Compress", 2014): the rows of d_{d+1}
+at the unit-pivot columns of d_d are left out, exact over Z since d o d = 0
+is checked before.
 
-The twist-0 triples come from one builder, `_boundaries`, one degree per
-call, and the columns from one helper, `_columns`, which moves them to every
-twist and leaves out the rows the caller names. `product_quotient_complex`
-leaves none out and checks the whole complex with `_check_dd_zero`, which
-checks that the stored columns are the twist-0 ones moved (part (a)) and
-d o d on the twist-0 columns (part (b)), so it serves a complex from any
-source. The factors behind `compare_with_theory` (`_cached_factors`) need no
-part (a): for each degree d they build d_d's twist-0 triples, check d o d on
-them against d_{d-1}'s (`_check_degree`), and only then make d_d's columns
-from the checked triples, once, without the rows compression drops, and
-reduce them in place. So each degree is checked before its SNF, each column
-is built once, the dropped rows are never built, and nothing is copied.
+`product_quotient_complex` builds the whole quotient complex: the templates
+come from one builder, `_boundaries`, one degree per call, `_quotient` sends
+g to 1, and `_columns` moves them to every twist. It checks the complex with
+`_check_dd_zero`, so that check serves a complex from any source. The
+factors behind `compare_with_theory` (`_cached_factors`) do not build it.
+Before the quotient the product is a free Z[Z_t]-complex, and in the basis
+a (x) g^c b each boundary entry of a tensor step is one monomial alpha g^k,
+most of them units +-g^k of Z[Z_t]. So they tensor the spheres on one at a time over Z[Z_t]
+(`_tensor`), check d o d, eliminate every unit entry (`_eliminate`, Gaussian
+elimination of chain complexes) and check d o d again, which leaves a few
+generators: for (2,2,2;6), 12 in place of S_1 (x) S_2's 216. Only the last
+sphere is tensored on together with the quotient, a complex of 432 cells in
+place of 7,776; it is checked and reduced one degree at a time, the rows
+compression drops never built. Elimination over Z[Z_t] is a homotopy
+equivalence that survives the later tensor steps and the quotient, so the
+small quotient has the whole one's homology, and `_full_factors` recovers
+the whole complex's invariant factors from it and the cell counts.
 
 There is no oracle for t = INFINITY: the circle quotient is not a finite free
 quotient. That regime is validated elsewhere (duality, Euler characteristics,
-wedge bookkeeping).
+wedge bookkeeping, the Gysin sequence of the circle bundle).
 """
 
 from __future__ import annotations
@@ -206,25 +211,48 @@ def _cell_tuples(spec: TupleSpec, cap: int) -> list[list]:
             f"quotient boundaries have {entries} entries, "
             f"above {ENTRIES_PER_CELL} times the cap {cap}"
         )
-    tuples: list[list] = [[] for _ in range(spec.dim + 1)]
-    for cells in product(*(range(2 * ni + 2) for ni in spec.n)):
-        tuples[sum(cells)].append(cells)
+    return _product_tuples(range(2 * spec.n[0] + 2), [2 * ni + 2 for ni in spec.n[1:]])
+
+
+def _product_tuples(degrees, sizes: list) -> list[list]:
+    """The cell tuples (x, j_2..j_m) of each degree, in product order: x a
+    generator of the first factor, of degree degrees[x], and j_i < sizes[i]
+    a cell of a sphere."""
+    tuples: list[list] = [[] for _ in range(max(degrees) + sum(sizes) - len(sizes) + 1)]
+    for cells in product(range(len(degrees)), *map(range, sizes)):
+        tuples[degrees[cells[0]] + sum(cells[1:])].append(cells)
     return tuples
 
 
-def _boundaries(spec: TupleSpec, tuples: list, moves: _Moves) -> Callable:
-    """The boundaries of the quotient complex as a function of the degree,
-    so a caller holds only the degrees it is using. boundary(d) returns the
-    twist-0 triples of d_d: for the k-th cell tuple of degree d, one
-    (face, moves[x], value) triple per nonzero entry of its column at twist
-    0, which sits in row face + x, face = k' T the position of the face's
-    cell tuple and x < T a twist code. They are worked out from the spheres'
-    group-ring boundaries; `_columns` moves them to the other twists."""
-    t, r = spec.t, spec.r
+def _sphere_factor(diffs: tuple) -> tuple[list, list]:
+    """A sphere's complex as a free Z[Z_t]-complex (degrees, cols): the
+    generator e_j has degree j, and cols[j] lists the terms (j - 1, k, c) of
+    its boundary, the sum of c g^k e_{j-1}."""
+    cols = [[(j - 1, k, c) for k, c in enumerate(diffs[j]) if c] for j in range(1, len(diffs))]
+    return list(range(len(diffs))), [[]] + cols
+
+
+def _boundaries(first: tuple, spheres: list, t: int, tuples: list) -> Callable:
+    """The boundaries of first (x) S_2 (x) .. (x) S_m over R = Z[Z_t], under
+    the diagonal action, as a function of the degree, so a caller holds only
+    the degrees it is using. first is a free R-complex (degrees, cols) in
+    the form `_sphere_factor` gives, spheres are the group-ring boundaries of
+    the other factors, and the free generators are
+    c (x) g^{a_2} e_{j_2} (x) .. (x) g^{a_m} e_{j_m}, c a generator of
+    first, with cell tuple (c, j_2, .., j_m) and twists a_i in Z_t. With
+    T = t^(m-1), the generator sits at position k T + code(a), k the rank
+    of its cell tuple among tuples[d] (see QuotientComplex).
+
+    boundary(d) returns one template per cell tuple of degree d: the
+    {(face, x, k): coefficient} terms of its twist-0 column, the term at row
+    face + x times g^k, face = k' T the position of the face's cell tuple
+    and x < T a twist code. A term alpha g^k of the boundary of c moves every
+    twist by -k and keeps g^k; a term beta g^l of the boundary of e_{j_i}
+    moves a_i by l, carries the Koszul sign of the degrees before it, and
+    no g. The column at the twists h is the template with x moved by h."""
+    degrees, cols = first
+    r = len(spheres) + 1
     twists = t ** (r - 1)
-    spheres = [sphere_complex(ni, t).diffs for ni in spec.n]
-    # lambda^c on factor i moves the twists by c g_i: g_1 subtracts 1 from
-    # every twist, g_i (i > 1) adds 1 to a_i
     ones = sum(t**k for k in range(r - 1))
 
     def boundary(d: int) -> list:
@@ -232,17 +260,37 @@ def _boundaries(spec: TupleSpec, tuples: list, moves: _Moves) -> Callable:
         out: list = []
         for cells in tuples[d]:
             template: dict = {}
-            for i, j in enumerate(cells):
+            rest = cells[1:]
+            for c, k, coef in cols[cells[0]]:
+                key = start[(c,) + rest], -k % t * ones, k
+                template[key] = template.get(key, 0) + coef
+            degree = degrees[cells[0]]
+            for i, j in enumerate(rest, 1):
                 if j:
-                    sign = -1 if sum(cells[:i]) % 2 else 1
+                    sign = -1 if degree % 2 else 1
                     face = start[cells[:i] + (j - 1,) + cells[i + 1 :]]
-                    for c, coef in enumerate(spheres[i][j]):
-                        x = -c % t * ones if i == 0 else c * t ** (r - 1 - i)
-                        template[face, x] = template.get((face, x), 0) + sign * coef
-            out.append([(face, moves[x], v) for (face, x), v in template.items() if v])
+                    for c, coef in enumerate(spheres[i - 1][j]):
+                        if coef:
+                            key = face, c * t ** (r - 1 - i), 0
+                            template[key] = template.get(key, 0) + sign * coef
+                degree += j
+            out.append(template)
         return out
 
     return boundary
+
+
+def _quotient(templates: list, moves: _Moves) -> list:
+    """The twist-0 triples of the quotient by the action (g -> 1): for each
+    template, one (face, moves[x], value) triple per nonzero sum over k of
+    its (face, x, k) terms. `_columns` moves them to the other twists."""
+    out = []
+    for template in templates:
+        merged: dict = {}
+        for (face, x, _), v in template.items():
+            merged[face, x] = merged.get((face, x), 0) + v
+        out.append([(face, moves[x], v) for (face, x), v in merged.items() if v])
+    return out
 
 
 def _columns(triples: list, twists: int, cleared, nrows: int) -> list:
@@ -260,14 +308,16 @@ def _columns(triples: list, twists: int, cleared, nrows: int) -> list:
 def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> QuotientComplex:
     """Tensor the sphere complexes over the group ring of the diagonal action;
     the quotient basis fixes the first coordinate's group element to the
-    identity. The boundaries are the `_columns` of `_boundaries`' triples with
-    no rows cleared, and the whole complex is checked by `_check_dd_zero`
-    before it is returned."""
+    identity. The boundaries are the `_columns` of the `_quotient` of
+    `_boundaries`' templates with no rows cleared, and the whole complex is
+    checked by `_check_dd_zero` before it is returned."""
     tuples = _cell_tuples(spec, cap)
-    boundary = _boundaries(spec, tuples, _Moves(spec.t, spec.r))
+    spheres = [sphere_complex(ni, spec.t).diffs for ni in spec.n]
+    boundary = _boundaries(_sphere_factor(spheres[0]), spheres[1:], spec.t, tuples)
+    moves = _Moves(spec.t, spec.r)
     twists = spec.t ** (spec.r - 1)
     boundaries = (None,) + tuple(
-        tuple(_columns(boundary(d), twists, (), len(tuples[d - 1]) * twists))
+        tuple(_columns(_quotient(boundary(d), moves), twists, (), len(tuples[d - 1]) * twists))
         for d in range(1, spec.dim + 1)
     )
     twist_tuples = list(product(range(spec.t), repeat=spec.r - 1))
@@ -277,14 +327,14 @@ def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> Quotien
     return cx
 
 
-def _check_degree(spec: TupleSpec, d: int, lower, upper: list) -> list:
+def _check_degree(spec: TupleSpec, d: int, lower, upper: list, twists: int) -> list:
     """Check (b) of `_check_dd_zero` at degree d, and return upper. upper[k]
     holds the twist-0 triples of the k-th cell tuple of degree d, lower those
     of d_{d-1}, as this check returned them at degree d - 1 (None when
-    d = 1). d_{d-1} composed with each twist-0 column of d_d is zero, reading
-    the column of d_{d-1} at k' T + h as lower[k'] moved by h."""
+    d = 1), and each cell tuple has `twists` cells. d_{d-1} composed with
+    each twist-0 column of d_d is zero, reading the column of d_{d-1} at
+    k' T + h as lower[k'] moved by h."""
     if lower is not None:
-        twists = spec.t ** (spec.r - 1)
         for top in upper:
             acc: dict = {}
             for mid, tr, v in top:  # an entry at the twist-0 cell mid moved by h
@@ -311,10 +361,16 @@ def _check_dd_zero(cx: QuotientComplex) -> None:
     D s_h (s_g c) = s_{h+g} D c = s_h s_g D c = s_h D (s_g c): D commutes
     with every s_h on every cell. (b) reads d_{d-1} as D, and says D D c = 0
     for each twist-0 c; so D D (s_h c) = s_h D D c = 0, and D is a chain
-    complex. (a) says the stored boundaries are D. The streamed factors
-    (`_cached_factors`) need no (a): they run (b) on the builder's triples
-    and make their columns from them with `_columns`, so the columns they
-    reduce are D's by construction, less the cleared rows."""
+    complex. (a) says the stored boundaries are D.
+
+    The factors behind the comparison (`_cached_factors`) need no (a). Over
+    Z[Z_t] they make every column of a tensor step by moving its c = 0
+    template with 1 (x) g, which commutes with d and with the action, so
+    d o d on the c = 0 columns (`_check_ring`) proves it on all, as above;
+    each eliminated complex is checked whole. In the last step they run (b)
+    on the triples of the quotient and make its columns from them with
+    `_columns`, so the columns they reduce are D's by construction, less
+    the cleared rows."""
     moves = _Moves(cx.spec.t, cx.spec.r)
     twists = cx.spec.t ** (cx.spec.r - 1)
     lower = None
@@ -326,7 +382,136 @@ def _check_dd_zero(cx: QuotientComplex) -> None:
         ]
         if list(cols) != _columns(upper, twists, (), len(cx.basis[d - 1])):
             raise AssertionError(f"a column at degree {d} of {cx.spec} is not its twist-0 one moved")
-        lower = _check_degree(cx.spec, d, lower, upper)
+        lower = _check_degree(cx.spec, d, lower, upper, twists)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian elimination over Z[Z_t]
+
+
+def _tensor(first: tuple, diffs: tuple, t: int) -> tuple[list, list]:
+    """first (x) S over R = Z[Z_t] under the diagonal action, as a free
+    R-complex (degrees, cols) in the form of `_sphere_factor`: the generator
+    of cell tuple k and twist c has the position k t + c after the lower
+    degrees', and its column is the twist-0 template of `_boundaries` moved
+    by 1 (x) g^c, (a, c', b) -> (a, c' + c, b)."""
+    tuples = _product_tuples(first[0], [len(diffs)])
+    boundary = _boundaries(first, [diffs], t, tuples)
+    degrees: list = []
+    cols: list = []
+    below = 0  # the position of degree d - 1's first generator
+    for d, row in enumerate(tuples):
+        here = len(cols)
+        for template in boundary(d) if d else [{}] * len(row):
+            for c in range(t):
+                cols.append([(below + face + (x + c) % t, k, v) for (face, x, k), v in template.items() if v])
+        degrees += [d] * (len(cols) - here)
+        below = here
+    return degrees, cols
+
+
+def _check_ring(spec: TupleSpec, cx: tuple, t: int, step: int) -> None:
+    """d o d = 0 over Z[Z_t] on the columns 0, step, 2 step, .. of the free
+    R-complex cx, accumulated by (row, power of g). A tensor step checks its
+    c = 0 columns (step t), which proves d o d on all (`_check_dd_zero`);
+    an eliminated complex is checked whole (step 1)."""
+    degrees, cols = cx
+    for x in range(0, len(cols), step):
+        acc: dict = {}
+        for mid, k, v in cols[x]:
+            for row, k2, w in cols[mid]:
+                key = row, (k + k2) % t
+                acc[key] = acc.get(key, 0) + v * w
+        if any(acc.values()):
+            raise AssertionError(f"d o d != 0 over Z[Z_t] at degree {degrees[x]} of {spec}")
+
+
+def _eliminate(cx: tuple, t: int) -> tuple[list, list]:
+    """Gaussian elimination of the free R-complex cx over R = Z[Z_t]
+    (Bar-Natan, "Fast Khovanov homology computations", JKTR 2007; Skoldberg,
+    "Morse theory from an algebraic viewpoint", Trans. AMS 2006), degree by
+    degree upwards, on every unit entry u = +-g^k; returns the smaller
+    complex in the same form, its generators renumbered in order.
+
+    A pivot u at row rho, column sigma of d_d removes sigma and rho: every
+    other column x of d_d becomes D[y][x] - D[rho][x] u^-1 D[y][sigma], the
+    Schur complement, row sigma is dropped from d_{d+1} and column rho from
+    d_{d-1}. By the Gaussian elimination lemma the result is homotopy
+    equivalent to cx over R; R is commutative and u a unit, so the maps and
+    homotopies are R-linear. Pivots in d_{d+1} leave the entries of d_d
+    alone, so one pass upwards leaves no unit entry.
+
+    Why the quotient keeps its homology: A ~ A' over R gives
+    A (x) S ~ A' (x) S under the diagonal action, since f (x) 1 and the
+    homotopies h (x) 1 (with the Koszul sign) commute with g (x) g, and the
+    additive functor - (x)_R Z keeps homotopy equivalences. So each tensor
+    step may start from the eliminated complex of the one before, and the
+    last step's quotient has the homology of the whole quotient complex."""
+    degrees, flat = cx
+    # {x: {row: {k: coefficient}}} per degree, and an empty one above the top
+    levels: list = [{} for _ in range(max(degrees) + 2)]
+    for x, col in enumerate(flat):
+        entries = levels[degrees[x]][x] = {}
+        for row, k, v in col:
+            entries.setdefault(row, {})[k] = v
+    for d in range(1, len(levels) - 1):
+        cols = levels[d]
+        found = True
+        while found:
+            found = False
+            for sigma in list(cols):
+                col = cols[sigma]
+                units = (
+                    (rho, k, v) for rho, e in col.items() if len(e) == 1 for k, v in e.items() if v in (1, -1)
+                )
+                unit = next(units, None)
+                if unit is None:
+                    continue
+                rho, k, s = unit
+                del cols[sigma], col[rho]
+                for other in cols.values():
+                    delta = other.pop(rho, None)
+                    if delta is None:
+                        continue
+                    for y, gamma in col.items():
+                        e = other.setdefault(y, {})
+                        for k1, a in delta.items():
+                            for k2, b in gamma.items():
+                                kk = (k1 + k2 - k) % t
+                                w = e.get(kk, 0) - a * s * b  # u^-1 = s g^-k
+                                if w:
+                                    e[kk] = w
+                                else:
+                                    del e[kk]
+                        if not e:
+                            del other[y]
+                for above in levels[d + 1].values():
+                    above.pop(sigma, None)
+                del levels[d - 1][rho]
+                found = True
+    kept = sorted(x for level in levels for x in level)
+    new = {x: i for i, x in enumerate(kept)}
+    return [degrees[x] for x in kept], [
+        [(new[row], k, v) for row, e in levels[degrees[x]][x].items() for k, v in e.items()] for x in kept
+    ]
+
+
+def _full_factors(cells: tuple, small: tuple, factors: list) -> tuple:
+    """The invariant factors of the whole quotient complex, with cells[d]
+    cells in degree d, from those of a smaller one with the same homology,
+    small[d] cells and factors[d] (factors[0] is ()). The small complex gives
+    the Betti numbers b_d and the torsion of H_{d-1}, the factors of d_d
+    other than 1. From the top down, rank d_d = cells[d] - b_d - rank d_{d+1},
+    and d_d's factors are 1s up to that rank, then the torsion."""
+    out: list = []
+    rank = small_rank = 0  # of the boundary out of the degree above
+    for d in reversed(range(1, len(cells))):
+        fs = factors[d]
+        betti = small[d] - len(fs) - small_rank
+        rank, small_rank = cells[d] - betti - rank, len(fs)
+        torsion = fs[fs.count(1) :]
+        out.append((1,) * (rank - len(torsion)) + torsion)
+    return ((),) + tuple(reversed(out))
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +750,6 @@ class ComparisonReport(NamedTuple):
     def mismatches(self) -> tuple[int, ...]:
         return tuple(d for d, th, orc, m in self.degrees if not m)
 
-    def first_mismatch(self):
-        return next(iter(self.mismatches()), None)
-
     def __str__(self):
         bad = self.mismatches()
         if not bad:
@@ -586,24 +768,42 @@ _FACTORS_CACHE_SIZE = 128
 
 @lru_cache(maxsize=_FACTORS_CACHE_SIZE)
 def _cached_factors(spec: TupleSpec, cap: int) -> tuple[tuple[int, ...], tuple]:
-    """Cell counts and boundary invariant factors of spec's complex, one
-    degree at a time: for each d, build d_d's twist-0 triples, check d o d
-    on them against d_{d-1}'s (`_check_degree`), keep them for degree d + 1,
-    and only then make d_d's columns from them (`_columns`), with the rows
-    that d_{d-1}'s sweep took as pivots left out, and reduce those in place.
-    Each column is built once, from the checked triples, so it is D's by
-    construction (see `_check_dd_zero`); d_{d-1} is held only as its twist-0
-    triples, and the reduced columns are not copied. The cell counts are the
-    cell tuples per degree times t^(r-1); the basis is never built."""
+    """Cell counts and boundary invariant factors of spec's quotient complex,
+    the one `product_quotient_complex` builds, without building it. The first
+    sphere is a free Z[Z_t]-complex; each further sphere but the last is
+    tensored on (`_tensor`), d o d is checked on the c = 0 columns
+    (`_check_ring`), every unit entry is eliminated (`_eliminate`) and the
+    result is checked whole. The last sphere is tensored on and the quotient
+    taken as in `product_quotient_complex`, one degree at a time: build
+    d_d's twist-0 triples, check d o d on them against d_{d-1}'s
+    (`_check_degree`), and only then make d_d's columns (`_columns`), with
+    the rows that d_{d-1}'s sweep took as pivots left out, and reduce those
+    in place. The small quotient has the homology of the whole one (see
+    `_eliminate`), and `_full_factors` recovers the whole one's factors from
+    it and the cell counts, which are the cell tuples per degree times
+    t^(r-1). For r <= 2 nothing is eliminated: the last step is the whole
+    quotient complex, and the recovery returns its factors as they are."""
     tuples = _cell_tuples(spec, cap)
-    boundary = _boundaries(spec, tuples, _Moves(spec.t, spec.r))
-    twists = spec.t ** (spec.r - 1)
+    t = spec.t
+    spheres = [sphere_complex(ni, t).diffs for ni in spec.n]
+    first = _sphere_factor(spheres[0])
+    for diffs in spheres[1:-1]:
+        cx = _tensor(first, diffs, t)
+        _check_ring(spec, cx, t, t)
+        first = _eliminate(cx, t)
+        _check_ring(spec, first, t, 1)
+    last = spheres[1:][-1:]
+    small = _product_tuples(first[0], [len(diffs) for diffs in last])
+    boundary = _boundaries(first, last, t, small)
+    moves = _Moves(t, len(last) + 1)
+    twists = t ** len(last)
     out, lower, pivots = [()], None, ()
-    for d in range(1, spec.dim + 1):
-        lower = _check_degree(spec, d, lower, boundary(d))
-        factors, pivots = _snf_factors(_columns(lower, twists, pivots, len(tuples[d - 1]) * twists))
+    for d in range(1, len(small)):
+        lower = _check_degree(spec, d, lower, _quotient(boundary(d), moves), twists)
+        factors, pivots = _snf_factors(_columns(lower, twists, pivots, len(small[d - 1]) * twists))
         out.append(factors)
-    return tuple(len(row) * twists for row in tuples), tuple(out)
+    cells = tuple(len(row) * t ** (spec.r - 1) for row in tuples)
+    return cells, _full_factors(cells, tuple(len(row) * twists for row in small), out)
 
 
 def compare_with_theory(spec: TupleSpec, dom: Coeff = ZZ, cap: int = DEFAULT_CAP) -> ComparisonReport:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from lensprod.algebra import (
@@ -28,7 +30,7 @@ from lensprod.cohomology import (
 )
 from lensprod.steenrod import total_sq
 
-from _grid import full_grid_specs, grid_specs
+from _grid import full_grid_specs, grid_specs, tuples
 
 
 def mono(base, ext=()):
@@ -580,3 +582,57 @@ def test_poincare_tensor_factorization():
                 factor[0] = factor[-1] = 1
                 base = base * PoincareSeries.of(factor)
             assert full == base, (spec, dom)
+
+
+def _field_rank(rows: list, p: int) -> int:
+    """Rank of a matrix over F_p, or over Q when p = 0, by row reduction."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p) if p else 1 / Fraction(rows[rank][col])
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv
+            rows[i] = [(a - f * b) % p if p else a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_gysin_sequence_of_the_circle_bundle_at_t_infinity():
+    # P = prod S^{2n_i+1} -> X = P/S^1 is a circle bundle with Euler class z,
+    # so the Gysin sequence gives b_k(P) = (b_k - rk_{k-2}) + (b_{k-1} -
+    # rk_{k-1}), rk_j the rank of z: H^j(X) -> H^{j+2}(X) read from
+    # ring.multiply, and b(P) the coefficients of prod (1 + s^{2n_i+1}).
+    # There is no cell complex at t = INFINITY, so this checks products by z
+    # against the topology of the bundle alone
+    z = mono((0, 1, 0))
+    checked = 0
+    for n in tuples(nmax=3, rmax=4):
+        spec = TupleSpec(n, INFINITY)
+        top = sum(2 * ni + 1 for ni in n)  # dim P
+        sphere_betti = [1] + [0] * top
+        for ni in n:
+            for k in reversed(range(2 * ni + 1, top + 1)):
+                sphere_betti[k] += sphere_betti[k - 2 * ni - 1]
+        for dom in (QQ, GF(2), GF(3)):
+            ring = build_ring(spec, dom)
+            by_degree = [ring.basis_by_degree.get(k, ()) for k in range(top + 3)]
+            rk = [0] * (top + 1)
+            for j in range(top + 1):
+                if z in ring.basis:  # z = 0 when n_1 = 0
+                    index = {m: i for i, m in enumerate(by_degree[j + 2])}
+                    rows = [[0] * len(index) for _ in by_degree[j]]
+                    for row, m in zip(rows, by_degree[j]):
+                        for m2, c in ring.multiply(m, z).items():
+                            row[index[m2]] = c
+                    rk[j] = _field_rank(rows, dom.p)
+            for k in range(top + 1):
+                gysin = len(by_degree[k]) - (rk[k - 2] if k >= 2 else 0)
+                if k:
+                    gysin += len(by_degree[k - 1]) - rk[k - 1]
+                assert sphere_betti[k] == gysin, (spec, dom, k)
+                checked += 1
+    assert checked > 2000

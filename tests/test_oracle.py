@@ -281,12 +281,11 @@ def test_comparison_report_lists_every_mismatch():
     )
     rep = ComparisonReport(spec, ZZ, False, rows)
     assert rep.mismatches() == (2, 3)
-    assert rep.first_mismatch() == 2
     assert str(rep).endswith("MISMATCH at degrees 2, 3")
     one = ComparisonReport(spec, ZZ, False, rows[:3] + ((3, (1, ()), (1, ()), True),))
     assert str(one).endswith("MISMATCH at degree 2")
     good = ComparisonReport(spec, ZZ, True, rows[:2])
-    assert good.mismatches() == () and good.first_mismatch() is None
+    assert good.mismatches() == ()
     assert str(good).endswith(": match")
 
 
@@ -347,37 +346,45 @@ def test_dd_check_trips_on_a_negated_entry_at_a_nonzero_twist():
 
 @pytest.mark.parametrize("where", ["stored-twist-0", "stored-twisted", "full-twist-0"])
 def test_stream_checks_each_degree_before_its_snf(monkeypatch, where):
-    # [full-twist-0]: negate one twist-0 triple of d_d as the builder returns
-    # it, at an entry whose row has a nonzero boundary, so d o d sees it. The
-    # streamed factors must refuse at degree d, having made and reduced the
-    # columns of d_1 .. d_{d-1} only. [stored-*]: the columns the reduction
-    # receives are the whole complex's boundaries with the cleared rows
+    # [full-twist-0]: (1,1,1;3) runs one Z[Z_t] tensor step. Negate one c = 0
+    # template term of its d_d, d >= 2, at a row whose own boundary is
+    # nonzero, so d o d over Z[Z_t] sees it: the factors must refuse at
+    # degree d before that step is eliminated, and reduce nothing.
+    # [stored-*]: for (1,1;3) the last step is the whole quotient complex; the
+    # columns the reduction receives are its boundaries with the cleared rows
     # dropped, at twist 0 or at the nonzero twists, and are reduced uncopied
-    spec = TupleSpec((1, 1), 3)
-    cx = product_quotient_complex(spec)
-    expected = (cx.ranks, boundary_factors(cx))
-    twists = spec.t ** (spec.r - 1)
-    make, columns, snf = oracle_module._boundaries, oracle_module._columns, oracle_module._snf_factors
-    made, reduced, corrupted = [], [], []
+    spec = TupleSpec((1, 1, 1) if where == "full-twist-0" else (1, 1), 3)
+    if where != "full-twist-0":  # before the wrappers, which would record its reduction
+        cx = product_quotient_complex(spec)
+        expected = (cx.ranks, boundary_factors(cx))
+    make, columns = oracle_module._boundaries, oracle_module._columns
+    snf, eliminate = oracle_module._snf_factors, oracle_module._eliminate
+    calls, made, reduced, corrupted, eliminated = [], [], [], [], []
 
-    def corrupting(*args):
-        boundary = make(*args)
+    def corrupting(first, spheres, t, tuples):
+        boundary = make(first, spheres, t, tuples)
+        calls.append(len(spheres))
+        if len(calls) > 1:  # only the first tensor step, over Z[Z_t]
+            return boundary
 
         def corrupted_boundary(d):
-            triples = boundary(d)
-            if where == "full-twist-0" and d >= 2 and not corrupted:
-                k, e = next(
-                    (k, e)
-                    for k, top in enumerate(triples)
-                    for e, (face, tr, v) in enumerate(top)
-                    if cx.boundaries[d - 1][face + tr[0]]
+            templates = boundary(d)
+            if d >= 2 and not corrupted:
+                template, key = next(
+                    (template, key)
+                    for template in templates
+                    for key in template
+                    if boundary(d - 1)[key[0] // t]  # face = k' t, one cell tuple's t twists
                 )
-                face, tr, v = triples[k][e]
-                triples[k][e] = (face, tr, -v)
+                template[key] = -template[key]
                 corrupted.append(d)
-            return triples
+            return templates
 
         return corrupted_boundary
+
+    def recorded_eliminate(*args):
+        eliminated.append(args)
+        return eliminate(*args)
 
     def recorded_columns(*args):
         made.append(columns(*args))
@@ -389,19 +396,20 @@ def test_stream_checks_each_degree_before_its_snf(monkeypatch, where):
         reduced.append((cols, received, pivots))
         return factors, pivots
 
-    monkeypatch.setattr(oracle_module, "_boundaries", corrupting)
+    monkeypatch.setattr(oracle_module, "_eliminate", recorded_eliminate)
     monkeypatch.setattr(oracle_module, "_columns", recorded_columns)
     monkeypatch.setattr(oracle_module, "_snf_factors", recorded_snf)
     if where == "full-twist-0":
+        monkeypatch.setattr(oracle_module, "_boundaries", corrupting)
         with pytest.raises(AssertionError) as raised:
             _cached_factors.__wrapped__(spec, DEFAULT_CAP)
         assert corrupted, "no entry to corrupt"
-        d = corrupted[0]
-        assert f"degree {d} of" in str(raised.value)
-        assert len(made) == d - 1
+        assert f"degree {corrupted[0]} of" in str(raised.value)
+        assert calls == [1] and not eliminated and not made
     else:
+        twists = spec.t ** (spec.r - 1)
         assert _cached_factors.__wrapped__(spec, DEFAULT_CAP) == expected
-        assert len(reduced) == cx.dim
+        assert len(reduced) == cx.dim and not eliminated
         cleared, dropped = set(), 0
         for d, (_, received, pivots) in enumerate(reduced, start=1):
             kept = [{i: v for i, v in col.items() if i not in cleared} for col in cx.boundaries[d]]
@@ -414,12 +422,40 @@ def test_stream_checks_each_degree_before_its_snf(monkeypatch, where):
     assert [id(cols) for cols, _, _ in reduced] == [id(cols) for cols in made]
 
 
+def test_elimination_shrinks_the_complex_before_the_quotient(monkeypatch):
+    # (2,2,2;6): S_1 (x) S_2 has 216 free Z[Z_6] generators and 12 after the
+    # unit entries are eliminated, so the quotient the SNF reduces has 432
+    # cells, of which the 6 in degree 0 have no boundary, in place of 7,776
+    spec = TupleSpec((2, 2, 2), 6)
+    eliminate, snf = oracle_module._eliminate, oracle_module._snf_factors
+    sizes, reduced = [], []
+
+    def recorded_eliminate(cx, t):
+        small = eliminate(cx, t)
+        sizes.append((len(cx[0]), len(small[0])))
+        return small
+
+    def recorded_snf(cols):
+        reduced.append(len(cols))
+        return snf(cols)
+
+    monkeypatch.setattr(oracle_module, "_eliminate", recorded_eliminate)
+    monkeypatch.setattr(oracle_module, "_snf_factors", recorded_snf)
+    cells, _ = _cached_factors.__wrapped__(spec, DEFAULT_CAP)
+    assert sum(cells) == 7776
+    assert sizes == [(216, 12)]
+    assert sum(reduced) + 6 == 432
+
+
 @pytest.mark.parametrize("n, t", [((2, 2, 2), 6), ((2, 2, 2, 2), 3)])
 def test_streamed_factors_peak_below_the_whole_complex(n, t):
-    # the streamed pipeline builds only the rows the reduction keeps and
-    # reduces them in place: its traced peak stays well under the traced
-    # size of the complex (about 0.21 of it; holding every boundary made it
-    # about 1.2, and copying full boundaries into the reduction about 0.32)
+    # the comparison never builds the whole complex: it eliminates unit
+    # entries over Z[Z_t] before the quotient, then builds only the rows the
+    # reduction keeps of the small quotient and reduces them in place. Its
+    # traced peak is about 0.12 and 0.02 of the complex's traced size here
+    # (0.21 when the whole quotient was streamed, about 0.32 when full
+    # boundaries were copied into the reduction, about 1.2 when every
+    # boundary was held)
     spec = TupleSpec(n, t)
     _cached_factors.cache_clear()
     tracemalloc.start()
@@ -478,9 +514,11 @@ oracle_specs = st.builds(
 @example(spec=TupleSpec((1, 1), 150))
 @example(spec=TupleSpec((0, 0), 12500))
 def test_in_place_factors_match_the_copying_path(spec):
-    # the stream builds only the kept rows and reduces them in place;
-    # boundary_factors copies the whole complex's boundaries first, and it
-    # and smith_normal_form leave their input as it was
+    # _cached_factors eliminates over Z[Z_t] before the quotient, reduces the
+    # kept rows of the small quotient in place and recovers the whole
+    # complex's factors from it; boundary_factors reduces a copy of the whole
+    # complex's boundaries, and it and smith_normal_form leave their input
+    # as it was
     cx = product_quotient_complex(spec)
     kept = [[dict(col) for col in b] for b in cx.boundaries[1:]]
     assert _cached_factors.__wrapped__(spec, DEFAULT_CAP) == (cx.ranks, boundary_factors(cx))

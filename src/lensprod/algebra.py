@@ -461,10 +461,6 @@ class GradedAbGroup(
                 rows.append((int(d), int(free), tors))
         return cls(tuple(rows))
 
-    @classmethod
-    def from_betti(cls, betti) -> "GradedAbGroup":
-        return cls.of({d: (b, ()) for d, b in enumerate(betti) if b})
-
     def as_dict(self) -> dict[int, tuple[int, tuple[int, ...]]]:
         return dict(self._by_degree)
 

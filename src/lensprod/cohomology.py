@@ -318,12 +318,6 @@ class CohomologyRing:
                     out[m] = out.get(m, 0) + c1 * c2 * c
         return self._normalize(out)
 
-    def add(self, e1: dict, e2: dict) -> dict:
-        out = dict(e1)
-        for m, c in e2.items():
-            out[m] = out.get(m, 0) + c
-        return self._normalize(out)
-
     def __str__(self):
         return f"H*({self.spec}; {self.dom})"
 

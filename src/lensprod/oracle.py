@@ -15,7 +15,7 @@ translating the twists, and the boundary commutes with that action, so each
 cell tuple's boundary is worked out once, at twist 0, as a template, and
 moved to the other twists. The exact d o d = 0 check rests on the same
 symmetry: d o d = 0 on the twist-0 columns, with every column the twist-0
-one moved, gives d o d = 0 on every column (see `_check_dd_zero`). The SNF
+one moved, gives d o d = 0 on every column (see `_quotient`). The SNF
 is a sparse unit-pivot elimination (Dumas-Saunders-Villard, "On efficient
 sparse integer matrix Smith normal forms", JSC 2001) in passes over the
 columns, shortest first (see `_snf_factors`), then a dense SNF of the small
@@ -26,9 +26,9 @@ is checked before.
 
 `product_quotient_complex` builds the whole quotient complex: the templates
 come from one builder, `_boundaries`, one degree per call, `_quotient` sends
-g to 1, and `_columns` moves them to every twist. It checks the complex with
-`_check_dd_zero`, so that check serves a complex from any source. The
-factors behind `compare_with_theory` (`_cached_factors`) do not build it.
+g to 1 and checks d o d on each degree before it hands it on, and `_columns`
+moves them to every twist, so every column is made from checked triples.
+The factors behind `compare_with_theory` (`_cached_factors`) do not build it.
 Before the quotient the product is a free Z[Z_t]-complex, and in the basis
 a (x) g^c b each boundary entry of a tensor step is one monomial alpha g^k,
 most of them units +-g^k of Z[Z_t]. So they tensor the spheres on one at a time over Z[Z_t]
@@ -36,11 +36,12 @@ most of them units +-g^k of Z[Z_t]. So they tensor the spheres on one at a time 
 elimination of chain complexes) and check d o d again, which leaves a few
 generators: for (2,2,2;6), 12 in place of S_1 (x) S_2's 216. Only the last
 sphere is tensored on together with the quotient, a complex of 432 cells in
-place of 7,776; it is checked and reduced one degree at a time, the rows
-compression drops never built. Elimination over Z[Z_t] is a homotopy
-equivalence that survives the later tensor steps and the quotient, so the
-small quotient has the whole one's homology, and `_full_factors` recovers
-the whole complex's invariant factors from it and the cell counts.
+place of 7,776; it goes through the same `_quotient`, one checked degree
+at a time, and is reduced as it comes, the rows compression drops never
+built. Elimination over Z[Z_t] is a homotopy equivalence that survives the
+later tensor steps and the quotient, so the small quotient has the whole
+one's homology, and `_full_factors` recovers the whole complex's invariant
+factors from it and the cell counts.
 
 There is no oracle for t = INFINITY: the circle quotient is not a finite free
 quotient. That regime is validated elsewhere (duality, Euler characteristics,
@@ -52,7 +53,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import prod
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .algebra import Coeff, GradedAbGroup, TupleSpec, ZZ
 
@@ -82,33 +83,6 @@ class MemoryCapError(ValueError):
     boundaries ENTRIES_PER_CELL times the cap in entries."""
 
 
-# ---------------------------------------------------------------------------
-# group-ring helpers: elements of Z[Z_t] are integer vectors of length t
-
-
-def _gr_mul(u: tuple, v: tuple, t: int) -> tuple:
-    out = [0] * t
-    for a, x in enumerate(u):
-        if x:
-            for b, y in enumerate(v):
-                if y:
-                    out[(a + b) % t] += x * y
-    return tuple(out)
-
-
-def _gr_norm(t: int) -> tuple:
-    return (1,) * t
-
-
-def _gr_lambda_minus_1(t: int) -> tuple:
-    if t == 1:
-        return (0,)
-    out = [0] * t
-    out[0] = -1
-    out[1] += 1
-    return tuple(out)
-
-
 class EquivariantComplex(NamedTuple):
     """Free Z[Z_t] complex with one generator per degree 0..dim; diffs[d] is
     the group-ring coefficient of the boundary of the degree-d generator."""
@@ -122,10 +96,7 @@ class EquivariantComplex(NamedTuple):
         return (1,) * (self.dim + 1)
 
     def check_dd_zero(self) -> None:
-        zero = (0,) * self.t
-        for d in range(2, self.dim + 1):
-            if _gr_mul(self.diffs[d], self.diffs[d - 1], self.t) != zero:
-                raise AssertionError(f"d o d != 0 at degree {d}")
+        _check_ring(f"S^{self.dim}", _sphere_factor(self.diffs), self.t, 1)
 
 
 def sphere_complex(n: int, t: int) -> EquivariantComplex:
@@ -135,10 +106,9 @@ def sphere_complex(n: int, t: int) -> EquivariantComplex:
         raise ValueError(f"t must be a positive integer, got {t}")
     if n < 0:
         raise ValueError("n must be non-negative")
-    diffs: list = [None]
-    for d in range(1, 2 * n + 2):
-        diffs.append(_gr_lambda_minus_1(t) if d % 2 == 1 else _gr_norm(t))
-    cx = EquivariantComplex(t, 2 * n + 1, tuple(diffs))
+    odd = (-1, 1) + (0,) * (t - 2) if t > 1 else (0,)  # lambda - 1, as coefficients of g^k
+    diffs = (None,) + tuple(odd if d % 2 else (1,) * t for d in range(1, 2 * n + 2))
+    cx = EquivariantComplex(t, 2 * n + 1, diffs)
     cx.check_dd_zero()
     return cx
 
@@ -280,17 +250,49 @@ def _boundaries(first: tuple, spheres: list, t: int, tuples: list) -> Callable:
     return boundary
 
 
-def _quotient(templates: list, moves: _Moves) -> list:
-    """The twist-0 triples of the quotient by the action (g -> 1): for each
-    template, one (face, moves[x], value) triple per nonzero sum over k of
-    its (face, x, k) terms. `_columns` moves them to the other twists."""
-    out = []
-    for template in templates:
-        merged: dict = {}
-        for (face, x, _), v in template.items():
-            merged[face, x] = merged.get((face, x), 0) + v
-        out.append([(face, moves[x], v) for (face, x), v in merged.items() if v])
-    return out
+def _quotient(spec: TupleSpec, first: tuple, spheres: list, tuples: list) -> Iterator[list]:
+    """The quotient by the action (g -> 1) of the complex `_boundaries`
+    makes from first, spheres and tuples, one degree at a time, each checked
+    before it is yielded. For d = 1, 2, .. it sums d_d's templates over k:
+    for each cell tuple of degree d, one (face, moves[x], value) triple per
+    nonzero sum of its (face, x, k) terms, the twist-0 triples. It composes
+    d_{d-1} with each twist-0 column, reading the column of d_{d-1} at
+    k' T + h as degree d - 1's triples of k' moved by h, and raises unless
+    that is zero; only then does it yield d_d's triples, which `_columns`
+    moves to the other twists.
+
+    Why the twist-0 columns suffice: write s_h for the move
+    k T + x -> k T + code(x + h) of cell positions (QuotientComplex), an
+    action of Z_t^(r-1) on every degree, and D for the map whose column at
+    s_h c, c a twist-0 cell, is s_h applied to c's twist-0 column, as
+    `_columns` makes it. So D s_h c = s_h D c for each twist-0 c; every cell
+    is some s_g c, so D s_h (s_g c) = s_{h+g} D c = s_h s_g D c =
+    s_h D (s_g c): D commutes with every s_h on every cell. The check says
+    D D c = 0 for each twist-0 c; so D D (s_h c) = s_h D D c = 0, and D, the
+    map whose columns the callers make, is a chain complex."""
+    t = spec.t
+    twists = t ** len(spheres)
+    moves = _Moves(t, len(spheres) + 1)
+    boundary = _boundaries(first, spheres, t, tuples)
+    lower = [[]] * len(tuples[0])  # d_0 = 0
+    for d in range(1, len(tuples)):
+        upper = []
+        for template in boundary(d):
+            merged: dict = {}
+            for (face, x, _), v in template.items():
+                merged[face, x] = merged.get((face, x), 0) + v
+            upper.append([(face, moves[x], v) for (face, x), v in merged.items() if v])
+        for top in upper:
+            acc: dict = {}
+            for mid, tr, v in top:  # an entry at the twist-0 cell mid moved by h
+                h = tr[0]
+                for face, tr2, w in lower[mid // twists]:
+                    row = face + tr2[h]
+                    acc[row] = acc.get(row, 0) + v * w
+            if any(acc.values()):
+                raise AssertionError(f"d o d != 0 at degree {d} of {spec}")
+        lower = upper  # before the yield, so degree d - 1's triples are freed
+        yield upper
 
 
 def _columns(triples: list, twists: int, cleared, nrows: int) -> list:
@@ -308,81 +310,19 @@ def _columns(triples: list, twists: int, cleared, nrows: int) -> list:
 def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> QuotientComplex:
     """Tensor the sphere complexes over the group ring of the diagonal action;
     the quotient basis fixes the first coordinate's group element to the
-    identity. The boundaries are the `_columns` of the `_quotient` of
-    `_boundaries`' templates with no rows cleared, and the whole complex is
-    checked by `_check_dd_zero` before it is returned."""
+    identity. The boundaries are the `_columns` of the triples `_quotient`
+    yields, with no rows cleared, so each degree is checked before its
+    columns are made."""
     tuples = _cell_tuples(spec, cap)
     spheres = [sphere_complex(ni, spec.t).diffs for ni in spec.n]
-    boundary = _boundaries(_sphere_factor(spheres[0]), spheres[1:], spec.t, tuples)
-    moves = _Moves(spec.t, spec.r)
     twists = spec.t ** (spec.r - 1)
     boundaries = (None,) + tuple(
-        tuple(_columns(_quotient(boundary(d), moves), twists, (), len(tuples[d - 1]) * twists))
-        for d in range(1, spec.dim + 1)
+        tuple(_columns(triples, twists, (), len(tuples[d - 1]) * twists))
+        for d, triples in enumerate(_quotient(spec, _sphere_factor(spheres[0]), spheres[1:], tuples), 1)
     )
     twist_tuples = list(product(range(spec.t), repeat=spec.r - 1))
     basis = tuple(tuple((cells, h) for cells in row for h in twist_tuples) for row in tuples)
-    cx = QuotientComplex(spec, basis, boundaries)
-    _check_dd_zero(cx)
-    return cx
-
-
-def _check_degree(spec: TupleSpec, d: int, lower, upper: list, twists: int) -> list:
-    """Check (b) of `_check_dd_zero` at degree d, and return upper. upper[k]
-    holds the twist-0 triples of the k-th cell tuple of degree d, lower those
-    of d_{d-1}, as this check returned them at degree d - 1 (None when
-    d = 1), and each cell tuple has `twists` cells. d_{d-1} composed with
-    each twist-0 column of d_d is zero, reading the column of d_{d-1} at
-    k' T + h as lower[k'] moved by h."""
-    if lower is not None:
-        for top in upper:
-            acc: dict = {}
-            for mid, tr, v in top:  # an entry at the twist-0 cell mid moved by h
-                h = tr[0]
-                for face, tr2, w in lower[mid // twists]:
-                    row = face + tr2[h]
-                    acc[row] = acc.get(row, 0) + v * w
-            if any(acc.values()):
-                raise AssertionError(f"d o d != 0 at degree {d} of {spec}")
-    return upper
-
-
-def _check_dd_zero(cx: QuotientComplex) -> None:
-    """Exact proof that d o d = 0, for a complex from any source, by two
-    checks on every degree d. Read each stored twist-0 column as triples
-    (row - x, moves[x], value), x = row mod T. (a) The stored columns of d_d
-    are the `_columns` of those triples, none cleared. (b) `_check_degree`.
-
-    Why that suffices: write s_h for the move k T + x -> k T + code(x + h)
-    of cell positions (QuotientComplex), an action of Z_t^(r-1) on every
-    degree, and D for the map whose column at s_h c, c a twist-0 cell, is
-    s_h applied to c's twist-0 column, as `_columns` makes it. So
-    D s_h c = s_h D c for each twist-0 c; every cell is some s_g c, so
-    D s_h (s_g c) = s_{h+g} D c = s_h s_g D c = s_h D (s_g c): D commutes
-    with every s_h on every cell. (b) reads d_{d-1} as D, and says D D c = 0
-    for each twist-0 c; so D D (s_h c) = s_h D D c = 0, and D is a chain
-    complex. (a) says the stored boundaries are D.
-
-    The factors behind the comparison (`_cached_factors`) need no (a). Over
-    Z[Z_t] they make every column of a tensor step by moving its c = 0
-    template with 1 (x) g, which commutes with d and with the action, so
-    d o d on the c = 0 columns (`_check_ring`) proves it on all, as above;
-    each eliminated complex is checked whole. In the last step they run (b)
-    on the triples of the quotient and make its columns from them with
-    `_columns`, so the columns they reduce are D's by construction, less
-    the cleared rows."""
-    moves = _Moves(cx.spec.t, cx.spec.r)
-    twists = cx.spec.t ** (cx.spec.r - 1)
-    lower = None
-    for d in range(1, cx.dim + 1):
-        cols = cx.boundaries[d]
-        upper = [
-            [(row - row % twists, moves[row % twists], v) for row, v in top.items()]
-            for top in cols[::twists]
-        ]
-        if list(cols) != _columns(upper, twists, (), len(cx.basis[d - 1])):
-            raise AssertionError(f"a column at degree {d} of {cx.spec} is not its twist-0 one moved")
-        lower = _check_degree(cx.spec, d, lower, upper, twists)
+    return QuotientComplex(spec, basis, boundaries)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +350,14 @@ def _tensor(first: tuple, diffs: tuple, t: int) -> tuple[list, list]:
     return degrees, cols
 
 
-def _check_ring(spec: TupleSpec, cx: tuple, t: int, step: int) -> None:
+def _check_ring(name: str, cx: tuple, t: int, step: int) -> None:
     """d o d = 0 over Z[Z_t] on the columns 0, step, 2 step, .. of the free
-    R-complex cx, accumulated by (row, power of g). A tensor step checks its
-    c = 0 columns (step t), which proves d o d on all (`_check_dd_zero`);
-    an eliminated complex is checked whole (step 1)."""
+    R-complex cx, accumulated by (row, power of g); name is the complex's
+    name in the error. A tensor step makes every column by moving its c = 0
+    template with 1 (x) g, which commutes with d and with the action, so its
+    c = 0 columns (step t) prove d o d on all, as the twist-0 ones do for
+    `_quotient`; a sphere and an eliminated complex are checked whole
+    (step 1)."""
     degrees, cols = cx
     for x in range(0, len(cols), step):
         acc: dict = {}
@@ -423,7 +366,7 @@ def _check_ring(spec: TupleSpec, cx: tuple, t: int, step: int) -> None:
                 key = row, (k + k2) % t
                 acc[key] = acc.get(key, 0) + v * w
         if any(acc.values()):
-            raise AssertionError(f"d o d != 0 over Z[Z_t] at degree {degrees[x]} of {spec}")
+            raise AssertionError(f"d o d != 0 over Z[Z_t] at degree {degrees[x]} of {name}")
 
 
 def _eliminate(cx: tuple, t: int) -> tuple[list, list]:
@@ -774,10 +717,9 @@ def _cached_factors(spec: TupleSpec, cap: int) -> tuple[tuple[int, ...], tuple]:
     tensored on (`_tensor`), d o d is checked on the c = 0 columns
     (`_check_ring`), every unit entry is eliminated (`_eliminate`) and the
     result is checked whole. The last sphere is tensored on and the quotient
-    taken as in `product_quotient_complex`, one degree at a time: build
-    d_d's twist-0 triples, check d o d on them against d_{d-1}'s
-    (`_check_degree`), and only then make d_d's columns (`_columns`), with
-    the rows that d_{d-1}'s sweep took as pivots left out, and reduce those
+    taken by `_quotient`, as in `product_quotient_complex`, one checked
+    degree at a time; d_d's columns are made from its triples (`_columns`)
+    with the rows that d_{d-1}'s sweep took as pivots left out, and reduced
     in place. The small quotient has the homology of the whole one (see
     `_eliminate`), and `_full_factors` recovers the whole one's factors from
     it and the cell counts, which are the cell tuples per degree times
@@ -794,13 +736,10 @@ def _cached_factors(spec: TupleSpec, cap: int) -> tuple[tuple[int, ...], tuple]:
         _check_ring(spec, first, t, 1)
     last = spheres[1:][-1:]
     small = _product_tuples(first[0], [len(diffs) for diffs in last])
-    boundary = _boundaries(first, last, t, small)
-    moves = _Moves(t, len(last) + 1)
     twists = t ** len(last)
-    out, lower, pivots = [()], None, ()
-    for d in range(1, len(small)):
-        lower = _check_degree(spec, d, lower, _quotient(boundary(d), moves), twists)
-        factors, pivots = _snf_factors(_columns(lower, twists, pivots, len(small[d - 1]) * twists))
+    out, pivots = [()], ()
+    for d, triples in enumerate(_quotient(spec, first, last, small), 1):
+        factors, pivots = _snf_factors(_columns(triples, twists, pivots, len(small[d - 1]) * twists))
         out.append(factors)
     cells = tuple(len(row) * t ** (spec.r - 1) for row in tuples)
     return cells, _full_factors(cells, tuple(len(row) * twists for row in small), out)

@@ -15,10 +15,10 @@ from lensprod.oracle import (
     DEFAULT_CAP,
     ENTRIES_PER_CELL,
     ComparisonReport,
+    EquivariantComplex,
     MemoryCapError,
     QuotientComplex,
     _cached_factors,
-    _check_dd_zero,
     _dense_snf,
     boundary_factors,
     compare_with_theory,
@@ -50,6 +50,15 @@ def test_sphere_complex_dd_zero_grid():
     for n in range(0, 3):
         for t in (1, 2, 3, 4, 6):
             sphere_complex(n, t).check_dd_zero()
+
+
+@pytest.mark.parametrize("t", [2, 3, 6])
+def test_sphere_check_refuses_a_wrong_boundary(t):
+    # N - g^(t-1) in place of the norm element: d_1 d_2 = g^(t-1) - 1 != 0
+    diffs = list(sphere_complex(1, t).diffs)
+    diffs[2] = (1,) * (t - 1) + (0,)
+    with pytest.raises(AssertionError, match="at degree 2 of"):
+        EquivariantComplex(t, 3, tuple(diffs)).check_dd_zero()
 
 
 def test_smith_normal_form_examples():
@@ -305,7 +314,7 @@ def test_unit_sweep_matches_dense_snf(data):
 
 def test_dd_check_trips_on_a_negated_entry():
     cx = product_quotient_complex(TupleSpec((1, 1), 3))
-    _check_dd_zero(cx)
+    _assert_dd_zero(cx.boundaries)
     # negate one entry of d_d whose middle cell has a nonzero boundary
     d, col, mid = next(
         (d, col, mid)
@@ -319,7 +328,7 @@ def test_dd_check_trips_on_a_negated_entry():
     bad = cx.boundaries[d][:col] + (bad_col,) + cx.boundaries[d][col + 1 :]
     broken = QuotientComplex(cx.spec, cx.basis, cx.boundaries[:d] + (bad,) + cx.boundaries[d + 1 :])
     with pytest.raises(AssertionError, match=f"degree {d}"):
-        _check_dd_zero(broken)
+        _assert_dd_zero(broken.boundaries)
 
 
 def test_dd_check_trips_on_a_negated_entry_at_a_nonzero_twist():
@@ -340,8 +349,48 @@ def test_dd_check_trips_on_a_negated_entry_at_a_nonzero_twist():
     broken = QuotientComplex(cx.spec, cx.basis, cx.boundaries[:d] + (bad,) + cx.boundaries[d + 1 :])
     with pytest.raises(AssertionError, match=f"degree {d}"):
         _assert_dd_zero(broken.boundaries)
-    with pytest.raises(AssertionError, match=f"degree {d}"):
-        _check_dd_zero(broken)
+
+
+@pytest.mark.parametrize("n", [(1, 1), (1, 1, 1)], ids=["r2", "r3"])
+def test_build_refuses_a_non_complex_before_making_its_columns(monkeypatch, n):
+    # Negate one twist-0 term of d_d, d >= 2, at a row whose own boundary is
+    # nonzero. For r >= 2 no two terms of a template share a (face, x), so it
+    # is one term of the quotient too. The build must refuse at degree d
+    # with the columns of the degrees below made and none of degree d.
+    spec = TupleSpec(n, 3)
+    twists = spec.t ** (spec.r - 1)
+    make, columns = oracle_module._boundaries, oracle_module._columns
+    corrupted, made = [], []
+
+    def corrupting(first, spheres, t, tuples):
+        boundary = make(first, spheres, t, tuples)
+
+        def corrupted_boundary(d):
+            templates = boundary(d)
+            if d >= 2 and not corrupted:
+                template, key = next(
+                    (template, key)
+                    for template in templates
+                    for key in template
+                    if boundary(d - 1)[key[0] // twists]  # face = k' T
+                )
+                template[key] = -template[key]
+                corrupted.append(d)
+            return templates
+
+        return corrupted_boundary
+
+    def recorded_columns(*args):
+        made.append(args)
+        return columns(*args)
+
+    monkeypatch.setattr(oracle_module, "_boundaries", corrupting)
+    monkeypatch.setattr(oracle_module, "_columns", recorded_columns)
+    with pytest.raises(AssertionError) as raised:
+        product_quotient_complex(spec)
+    assert corrupted, "no entry to corrupt"
+    assert f"d o d != 0 at degree {corrupted[0]} of" in str(raised.value)
+    assert len(made) == corrupted[0] - 1
 
 
 @pytest.mark.parametrize("where", ["stored-twist-0", "stored-twisted", "full-twist-0"])
@@ -584,7 +633,7 @@ def _reference_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> QuotientCompl
 
 def _assert_dd_zero(boundaries) -> None:
     """d o d = 0 composed column by column over every column, independent of
-    the twist action that _check_dd_zero relies on."""
+    the twist action that the build's check (`_quotient`) relies on."""
     for d in range(2, len(boundaries)):
         for col in boundaries[d]:
             acc: dict = {}

@@ -184,16 +184,24 @@ class Coeff(NamedTuple("Coeff", [("kind", str), ("p", int)])):
         return self.kind != "Z"
 
     def __call__(self, x):
-        """Coerce an int/Fraction into canonical form for this domain."""
-        if self.kind == "Fp":
-            return int(x) % self.p
-        if self.kind == "Q":
+        """Coerce an int, Fraction or whole float into canonical form for this
+        domain; over F_p, a/b maps to a * b^-1 mod p. A value with no image
+        raises ValueError: a non-integer over Z, a fraction whose denominator
+        p divides, or a float that is not a whole number."""
+        kind = self.kind
+        if kind == "Q":
             return Fraction(x)
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise ValueError(f"{x} is not an integer")
-            return x.numerator
-        return int(x)
+        if type(x) is not int:
+            if isinstance(x, Fraction) and x.denominator != 1:
+                if kind == "Z":
+                    raise ValueError(f"{x} is not an integer")
+                if x.denominator % self.p == 0:
+                    raise ValueError(f"{x} has no value mod {self.p}")
+                return x.numerator * pow(x.denominator, -1, self.p) % self.p
+            if isinstance(x, float) and not x.is_integer():
+                raise ValueError(f"{x} is not a whole number")
+            x = int(x)
+        return x % self.p if kind == "Fp" else x
 
     def is_unit(self, x) -> bool:
         x = self(x)

@@ -26,18 +26,6 @@ from .cohomology import build_ring, graded_groups, poincare_polynomial
 
 __all__ = ["Query", "parse", "emit_report", "run", "main", "UsageError", "UnsupportedError"]
 
-COMMANDS = (
-    "ring",
-    "steenrod",
-    "split",
-    "wedge",
-    "invariants",
-    "tseries",
-    "oracle",
-    "report",
-)
-
-
 HELP = """\
 usage: lensprod [flags] <command> [flags]
 
@@ -115,37 +103,43 @@ def _parse_coeff(text: str) -> Coeff:
     raise UsageError(f"--coeff must be Z, Q, F2 or F:<p>, got {text!r}")
 
 
+_BOOLS = ("--json", "--sort")
+# the valued flags; from --k on, in the order parse checks their values
+_VALUED = (
+    "--n",
+    "--t",
+    "--coeff",
+    "--k",
+    "--gd",
+    "--span-base",
+    "--tc-override",
+    "--precision",
+    "--law",
+    "--unit",
+    "--cap",
+)
+# the integer flags and their lower bounds (None: any integer)
+_INT_FLAGS = {"k": 0, "gd": None, "span_base": None, "precision": 0, "unit": None, "cap": 1}
+
+
 def parse(argv) -> Query:
     """Parse a command line into a validated Query."""
     args = list(argv)
     command = None
     flags: dict = {}
-    bools = {"--json": "json_out", "--sort": "sort"}
-    valued = {
-        "--n": "n",
-        "--t": "t",
-        "--coeff": "coeff",
-        "--k": "k",
-        "--gd": "gd",
-        "--span-base": "span_base",
-        "--tc-override": "tc_override",
-        "--precision": "precision",
-        "--law": "law",
-        "--unit": "unit",
-        "--cap": "cap",
-    }
     i = 0
     while i < len(args):
         a = args[i]
-        if a in bools:
-            flags[bools[a]] = True
-        elif a in valued:
+        name = a[2:].replace("-", "_")
+        if a in _BOOLS:
+            flags[name] = True
+        elif a in _VALUED:
             if i + 1 >= len(args):
                 raise UsageError(f"{a} needs a value")
-            if valued[a] in flags:
+            if name in flags:
                 raise UsageError(f"{a} given twice")
-            flags[valued[a]] = args[i + 1]
             i += 1
+            flags[name] = args[i]
         elif a in COMMANDS:
             if command is not None:
                 raise UsageError(f"two commands given: {command} and {a}")
@@ -195,69 +189,50 @@ def parse(argv) -> Query:
         dom = QQ
 
     kw: dict = {}
-    if "k" in flags:
-        kw["k"] = _parse_int(flags["k"], "--k")
-        if kw["k"] < 0:
-            raise UsageError("--k must be non-negative")
-    if "gd" in flags:
-        kw["gd"] = _parse_int(flags["gd"], "--gd")
-    if "span_base" in flags:
-        kw["span_base"] = _parse_int(flags["span_base"], "--span-base")
-    if "tc_override" in flags:
-        parts = flags["tc_override"].split(",")
-        if len(parts) != 2:
-            raise UsageError("--tc-override expects lo,hi")
-        kw["tc_override"] = (_parse_int(parts[0], "--tc-override"), _parse_int(parts[1], "--tc-override"))
-    if "precision" in flags:
-        kw["precision"] = _parse_int(flags["precision"], "--precision")
-        if kw["precision"] < 0:
-            raise UsageError("--precision must be non-negative")
-    if "law" in flags:
-        if flags["law"] not in ("additive", "multiplicative"):
-            raise UsageError("--law must be additive or multiplicative")
-        kw["law"] = flags["law"]
-    if "unit" in flags:
-        kw["unit"] = _parse_int(flags["unit"], "--unit")
-    if "cap" in flags:
-        kw["cap"] = _parse_int(flags["cap"], "--cap")
-        if kw["cap"] < 1:
-            raise UsageError("--cap must be positive")
-    return Query(command, spec, dom, json_out=bool(flags.get("json_out", False)), t=t, **kw)
+    for flag in _VALUED[3:]:
+        name = flag[2:].replace("-", "_")
+        if name not in flags:
+            continue
+        value = flags[name]
+        if name == "tc_override":
+            parts = value.split(",")
+            if len(parts) != 2:
+                raise UsageError("--tc-override expects lo,hi")
+            kw[name] = tuple(_parse_int(part, flag) for part in parts)
+        elif name == "law":
+            if value not in ("additive", "multiplicative"):
+                raise UsageError("--law must be additive or multiplicative")
+            kw[name] = value
+        else:
+            kw[name] = _parse_int(value, flag)
+            low = _INT_FLAGS[name]
+            if low is not None and kw[name] < low:
+                raise UsageError(f"{flag} must be {'positive' if low else 'non-negative'}")
+    return Query(command, spec, dom, json_out="json" in flags, t=t, **kw)
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers
+# sections, each built by one helper, and the command handlers
 
 
-def _t_json(t):
-    return "inf" if t == INFINITY else t
+def _input(q: Query, coeff: bool = True) -> dict:
+    head = {"n": list(q.spec.n), "t": "inf" if q.spec.t == INFINITY else q.spec.t}
+    if coeff:
+        head["coeff"] = str(q.dom)
+    return head
 
 
-def _chi_star_json(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return value
-
-
-def _span_json(info: invariants.SpanInfo) -> dict:
-    return {
-        "stablespan": info.stablespan,
-        "span": info.span,
-        "span_equals_stablespan": info.span_equals_stablespan,
-        "clauses": list(info.clauses),
-    }
-
-
-def _imm_json(imm, gd) -> dict:
-    if isinstance(imm, tuple):
-        return {"gd": gd, "value": None, "interval": list(imm)}
-    return {"gd": gd, "value": imm, "interval": None}
-
-
-def _invariants_json(rep: invariants.InvariantReport) -> dict:
+def _invariants(q: Query) -> dict:
+    rep = invariants.invariant_report(
+        q.spec, gd=q.gd, span_base=q.span_base, tc_override=q.tc_override
+    )
+    chi_star, span, imm = rep.chi_star, rep.span, rep.imm
+    if isinstance(chi_star, Fraction):
+        chi_star = f"{chi_star.numerator}/{chi_star.denominator}"
+    interval = isinstance(imm, tuple)
     return {
         "chi": rep.chi,
-        "chi_star": _chi_star_json(rep.chi_star),
+        "chi_star": chi_star,
         "spin": rep.spin,
         "orientable": rep.orientable,
         "vector_field": rep.has_nonzero_field,
@@ -265,26 +240,21 @@ def _invariants_json(rep: invariants.InvariantReport) -> dict:
         "parallelizable": rep.parallelizable.json(),
         "cat": list(rep.cat),
         "tc": list(rep.tc),
-        "span": _span_json(rep.span),
-        "imm": _imm_json(rep.imm, rep.gd_input),
+        "span": {
+            "stablespan": span.stablespan,
+            "span": span.span,
+            "span_equals_stablespan": span.span_equals_stablespan,
+            "clauses": list(span.clauses),
+        },
+        "imm": {
+            "gd": rep.gd_input,
+            "value": None if interval else imm,
+            "interval": list(imm) if interval else None,
+        },
     }
 
 
-def _ring_json(spec: TupleSpec, dom: Coeff) -> dict:
-    ring = build_ring(spec, dom)
-    out: dict = {}
-    if ring.is_field:
-        out["poincare"] = list(poincare_polynomial(ring).coeffs)
-    else:
-        out["groups"] = [
-            [d, f, list(t)] for d, f, t in graded_groups(ring).groups
-        ]
-    out["generators"] = [{"name": n, "degree": d} for n, d in ring.generators]
-    out["relations"] = list(ring.relations)
-    return out
-
-
-def _steenrod_json(spec: TupleSpec) -> list:
+def _steenrod_lines(spec: TupleSpec) -> list:
     ring = build_ring(spec, GF(2))
     lines = []
     for m in ring.basis:
@@ -294,7 +264,7 @@ def _steenrod_json(spec: TupleSpec) -> list:
     return lines
 
 
-def _cartesian_json(spec: TupleSpec) -> dict:
+def _cartesian(spec: TupleSpec) -> dict:
     split = splittings.cartesian_split(spec)
     return {
         "factors": list(split.split_factors),
@@ -310,119 +280,63 @@ def _cartesian_json(spec: TupleSpec) -> dict:
     }
 
 
-def _wedge_json(spec: TupleSpec, k: int, dom: Coeff) -> dict:
-    summands = [
-        {
-            "sigma": list(w.sigma),
-            "shift": w.shift,
-            "top": w.top,
-            "bottom": w.bottom,
-        }
+def _wedge_summands(spec: TupleSpec, k: int) -> list:
+    return [
+        {"sigma": list(w.sigma), "shift": w.shift, "top": w.top, "bottom": w.bottom}
         for w in splittings.wedge_decomposition(spec, k)
     ]
-    out = {"k": k, "summands": summands}
-    if dom.is_field:
-        check = splittings.verify_wedge(spec, k, dom)
-        out["verified"] = check.ok
-    return out
 
 
-def _explain_mismatch(comparison: oracle.ComparisonReport, err) -> None:
-    """The comparison summary, then one line per differing degree."""
-    print(comparison, file=err)
-    for d, th, orc, match in comparison.degrees:
-        if not match:
-            print(f"degree {d}: theory {[th[0], list(th[1])]} oracle {[orc[0], list(orc[1])]}", file=err)
+def _compare(q: Query, dom: Coeff, err) -> oracle.ComparisonReport:
+    """The oracle's comparison over dom. A mismatch is explained on err: the
+    comparison summary, then one line per differing degree."""
+    comparison = oracle.compare_with_theory(q.spec, dom, cap=q.cap)
+    if not comparison.ok:
+        print(comparison, file=err)
+        for d, th, orc, match in comparison.degrees:
+            if not match:
+                print(f"degree {d}: theory {[th[0], list(th[1])]} oracle {[orc[0], list(orc[1])]}", file=err)
+    return comparison
 
 
-def emit_report(query: Query, err=None) -> tuple[dict, int]:
-    """The full JSON document for the report command; returns (doc, exit).
-    An oracle mismatch is explained on err (default: stderr)."""
-    spec, dom = query.spec, query.dom
-    if not dom.is_field:
-        raise UnsupportedError("report needs field coefficients (Q, F2 or F:<p>)")
-    doc: dict = {
-        "input": {"n": list(spec.n), "t": _t_json(spec.t), "coeff": str(dom)},
-        "dim": spec.dim,
-        "ring": _ring_json(spec, dom),
-    }
-    if dom == GF(2):
-        doc["steenrod"] = _steenrod_json(spec)
-    rep = invariants.invariant_report(
-        spec, gd=query.gd, span_base=query.span_base, tc_override=query.tc_override
-    )
-    doc["invariants"] = _invariants_json(rep)
-    doc["splittings"] = {
-        "cartesian": _cartesian_json(spec),
-        "wedge": _wedge_json(spec, query.k, dom)["summands"],
-    }
-    checked, match = False, True
-    if spec.finite:
-        try:
-            comparison = oracle.compare_with_theory(spec, ZZ, cap=query.cap)
-            checked, match = True, comparison.ok
-        except oracle.MemoryCapError:
-            checked, match = False, True
-        if not match:
-            _explain_mismatch(comparison, err if err is not None else sys.stderr)
-    doc["oracle"] = {"checked": checked, "match": match}
-    return doc, (0 if match else 1)
+def _cmd_ring(q: Query, err) -> tuple[dict, int]:
+    ring = build_ring(q.spec, q.dom)
+    section: dict = {}
+    if ring.is_field:
+        section["poincare"] = list(poincare_polynomial(ring).coeffs)
+    else:
+        section["groups"] = [[d, f, list(t)] for d, f, t in graded_groups(ring).groups]
+    section["generators"] = [{"name": n, "degree": d} for n, d in ring.generators]
+    section["relations"] = list(ring.relations)
+    return {"input": _input(q), "dim": q.spec.dim, "ring": section}, 0
 
 
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def _cmd_ring(q: Query) -> tuple[dict, int]:
-    doc = {
-        "input": {"n": list(q.spec.n), "t": _t_json(q.spec.t), "coeff": str(q.dom)},
-        "dim": q.spec.dim,
-        "ring": _ring_json(q.spec, q.dom),
-    }
-    return doc, 0
-
-
-def _cmd_steenrod(q: Query) -> tuple[dict, int]:
+def _cmd_steenrod(q: Query, err) -> tuple[dict, int]:
     if q.dom != GF(2):
         raise UnsupportedError("Steenrod squares need --coeff F2")
-    doc = {
-        "input": {"n": list(q.spec.n), "t": _t_json(q.spec.t), "coeff": "F2"},
-        "steenrod": _steenrod_json(q.spec),
-    }
-    return doc, 0
+    return {"input": _input(q), "steenrod": _steenrod_lines(q.spec)}, 0
 
 
-def _cmd_split(q: Query) -> tuple[dict, int]:
-    doc = {
-        "input": {"n": list(q.spec.n), "t": _t_json(q.spec.t)},
-        "cartesian": _cartesian_json(q.spec),
-    }
-    return doc, 0
+def _cmd_split(q: Query, err) -> tuple[dict, int]:
+    return {"input": _input(q, coeff=False), "cartesian": _cartesian(q.spec)}, 0
 
 
-def _cmd_wedge(q: Query) -> tuple[dict, int]:
+def _cmd_wedge(q: Query, err) -> tuple[dict, int]:
     if not q.dom.is_field:
         raise UnsupportedError("wedge verification needs field coefficients")
-    doc = {
-        "input": {"n": list(q.spec.n), "t": _t_json(q.spec.t), "coeff": str(q.dom)},
-        "wedge": _wedge_json(q.spec, q.k, q.dom),
+    wedge = {
+        "k": q.k,
+        "summands": _wedge_summands(q.spec, q.k),
+        "verified": splittings.verify_wedge(q.spec, q.k, q.dom).ok,
     }
-    return doc, 0
+    return {"input": _input(q), "wedge": wedge}, 0
 
 
-def _cmd_invariants(q: Query) -> tuple[dict, int]:
-    rep = invariants.invariant_report(
-        q.spec, gd=q.gd, span_base=q.span_base, tc_override=q.tc_override
-    )
-    doc = {
-        "input": {"n": list(q.spec.n), "t": _t_json(q.spec.t)},
-        "dim": q.spec.dim,
-        "invariants": _invariants_json(rep),
-    }
-    return doc, 0
+def _cmd_invariants(q: Query, err) -> tuple[dict, int]:
+    return {"input": _input(q, coeff=False), "dim": q.spec.dim, "invariants": _invariants(q)}, 0
 
 
-def _cmd_tseries(q: Query) -> tuple[dict, int]:
+def _cmd_tseries(q: Query, err) -> tuple[dict, int]:
     if q.t == INFINITY:
         raise UnsupportedError("the t-series needs finite t")
     if q.law == "additive":
@@ -446,11 +360,11 @@ def _cmd_oracle(q: Query, err) -> tuple[dict, int]:
             "no homology oracle for t = inf (the circle quotient is not a finite free quotient)"
         )
     try:
-        comparison = oracle.compare_with_theory(q.spec, q.dom, cap=q.cap)
+        comparison = _compare(q, q.dom, err)
     except oracle.MemoryCapError as exc:
         raise UnsupportedError(str(exc))
     doc = {
-        "input": {"n": list(q.spec.n), "t": _t_json(q.spec.t), "coeff": str(q.dom)},
+        "input": _input(q),
         "checked": True,
         "match": comparison.ok,
         "degrees": [
@@ -463,9 +377,43 @@ def _cmd_oracle(q: Query, err) -> tuple[dict, int]:
             for d, th, orc, m in comparison.degrees
         ],
     }
-    if not comparison.ok:
-        _explain_mismatch(comparison, err)
     return doc, 0 if comparison.ok else 1
+
+
+def emit_report(query: Query, err=None) -> tuple[dict, int]:
+    """The full JSON document for the report command; returns (doc, exit).
+    The ring command's document, then the sections of steenrod (over F2),
+    invariants, split and wedge (its summands), then the integral oracle's
+    verdict. An oracle mismatch is explained on err (default: stderr)."""
+    spec, dom = query.spec, query.dom
+    if not dom.is_field:
+        raise UnsupportedError("report needs field coefficients (Q, F2 or F:<p>)")
+    doc, _ = _cmd_ring(query, err)
+    if dom == GF(2):
+        doc["steenrod"] = _steenrod_lines(spec)
+    doc["invariants"] = _invariants(query)
+    doc["splittings"] = {"cartesian": _cartesian(spec), "wedge": _wedge_summands(spec, query.k)}
+    checked, match = False, True
+    if spec.finite:
+        try:
+            checked, match = True, _compare(query, ZZ, err if err is not None else sys.stderr).ok
+        except oracle.MemoryCapError:
+            pass
+    doc["oracle"] = {"checked": checked, "match": match}
+    return doc, (0 if match else 1)
+
+
+_HANDLERS = {
+    "ring": _cmd_ring,
+    "steenrod": _cmd_steenrod,
+    "split": _cmd_split,
+    "wedge": _cmd_wedge,
+    "invariants": _cmd_invariants,
+    "tseries": _cmd_tseries,
+    "oracle": _cmd_oracle,
+    "report": emit_report,
+}
+COMMANDS = tuple(_HANDLERS)
 
 
 def _render_text(doc: dict, out) -> None:
@@ -509,18 +457,7 @@ def run(argv, out=None, err=None) -> int:
         return 0
     try:
         query = parse(argv)
-        if query.command == "report":
-            doc, code = emit_report(query, err)
-        else:
-            doc, code = {
-                "ring": _cmd_ring,
-                "steenrod": _cmd_steenrod,
-                "split": _cmd_split,
-                "wedge": _cmd_wedge,
-                "invariants": _cmd_invariants,
-                "tseries": _cmd_tseries,
-                "oracle": lambda q: _cmd_oracle(q, err),
-            }[query.command](query)
+        doc, code = _HANDLERS[query.command](query, err)
     except UsageError as exc:
         print(f"error: {exc}", file=err)
         return 2

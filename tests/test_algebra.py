@@ -22,6 +22,7 @@ from lensprod.algebra import (
     prime_factors,
 )
 from lensprod.cohomology import BasisMonomial, BundleSpec
+from lensprod.fgl import make_custom
 
 from _grid import binom_expand
 
@@ -176,6 +177,28 @@ def test_poly_arithmetic_keeps_canonical_coefficients():
                         assert type(c) is int, (dom, res)
                     else:
                         assert type(c) is Fraction, (dom, res)
+
+
+def test_coefficients_map_fractions_and_reject_what_has_no_image():
+    # over F_p, a/b is a * b^-1 mod p, not the truncated int(a/b)
+    assert GF(3)(Fraction(1, 2)) == 2
+    assert GF(5)(Fraction(-3, 4)) == 3
+    assert GF(7)(Fraction(14, 7)) == 2 and GF(7)(2.0) == 2
+    assert ZZ(Fraction(6, 3)) == 2 and ZZ(-4.0) == -4
+    assert QQ(2.5) == Fraction(5, 2)
+    for dom, x in (
+        (GF(3), Fraction(1, 3)),
+        (GF(2), Fraction(5, 4)),
+        (ZZ, Fraction(1, 2)),
+        (ZZ, 2.5),
+        (GF(3), 2.5),
+        (ZZ, float("inf")),
+    ):
+        with pytest.raises(ValueError):
+            dom(x)
+    # a fractional coefficient is no longer silently dropped from a law
+    law = make_custom({(1, 0): 1, (0, 1): 1, (1, 1): Fraction(1, 2)}, GF(3))
+    assert law.coeff(1, 1) == 2 and law.kind == "custom"
 
 
 def test_elementary_divisors():

@@ -390,6 +390,54 @@ def test_benchmark_corpus_replays_byte_identical():
         assert (code, digest) == (q["exit"], q["sha256"]), (q["argv"], err)
 
 
+# the 18 corpus queries without --json: exit code and sha256 of the text
+# rendering, recorded before the handlers were merged into one table
+TEXT_DIGESTS = (
+    ("--n 1,1 --t 2 report", 0, "eb10d62485280567c1c8a993e2fb69ff0a059f3e6ac854487226422d27b10e40"),
+    ("--n 1,2,2 --t inf report", 0, "73ba739a7ebc7a9d837703b88f656c85f24bffa2a42f6d809bdb5d9ace714eaf"),
+    ("--n 1,1,1,1,1,1 --t inf report", 0, "a5e985a9213e33dac67d2fc29d32448296a09b566d4733b3eb0a4ed139d218d0"),
+    ("--n 2,2,2,2,2 --t 2 report", 0, "b6f683c84a9aef603c78bff06bb38e438ea47f8e8e8c4b0ad2e9449009107166"),
+    ("--n 1,1,2 --t 6 report --coeff F:3", 0, "967cba5be49d1a8e62459b998382758d1c933966b69829eeed9c8ebf5c067cbc"),
+    ("--n 1,1,1,1,1,1 --t 2 invariants", 0, "fa341f22cf50c7d400fcc6d1b50a0b7eb3a6537c3ab09baaf375177e9d97a40d"),
+    ("--n 1,1,1,1,1,1,1 --t inf invariants", 0, "fd9ad274971a6797ccca26aea173d8b1db25dd5a014c98e276a79d4b3703f0e2"),
+    ("--n 3,3,3,3 --t 4 steenrod", 0, "6b29e5a8bb840a8d4b96fd80318f4aadd333e761b9d1fb2afd1461b136186acb"),
+    ("--n 2,3,3 --t 2 steenrod", 0, "7880692e2304518d07597bdd5e68aa9d4da3bd706f086b5218b48fd5e21351f3"),
+    ("--t 3000 tseries --precision 8", 0, "53ad0ef06673cedc8350b4062f1dc3e4dd766b6aff243a6d1e82b5b0e3525784"),
+    ("--t 1000 tseries --law additive --precision 8", 0, "aec12492bf861076fd57c6a7f5efc7466d376182d68fbb34ea00917346f84ea9"),
+    ("--n 1,1,2 --t 5 split", 0, "f5023782b3beb1bccf429180e97f5a9a577ad45b6148051d10c9d5bc6a559b1e"),
+    ("--n 1,1 --t inf wedge --k 1 --coeff Q", 0, "55a77fad643e92ed224eba94160472fa473a92b6287c7c4b94590ee29d119254"),
+    ("--n 1,2 --t 2 wedge --k 1 --coeff F2", 0, "0eba401de333f6439e3b744f605b6ba93955a341508f6c490809dd6989f5c9dc"),
+    ("--n 1,1 --t 3 ring --coeff F:3", 0, "5321a947186502c6ca620f32d718d32cfc0f004ff918fe964d53b9eb414e516e"),
+    ("--n 1,2 --t 4 ring", 0, "b34e594dadb898f5712f31cc563808ceceafab775281ba636b794873bcb55f14"),
+    ("--n 1,1 --t 3 oracle --coeff F2", 0, "7a2aafe38b900e3d7383c375bb071c2f168b6ad67eb66055c1b95232c73baddf"),
+    ("--n 1 --t 0 ring", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+)
+
+
+def test_text_output_of_the_corpus_is_pinned():
+    for line, exit_code, sha256 in TEXT_DIGESTS:
+        code, out, err = go(line.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, sha256), (line, err)
+
+
+def test_only_wedge_verifies_the_wedge(monkeypatch):
+    from lensprod import splittings
+
+    calls = []
+    real = splittings.verify_wedge
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(splittings, "verify_wedge", counted)
+    assert go(["--n", "1,2", "--t", "2", "report", "--json"])[0] == 0
+    assert calls == []
+    code, out, err = go(["--n", "1,2", "--t", "2", "wedge", "--k", "1", "--json"])
+    assert code == 0 and json.loads(out)["wedge"]["verified"] is True
+    assert len(calls) == 1
+
+
 # the exit codes in the README's table
 README_EXIT_CODES = {
     int(code)

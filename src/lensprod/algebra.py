@@ -233,7 +233,7 @@ class TupleSpec(NamedTuple("TupleSpec", [("n", tuple[int, ...]), ("t", object)])
     __slots__ = ()
 
     def __new__(cls, n, t):
-        n = tuple(int(v) for v in n)
+        n = tuple(ZZ(v) for v in n)
         if len(n) < 1:
             raise ValueError("tuple must have length >= 1")
         if any(v < 0 for v in n):
@@ -243,13 +243,13 @@ class TupleSpec(NamedTuple("TupleSpec", [("n", tuple[int, ...]), ("t", object)])
                 f"tuple {n} is not nondecreasing; sort it (or pass sort=True "
                 "through TupleSpec.make) before building"
             )
-        if t != INFINITY and (not isinstance(t, int) or t < 1):
+        if t != INFINITY and (isinstance(t, bool) or not isinstance(t, int) or t < 1):
             raise ValueError(f"t must be a positive integer or INFINITY, got {t}")
         return super().__new__(cls, n, t)
 
     @classmethod
     def make(cls, n, t, sort: bool = False) -> "TupleSpec":
-        n = tuple(int(v) for v in n)
+        n = tuple(ZZ(v) for v in n)
         if sort:
             n = tuple(sorted(n))
         return cls(n, t)

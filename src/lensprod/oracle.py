@@ -19,7 +19,8 @@ one moved, gives d o d = 0 on every column (see `_quotient`). The SNF
 is a sparse unit-pivot elimination (Dumas-Saunders-Villard, "On efficient
 sparse integer matrix Smith normal forms", JSC 2001) in passes over the
 columns, shortest first (see `_snf_factors`), then a dense SNF of the small
-residual. The boundaries are reduced in order, each with compression
+residual: a diagonal by least-remainder pivots, then gcd/lcm exchanges (see
+`_dense_snf`). The boundaries are reduced in order, each with compression
 (Bauer-Kerber-Reininghaus, "Clear and Compress", 2014): the rows of d_{d+1}
 at the unit-pivot columns of d_d are left out, exact over Z since d o d = 0
 is checked before.
@@ -28,20 +29,21 @@ is checked before.
 come from one builder, `_boundaries`, one degree per call, `_quotient` sends
 g to 1 and checks d o d on each degree before it hands it on, and `_columns`
 moves them to every twist, so every column is made from checked triples.
-The factors behind `compare_with_theory` (`_cached_factors`) do not build it.
-Before the quotient the product is a free Z[Z_t]-complex, and in the basis
-a (x) g^c b each boundary entry of a tensor step is one monomial alpha g^k,
-most of them units +-g^k of Z[Z_t]. So they tensor the spheres on one at a time over Z[Z_t]
-(`_tensor`), check d o d, eliminate every unit entry (`_eliminate`, Gaussian
-elimination of chain complexes) and check d o d again, which leaves a few
-generators: for (2,2,2;6), 12 in place of S_1 (x) S_2's 216. Only the last
-sphere is tensored on together with the quotient, a complex of 432 cells in
-place of 7,776; it goes through the same `_quotient`, one checked degree
-at a time, and is reduced as it comes, the rows compression drops never
-built. Elimination over Z[Z_t] is a homotopy equivalence that survives the
-later tensor steps and the quotient, so the small quotient has the whole
-one's homology, and `_full_factors` recovers the whole complex's invariant
-factors from it and the cell counts.
+The comparison (`_cached_factors`) does not build it. Before the quotient
+the product is a free Z[Z_t]-complex, and in the basis a (x) g^c b each
+boundary entry of a tensor step is one monomial alpha g^k, most of them
+units +-g^k of Z[Z_t]. So it tensors the spheres on one at a time over
+Z[Z_t] (`_tensor`), checks d o d, eliminates every unit entry
+(`_eliminate`, Gaussian elimination of chain complexes) and checks d o d
+again, which leaves a few generators: for (2,2,2;6), 12 in place of
+S_1 (x) S_2's 216. Only the last sphere is tensored on together with the
+quotient, a complex of 432 cells in place of 7,776; it goes through the
+same `_quotient`, one checked degree at a time, and is reduced as it comes,
+the rows compression drops never built. Elimination over Z[Z_t] is a
+homotopy equivalence that survives the later tensor steps and the quotient,
+so the small quotient's cell counts and factors give the whole one's
+homology over Z and, after (x) F_p, over every F_p; they are all the
+comparison keeps.
 
 There is no oracle for t = INFINITY: the circle quotient is not a finite free
 quotient. That regime is validated elsewhere (duality, Euler characteristics,
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import gcd, prod
 from typing import Callable, Iterator, NamedTuple
 
 from .algebra import Coeff, GradedAbGroup, TupleSpec, ZZ
@@ -162,9 +164,9 @@ class _Moves(dict):
         return codes
 
 
-def _cell_tuples(spec: TupleSpec, cap: int) -> list[list]:
-    """The cell tuples (j_1..j_r) of each degree, in product order, after
-    refusing a complex above the cap in cells or in boundary entries."""
+def _check_cap(spec: TupleSpec, cap: int) -> None:
+    """Refuse spec when its whole quotient complex is above the cap in cells
+    or in boundary entries."""
     if not spec.finite:
         raise ValueError("no finite-quotient complex exists for t = INFINITY")
     t = spec.t
@@ -181,7 +183,6 @@ def _cell_tuples(spec: TupleSpec, cap: int) -> list[list]:
             f"quotient boundaries have {entries} entries, "
             f"above {ENTRIES_PER_CELL} times the cap {cap}"
         )
-    return _product_tuples(range(2 * spec.n[0] + 2), [2 * ni + 2 for ni in spec.n[1:]])
 
 
 def _product_tuples(degrees, sizes: list) -> list[list]:
@@ -313,12 +314,14 @@ def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> Quotien
     identity. The boundaries are the `_columns` of the triples `_quotient`
     yields, with no rows cleared, so each degree is checked before its
     columns are made."""
-    tuples = _cell_tuples(spec, cap)
+    _check_cap(spec, cap)
     spheres = [sphere_complex(ni, spec.t).diffs for ni in spec.n]
+    first = _sphere_factor(spheres[0])
+    tuples = _product_tuples(first[0], [len(diffs) for diffs in spheres[1:]])
     twists = spec.t ** (spec.r - 1)
     boundaries = (None,) + tuple(
         tuple(_columns(triples, twists, (), len(tuples[d - 1]) * twists))
-        for d, triples in enumerate(_quotient(spec, _sphere_factor(spheres[0]), spheres[1:], tuples), 1)
+        for d, triples in enumerate(_quotient(spec, first, spheres[1:], tuples), 1)
     )
     twist_tuples = list(product(range(spec.t), repeat=spec.r - 1))
     basis = tuple(tuple((cells, h) for cells in row for h in twist_tuples) for row in tuples)
@@ -439,24 +442,6 @@ def _eliminate(cx: tuple, t: int) -> tuple[list, list]:
     ]
 
 
-def _full_factors(cells: tuple, small: tuple, factors: list) -> tuple:
-    """The invariant factors of the whole quotient complex, with cells[d]
-    cells in degree d, from those of a smaller one with the same homology,
-    small[d] cells and factors[d] (factors[0] is ()). The small complex gives
-    the Betti numbers b_d and the torsion of H_{d-1}, the factors of d_d
-    other than 1. From the top down, rank d_d = cells[d] - b_d - rank d_{d+1},
-    and d_d's factors are 1s up to that rank, then the torsion."""
-    out: list = []
-    rank = small_rank = 0  # of the boundary out of the degree above
-    for d in reversed(range(1, len(cells))):
-        fs = factors[d]
-        betti = small[d] - len(fs) - small_rank
-        rank, small_rank = cells[d] - betti - rank, len(fs)
-        torsion = fs[fs.count(1) :]
-        out.append((1,) * (rank - len(torsion)) + torsion)
-    return ((),) + tuple(reversed(out))
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -554,69 +539,45 @@ def _snf_factors(columns) -> tuple[tuple[int, ...], set]:
 
 
 def _dense_snf(mat: list[list[int]]) -> tuple[int, ...]:
-    """Classical SNF with gcd pivoting on a dense matrix; returns the nonzero
-    diagonal in divisibility order."""
-    m, n = len(mat), len(mat[0]) if mat else 0
-    out = []
-    k = 0
-    while True:
-        pos = None
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                v = abs(mat[i][j])
-                if v and (best is None or v < best):
-                    best, pos = v, (i, j)
-        if pos is None:
-            break
-        i, j = pos
-        mat[k], mat[i] = mat[i], mat[k]
-        if j != k:
-            for row in mat:
-                row[k], row[j] = row[j], row[k]
+    """Invariant factors of a dense integer matrix, a list of rows that is
+    reduced in place, in divisibility order (zero factors dropped).
+
+    First a diagonal D = U mat V, U and V unimodular: pivot on an entry of
+    least absolute value, subtract quotient multiples of its row from the
+    other rows and of its column from the other columns, and take the least
+    nonzero remainder, smaller than the pivot, as the next pivot, until the
+    pivot's row and column are clear; then drop both. With its column clear,
+    the column steps change only the pivot's row. Then the divisibility
+    chain: diag(a, b) has the invariant factors gcd(a, b) | lcm(a, b), and
+    exchanging each pair (i < j) for them leaves, prime by prime, the
+    exponents sorted along the diagonal."""
+    diagonal = []
+    while any(map(any, mat)):
+        _, i, j = min((abs(v), i, j) for i, row in enumerate(mat) for j, v in enumerate(row) if v)
         while True:
-            piv = mat[k][k]
-            done = True
-            for i in range(k + 1, m):
-                if mat[i][k]:
-                    q = mat[i][k] // piv
-                    if q:
-                        mat[i] = [a - q * b for a, b in zip(mat[i], mat[k])]
-                    if mat[i][k]:
-                        mat[k], mat[i] = mat[i], mat[k]
-                        done = False
-                        break
-            if not done:
+            prow, p = mat[i], mat[i][j]
+            for k, row in enumerate(mat):
+                if k != i and (q := row[j] // p):
+                    mat[k] = [a - q * b for a, b in zip(row, prow)]
+            column = [(abs(row[j]), k) for k, row in enumerate(mat) if k != i and row[j]]
+            if column:
+                i = min(column)[1]
                 continue
-            for j in range(k + 1, n):
-                if mat[k][j]:
-                    q = mat[k][j] // piv
-                    if q:
-                        for row in mat:
-                            row[j] -= q * row[k]
-                    if mat[k][j]:
-                        for row in mat:
-                            row[k], row[j] = row[j], row[k]
-                        done = False
-                        break
-            if not done:
-                continue
-            offender = None
-            for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if mat[i][j] % piv:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            prow = mat[i] = [v % p for v in prow]
+            prow[j] = p
+            row = [(abs(v), k) for k, v in enumerate(prow) if v and k != j]
+            if not row:
                 break
-            mat[k] = [a + b for a, b in zip(mat[k], mat[offender])]
-        out.append(abs(mat[k][k]))
-        k += 1
-        if k >= m or k >= n:
-            break
-    return tuple(out)
+            j = min(row)[1]
+        diagonal.append(abs(p))
+        del mat[i]
+        for row in mat:
+            del row[j]
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            g = gcd(diagonal[i], diagonal[j])
+            diagonal[i], diagonal[j] = g, diagonal[i] // g * diagonal[j]
+    return tuple(diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -711,21 +672,18 @@ _FACTORS_CACHE_SIZE = 128
 
 @lru_cache(maxsize=_FACTORS_CACHE_SIZE)
 def _cached_factors(spec: TupleSpec, cap: int) -> tuple[tuple[int, ...], tuple]:
-    """Cell counts and boundary invariant factors of spec's quotient complex,
-    the one `product_quotient_complex` builds, without building it. The first
-    sphere is a free Z[Z_t]-complex; each further sphere but the last is
-    tensored on (`_tensor`), d o d is checked on the c = 0 columns
-    (`_check_ring`), every unit entry is eliminated (`_eliminate`) and the
-    result is checked whole. The last sphere is tensored on and the quotient
-    taken by `_quotient`, as in `product_quotient_complex`, one checked
-    degree at a time; d_d's columns are made from its triples (`_columns`)
-    with the rows that d_{d-1}'s sweep took as pivots left out, and reduced
-    in place. The small quotient has the homology of the whole one (see
-    `_eliminate`), and `_full_factors` recovers the whole one's factors from
-    it and the cell counts, which are the cell tuples per degree times
-    t^(r-1). For r <= 2 nothing is eliminated: the last step is the whole
-    quotient complex, and the recovery returns its factors as they are."""
-    tuples = _cell_tuples(spec, cap)
+    """Cell counts and boundary invariant factors of a quotient complex with
+    the homology of spec's, over Z and so over every F_p, after refusing spec
+    as `product_quotient_complex` would. The first sphere is a free
+    Z[Z_t]-complex; each further sphere but the last is tensored on
+    (`_tensor`), d o d is checked on the c = 0 columns (`_check_ring`), every
+    unit entry is eliminated (`_eliminate`) and the result is checked whole.
+    The last sphere is tensored on and the quotient taken by `_quotient`, one
+    checked degree at a time; d_d's columns are made from its triples
+    (`_columns`) with the rows that d_{d-1}'s sweep took as pivots left out,
+    and reduced in place. For r <= 2 nothing is eliminated, and the result is
+    the whole quotient complex's."""
+    _check_cap(spec, cap)
     t = spec.t
     spheres = [sphere_complex(ni, t).diffs for ni in spec.n]
     first = _sphere_factor(spheres[0])
@@ -735,21 +693,21 @@ def _cached_factors(spec: TupleSpec, cap: int) -> tuple[tuple[int, ...], tuple]:
         first = _eliminate(cx, t)
         _check_ring(spec, first, t, 1)
     last = spheres[1:][-1:]
-    small = _product_tuples(first[0], [len(diffs) for diffs in last])
+    tuples = _product_tuples(first[0], [len(diffs) for diffs in last])
     twists = t ** len(last)
     out, pivots = [()], ()
-    for d, triples in enumerate(_quotient(spec, first, last, small), 1):
-        factors, pivots = _snf_factors(_columns(triples, twists, pivots, len(small[d - 1]) * twists))
+    for d, triples in enumerate(_quotient(spec, first, last, tuples), 1):
+        factors, pivots = _snf_factors(_columns(triples, twists, pivots, len(tuples[d - 1]) * twists))
         out.append(factors)
-    cells = tuple(len(row) * t ** (spec.r - 1) for row in tuples)
-    return cells, _full_factors(cells, tuple(len(row) * twists for row in small), out)
+    return tuple(len(row) * twists for row in tuples), tuple(out)
 
 
 def compare_with_theory(spec: TupleSpec, dom: Coeff = ZZ, cap: int = DEFAULT_CAP) -> ComparisonReport:
     """Oracle cohomology vs the predicted ring, degree by degree after
     elementary-divisor normalization. A mismatch signals a bug in one side.
-    Only the factors are cached: the groups and the ring are rebuilt per
-    call, as a pass over the grid compares each (spec, coefficient) once."""
+    Only the small quotient's cell counts and factors are cached: the groups
+    and the ring are rebuilt per call, as a pass over the grid compares each
+    (spec, coefficient) once."""
     from .cohomology import CohomologyRing, graded_groups, resolve_mode
 
     groups = _homology_groups(*_cached_factors(spec, cap), dom)

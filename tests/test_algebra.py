@@ -250,6 +250,9 @@ def test_records_validate_on_construction():
         (lambda: Coeff("Z", 2), "p is only meaningful for prime fields"),
         (lambda: TupleSpec((2, 1), 4), "tuple (2, 1) is not nondecreasing"),
         (lambda: TupleSpec((1,), 0), "t must be a positive integer or INFINITY, got 0"),
+        (lambda: TupleSpec((1,), True), "t must be a positive integer or INFINITY, got True"),
+        (lambda: TupleSpec((1.7,), 3), "1.7 is not a whole number"),
+        (lambda: TupleSpec.make((2, 1.5), 3, sort=True), "1.5 is not a whole number"),
         (lambda: BundleSpec(-1, TupleSpec((1,), 2)), "multiplicity must be non-negative"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -20,6 +20,7 @@ from lensprod.oracle import (
     QuotientComplex,
     _cached_factors,
     _dense_snf,
+    _homology_groups,
     boundary_factors,
     compare_with_theory,
     homology,
@@ -118,18 +119,28 @@ def test_smith_normal_form_matches_determinant_divisors():
                 total += (-1) ** j * v * _det(sub)
         return total
 
-    rng = random.Random(13)
-    for _ in range(60):
-        m = rng.randint(1, 4)
-        n = rng.randint(1, 4)
-        mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+    def check(mat):
         factors = smith_normal_form(mat)
         prod = 1
         for k, d in enumerate(factors, start=1):
             prod *= d
             assert prod == minor_gcd(mat, k), (mat, factors)
-        if len(factors) < min(m, n):
+        if len(factors) < min(len(mat), len(mat[0])):
             assert minor_gcd(mat, len(factors) + 1) == 0
+
+    rng = random.Random(13)
+    for _ in range(60):
+        m = rng.randint(1, 4)
+        n = rng.randint(1, 4)
+        check([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
+    # no +-1 entry, so the unit sweep leaves all to the dense SNF's Euclid
+    # steps and its gcd/lcm pass
+    no_units = (0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9)
+    for _ in range(60):
+        m = rng.randint(1, 4)
+        n = rng.randint(1, 4)
+        check([[rng.choice(no_units) for _ in range(n)] for _ in range(m)])
+    check([[rng.choice(no_units) for _ in range(5)] for _ in range(5)])
 
 
 def test_quotient_complex_lens_space():
@@ -473,8 +484,9 @@ def test_stream_checks_each_degree_before_its_snf(monkeypatch, where):
 
 def test_elimination_shrinks_the_complex_before_the_quotient(monkeypatch):
     # (2,2,2;6): S_1 (x) S_2 has 216 free Z[Z_6] generators and 12 after the
-    # unit entries are eliminated, so the quotient the SNF reduces has 432
-    # cells, of which the 6 in degree 0 have no boundary, in place of 7,776
+    # unit entries are eliminated, so the quotient the SNF reduces, and whose
+    # cell counts are cached, has 432 cells, of which the 6 in degree 0 have
+    # no boundary, in place of 7,776
     spec = TupleSpec((2, 2, 2), 6)
     eliminate, snf = oracle_module._eliminate, oracle_module._snf_factors
     sizes, reduced = [], []
@@ -491,7 +503,7 @@ def test_elimination_shrinks_the_complex_before_the_quotient(monkeypatch):
     monkeypatch.setattr(oracle_module, "_eliminate", recorded_eliminate)
     monkeypatch.setattr(oracle_module, "_snf_factors", recorded_snf)
     cells, _ = _cached_factors.__wrapped__(spec, DEFAULT_CAP)
-    assert sum(cells) == 7776
+    assert sum(cells) == 432 and _cells(spec) == 7776
     assert sizes == [(216, 12)]
     assert sum(reduced) + 6 == 432
 
@@ -563,14 +575,19 @@ oracle_specs = st.builds(
 @example(spec=TupleSpec((1, 1), 150))
 @example(spec=TupleSpec((0, 0), 12500))
 def test_in_place_factors_match_the_copying_path(spec):
-    # _cached_factors eliminates over Z[Z_t] before the quotient, reduces the
-    # kept rows of the small quotient in place and recovers the whole
-    # complex's factors from it; boundary_factors reduces a copy of the whole
-    # complex's boundaries, and it and smith_normal_form leave their input
-    # as it was
+    # _cached_factors eliminates over Z[Z_t] before the quotient and reduces
+    # the kept rows of the small quotient in place, which has the whole
+    # complex's homology over Z, F2 and F3, and is the whole complex for
+    # r <= 2; boundary_factors reduces a copy of the whole complex's
+    # boundaries, and it and smith_normal_form leave their input as it was
     cx = product_quotient_complex(spec)
     kept = [[dict(col) for col in b] for b in cx.boundaries[1:]]
-    assert _cached_factors.__wrapped__(spec, DEFAULT_CAP) == (cx.ranks, boundary_factors(cx))
+    cached = _cached_factors.__wrapped__(spec, DEFAULT_CAP)
+    whole = boundary_factors(cx)  # what homology(cx, dom) reads
+    for dom in (ZZ, GF(2), GF(3)):
+        assert _homology_groups(*cached, dom) == _homology_groups(cx.ranks, whole, dom)
+    if spec.r <= 2:
+        assert cached == (cx.ranks, whole)
     assert [list(b) for b in cx.boundaries[1:]] == kept
     rows, cols = cx.ranks[0], cx.ranks[1]
     if rows * cols <= 100_000:
@@ -673,9 +690,14 @@ def test_compare_with_a_twist_group_of_12500():
     assert compare_with_theory(spec, GF(2)).ok
 
 
-# sha256 of the cell counts and boundary invariant factors of every
-# acceptance-grid spec and (1^5;2), recorded with the row-major sweep that
-# preceded the column-ordered one
+def _whole_factors(spec: TupleSpec) -> tuple:
+    cx = product_quotient_complex(spec)
+    return spec.n, spec.t, (cx.ranks, boundary_factors(cx))
+
+
+# sha256 of the cell counts and boundary invariant factors of the whole
+# quotient complex of every acceptance-grid spec and (1^5;2), recorded with
+# the row-major sweep that preceded the column-ordered one
 FACTORS_SHA256 = "5928c5d1aa2b23774fd96f6cefe52bef2e6a693b2864046f1e0c1a43800883a4"
 
 
@@ -683,20 +705,24 @@ def test_boundary_factors_pinned():
     specs = list(grid_specs(ts=(1, 2, 3, 4, 6))) + [TupleSpec((1,) * 5, 2)]
     h = hashlib.sha256()
     for spec in specs:
-        h.update(repr((spec.n, spec.t, _cached_factors(spec, DEFAULT_CAP))).encode())
+        h.update(repr(_whole_factors(spec)).encode())
     assert h.hexdigest() == FACTORS_SHA256
 
 
-# sha256 of the cell counts and boundary invariant factors of (2,2,2,2;3),
-# the complex with the largest dense residual, recorded before the sweep
-# dropped the previous boundary's pivot rows
+# sha256 of the cell counts and boundary invariant factors of the whole
+# quotient complex of (2,2,2,2;3), the complex with the largest dense
+# residual, recorded before the sweep dropped the previous boundary's pivot
+# rows
 LARGEST_FACTORS_SHA256 = "2f7ce078b8efb1fd1a7c9b78ff219615dfb3ee5e7016f95dbc9686a84937878a"
 
 
 def test_largest_complex_factors_pinned():
     spec = TupleSpec((2, 2, 2, 2), 3)
-    h = hashlib.sha256(repr((spec.n, spec.t, _cached_factors(spec, DEFAULT_CAP))).encode())
+    h = hashlib.sha256(repr(_whole_factors(spec)).encode())
     assert h.hexdigest() == LARGEST_FACTORS_SHA256
+    # the comparison caches the eliminated quotient's 432 cells, not 34,992
+    cells, _ = _cached_factors(spec, DEFAULT_CAP)
+    assert sum(cells) == 432 and _cells(spec) == 34992
 
 
 def _diagonal_invariant_factors(ks) -> tuple[int, ...]:

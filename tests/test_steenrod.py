@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from lensprod.algebra import GF, INFINITY, QQ, TupleSpec, binom_mod2, nu_p
@@ -159,6 +161,34 @@ def test_stiefel_whitney_rp_style():
     # L_(2)(2) = RP^5: tangent bundle has W = (1+z)^3 = 1 + z + z^2 in
     # F_2[z]/(z^3), z the square of the one-dimensional class
     assert str(stiefel_whitney_total(TupleSpec((2,), 2))) == "1 + z + z^2"
+
+
+def test_wu_formula_ties_squares_products_and_stiefel_whitney():
+    # On a closed manifold M^m the Wu class v_k is the one class with
+    # Sq^k x = v_k x for every x in H^{m-k}(M; F_2), and w(M) = Sq(v)
+    # (Milnor-Stasheff, Characteristic Classes, section 11). total_sq,
+    # multiply and stiefel_whitney_total each come from their own closed
+    # form, so this ties the three together
+    specs = list(grid_specs(ts=(1, 2, 3, 4, 6, 8, 12, INFINITY), nmax=3, rmax=3))
+    assert len(specs) == 272
+    for spec in specs:
+        ring = build_ring(spec, GF(2))
+        (top,) = ring.basis_by_degree[spec.dim]
+        sq_v: set = set()
+        for k in range(spec.dim + 1):
+            classes = ring.basis_by_degree.get(k, ())
+            duals = ring.basis_by_degree.get(spec.dim - k, ())
+            wanted = [top in sq_k(ring, x, k) for x in duals]
+            (v,) = [  # one solution, by Poincare duality
+                v
+                for size in range(len(classes) + 1)
+                for v in combinations(classes, size)
+                if [sum(top in ring.multiply(b, x) for b in v) % 2 == 1 for x in duals] == wanted
+            ]
+            for b in v:
+                sq_v ^= set(total_sq(ring, b))  # a sum over F_2
+        w = stiefel_whitney_total(spec)
+        assert sq_v == {mono((0, j, 0)) for j in range(w.prec + 1) if w.coeff(j)}, spec
 
 
 def test_spin_examples():

@@ -229,17 +229,19 @@ class CohomologyRing:
         self.factor = base_factor(spec.n[0], spec.t, mode)
         exterior = range(2, spec.r + 1)
 
-        monomials = [
-            BasisMonomial(base, ext) for ext in _subsets(exterior) for base in self.factor.degree
-        ]
-        # w-based monomials first in a tied degree, the order the outputs keep
-        monomials.sort(key=lambda m: (self._degree_raw(m), -m.base[2], m))
-        self.basis: tuple = tuple(monomials)
-        self._basis_set = frozenset(monomials)
+        # by (degree, -b): w-based monomials first in a tied degree, the order the outputs keep
+        ext_degree = {ext: sum(2 * spec.n[i - 1] + 1 for i in ext) for ext in _subsets(exterior)}
+        keyed = sorted(
+            (d + e, -base[2], BasisMonomial(base, ext))
+            for ext, e in ext_degree.items()
+            for base, d in self.factor.degree.items()
+        )
+        self.basis: tuple = tuple(m for _, _, m in keyed)
+        self._basis_set = frozenset(self.basis)
         by_degree: dict[int, list] = {}
-        for m in monomials:
-            by_degree.setdefault(self._degree_raw(m), []).append(m)
-        self.basis_by_degree = {d: tuple(v) for d, v in sorted(by_degree.items())}
+        for d, _, m in keyed:
+            by_degree.setdefault(d, []).append(m)
+        self.basis_by_degree = {d: tuple(v) for d, v in by_degree.items()}
         self.relations = self.factor.relations + tuple(f"x{i}^2 = 0" for i in exterior)
         self.generators = tuple(
             (str(BasisMonomial(g)), self.factor.degree[g]) for g in self.factor.generators
@@ -342,15 +344,11 @@ def build_ring(spec: TupleSpec, dom: Coeff = ZZ) -> CohomologyRing:
 def graded_groups(ring: CohomologyRing) -> GradedAbGroup:
     """Per-degree group data collecting the free/torsion contributions of all
     basis monomials (for a field: dimensions in the free slot)."""
-    data: dict[int, list] = {}
-    for m in ring.basis:
-        data.setdefault(ring.degree(m), []).append(ring.torsion_order(m))
-    return GradedAbGroup.of(
-        {
-            d: (sum(1 for q in orders if q == 0), tuple(q for q in orders if q))
-            for d, orders in data.items()
-        }
-    )
+    data = {}
+    for d, monomials in ring.basis_by_degree.items():
+        orders = [ring.factor.torsion[m.base] for m in monomials]
+        data[d] = (orders.count(0), tuple(q for q in orders if q))
+    return GradedAbGroup.of(data)
 
 
 def poincare_polynomial(ring: CohomologyRing) -> PoincareSeries:
@@ -444,11 +442,11 @@ class ProjectionRule(NamedTuple):
 
 
 def projection_pi_star(t: int, t_prime) -> ProjectionRule:
-    if not isinstance(t, int) or t < 1:
+    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
         raise ValueError(f"t must be a finite positive integer, got {t}")
     if t_prime == INFINITY:
         return ProjectionRule(t, t_prime, None)
-    if not isinstance(t_prime, int) or t_prime < 1 or t_prime % t != 0:
+    if isinstance(t_prime, bool) or not isinstance(t_prime, int) or t_prime < 1 or t_prime % t:
         raise ValueError(f"t' = {t_prime} is not a multiple of t = {t}")
     return ProjectionRule(t, t_prime, t_prime // t)
 

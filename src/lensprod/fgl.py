@@ -170,7 +170,7 @@ def _evaluate(law: FormalGroupLaw, a: TruncPoly, b: TruncPoly) -> TruncPoly:
 
 
 def t_series(law: FormalGroupLaw, t: int, precision: int) -> TSeries:
-    if not isinstance(t, int) or t < 1:
+    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
         raise ValueError(f"t must be a positive integer, got {t}")
     z = TruncPoly.var(law.dom, precision)
     cur = z

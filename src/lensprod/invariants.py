@@ -138,9 +138,9 @@ def sigma(n1: int, t: int) -> int:
     max(nu_2(t), n1) = 1 -> n1; n1 even -> nu_2(t) + n1 - 1; else
     nu_2(t) + n1 - 2; odd p: n1 >= 2 -> nu_p(t) + floor((n1-2)/(p-1)),
     else 0). Implemented verbatim, including the shadowed second case."""
-    if not isinstance(n1, int) or n1 < 1:
-        raise ValueError("sigma needs n1 >= 1; route n1 = 0 through the product-of-spheres rule")
-    if not isinstance(t, int) or t < 1:
+    if isinstance(n1, bool) or not isinstance(n1, int) or n1 < 1:
+        raise ValueError(f"sigma needs n1 >= 1, got {n1}; route n1 = 0 through the product-of-spheres rule")
+    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
         raise ValueError(f"t must be a finite positive integer, got {t}")
     out = 1
     for p in prime_factors(t):

@@ -6,8 +6,9 @@ and the norm element), passes to the quotient by the diagonal action, and
 takes one exact Smith normal form per boundary map. Integral, rational and
 mod-p homology all follow from those invariant factors: over F_p the rank of
 a boundary is the number of its factors that p does not divide (universal
-coefficients). A comparison routine converts the result to cohomology and
-matches it degree by degree against the predicted ring.
+coefficients). A comparison routine reads cohomology off them by universal
+coefficients, one (free, torsion) row per degree, and matches each row
+against the predicted ring's basis in that degree.
 
 Boundaries are stored column-major, one {row: value} map per cell, and the
 SNF reduces those columns in place. Z_t^(r-1) acts on the quotient by
@@ -57,7 +58,7 @@ from itertools import product
 from math import gcd, prod
 from typing import Callable, Iterator, NamedTuple
 
-from .algebra import Coeff, GradedAbGroup, TupleSpec, ZZ
+from .algebra import Coeff, GradedAbGroup, TupleSpec, ZZ, elementary_divisors
 
 __all__ = [
     "DEFAULT_CAP",
@@ -104,7 +105,7 @@ class EquivariantComplex(NamedTuple):
 def sphere_complex(n: int, t: int) -> EquivariantComplex:
     """Minimal free Z_t-cell structure on S^{2n+1}: one cell per degree,
     even boundaries the norm element, odd boundaries lambda - 1."""
-    if not isinstance(t, int) or t < 1:
+    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
         raise ValueError(f"t must be a positive integer, got {t}")
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -609,23 +610,28 @@ def boundary_factors(cx: QuotientComplex) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _homology_groups(ranks: tuple, factors: tuple, dom: Coeff) -> GradedAbGroup:
-    """H_* from the cell counts and the boundary invariant factors. Over F_p
-    a boundary's rank counts the factors p does not divide, since its SNF
-    D = U d V has U, V unimodular and so invertible mod p. Each boundary's
-    factors are a divisibility chain, so its 1s come first and only the
-    factors after them are read one by one."""
+def _homology_rows(cells: tuple, factors: tuple, dom: Coeff) -> list:
+    """H_d as (free rank, torsion) for each degree d, from the cell counts
+    and the boundary invariant factors. Over F_p a boundary's rank counts the
+    factors p does not divide, since its SNF D = U d V has U, V unimodular
+    and so invertible mod p. Each boundary's factors are a divisibility
+    chain, so its 1s come first and only the factors after them are read one
+    by one. Over Z the non-unit factors of d_{d+1} are H_d's torsion."""
     factors = factors + ((),)  # the map out of the top degree is zero
     units = [fs.count(1) for fs in factors]
     if dom.kind == "Fp":
         rank = [u + sum(1 for q in fs[u:] if q % dom.p) for u, fs in zip(units, factors)]
     else:
         rank = [len(fs) for fs in factors]
-    data: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for d, cells in enumerate(ranks):
-        torsion = () if dom.is_field else factors[d + 1][units[d + 1] :]
-        data[d] = (cells - rank[d] - rank[d + 1], torsion)
-    return GradedAbGroup.of(data)
+    return [
+        (n - rank[d] - rank[d + 1], () if dom.is_field else factors[d + 1][units[d + 1] :])
+        for d, n in enumerate(cells)
+    ]
+
+
+def _homology_groups(cells: tuple, factors: tuple, dom: Coeff) -> GradedAbGroup:
+    """H_* as a graded group, from `_homology_rows`."""
+    return GradedAbGroup.of(dict(enumerate(_homology_rows(cells, factors, dom))))
 
 
 def homology(cx: QuotientComplex, dom: Coeff = ZZ) -> HomologyResult:
@@ -685,7 +691,8 @@ def _cached_factors(spec: TupleSpec, cap: int) -> tuple[tuple[int, ...], tuple]:
     the whole quotient complex's."""
     _check_cap(spec, cap)
     t = spec.t
-    spheres = [sphere_complex(ni, t).diffs for ni in spec.n]
+    built = {ni: sphere_complex(ni, t).diffs for ni in set(spec.n)}  # each distinct sphere once
+    spheres = [built[ni] for ni in spec.n]
     first = _sphere_factor(spheres[0])
     for diffs in spheres[1:-1]:
         cx = _tensor(first, diffs, t)
@@ -703,23 +710,23 @@ def _cached_factors(spec: TupleSpec, cap: int) -> tuple[tuple[int, ...], tuple]:
 
 
 def compare_with_theory(spec: TupleSpec, dom: Coeff = ZZ, cap: int = DEFAULT_CAP) -> ComparisonReport:
-    """Oracle cohomology vs the predicted ring, degree by degree after
-    elementary-divisor normalization. A mismatch signals a bug in one side.
-    Only the small quotient's cell counts and factors are cached: the groups
-    and the ring are rebuilt per call, as a pass over the grid compares each
-    (spec, coefficient) once."""
-    from .cohomology import CohomologyRing, graded_groups, resolve_mode
+    """Oracle cohomology vs the predicted ring, one (free rank, elementary
+    divisors) row per degree on each side. A mismatch signals a bug in one
+    side. The oracle's row d is universal coefficients on the cached factors:
+    the free rank of H_d and the non-unit factors of d_d, the torsion of
+    H_{d-1} (none over a field); the theory's counts the degree-d monomials
+    of a freshly built ring by their torsion orders. Only the factors are
+    cached, as a pass over the grid compares each (spec, coefficient) once."""
+    from .cohomology import CohomologyRing, resolve_mode
 
-    groups = _homology_groups(*_cached_factors(spec, cap), dom)
-    oracle_side = cohomology_from_homology(HomologyResult(groups, dom), spec.dim)
-    oracle_side = oracle_side.normalized()
-    theory_side = graded_groups(CohomologyRing(spec, resolve_mode(spec, dom))).normalized()
-    rows = []
-    ok = True
+    homology = _homology_rows(*_cached_factors(spec, cap), dom)
+    ring = CohomologyRing(spec, resolve_mode(spec, dom))
+    rows, below = [], ()  # below: the torsion of H_{d-1}
     for d in range(spec.dim + 1):
-        th = (theory_side.free_rank(d), theory_side.torsion(d))
-        orc = (oracle_side.free_rank(d), oracle_side.torsion(d))
-        match = th == orc
-        ok = ok and match
-        rows.append((d, th, orc, match))
-    return ComparisonReport(spec, dom, ok, tuple(rows))
+        free, tors = homology[d]
+        orders = [ring.factor.torsion[m.base] for m in ring.basis_by_degree.get(d, ())]
+        th = (orders.count(0), elementary_divisors(orders) if any(orders) else ())  # it drops the 0s
+        orc = (free, elementary_divisors(below) if below else ())
+        rows.append((d, th, orc, th == orc))
+        below = tors
+    return ComparisonReport(spec, dom, all(row[3] for row in rows), tuple(rows))

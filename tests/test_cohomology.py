@@ -435,6 +435,14 @@ def test_projection_rejects_non_divisor():
         projection_pi_star(0, 4)
 
 
+def test_projection_refuses_a_bool():
+    # True is an int, but no t or t'; TupleSpec refuses a bool t the same way
+    with pytest.raises(ValueError, match="got True"):
+        projection_pi_star(True, 2)
+    with pytest.raises(ValueError, match="t' = True"):
+        projection_pi_star(1, True)
+
+
 def test_change_coefficients_examples():
     # t=3, p=2: all Z_3 torsion dies
     rmap = change_coefficients(build_ring(TupleSpec((1, 1), 3), ZZ), 2)

@@ -57,6 +57,12 @@ def test_t_series_rejects_nonpositive_t():
         t_series(make_additive(), 0, 4)
 
 
+def test_t_series_refuses_a_bool_t():
+    # True is an int, but no t; TupleSpec refuses it the same way
+    with pytest.raises(ValueError, match="got True"):
+        t_series(make_additive(ZZ, 3), True, 3)
+
+
 def test_multiplicative_t_series_matches_closed_form():
     # oracle: [t](z) = (1+z)^t - 1, computed independently of the recursion
     for t in [*range(1, 13), 3000]:

@@ -91,6 +91,14 @@ def test_sigma_rejects_bad_input():
         sigma(1, 0)
 
 
+def test_sigma_refuses_a_bool():
+    # True is an int, but no n1 or t; TupleSpec refuses a bool t the same way
+    with pytest.raises(ValueError, match="got True"):
+        sigma(True, 2)
+    with pytest.raises(ValueError, match="got True"):
+        sigma(1, True)
+
+
 def test_stably_parallelizable_examples():
     assert stably_parallelizable(TupleSpec((1, 1), INFINITY)).value is True
     assert stably_parallelizable(TupleSpec((1, 2), INFINITY)).value is False

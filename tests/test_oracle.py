@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lensprod.algebra import GF, GradedAbGroup, QQ, TupleSpec, ZZ
-from lensprod.cohomology import base_factor, build_ring, resolve_mode
-from lensprod import oracle as oracle_module
+from lensprod.cohomology import base_factor, build_ring, graded_groups, resolve_mode
+from lensprod import cohomology as cohomology_module, oracle as oracle_module
 from lensprod.oracle import (
     DEFAULT_CAP,
     ENTRIES_PER_CELL,
@@ -22,6 +22,7 @@ from lensprod.oracle import (
     _dense_snf,
     _homology_groups,
     boundary_factors,
+    cohomology_from_homology,
     compare_with_theory,
     homology,
     product_quotient_complex,
@@ -45,6 +46,12 @@ def test_sphere_complex_circle():
     cx = sphere_complex(0, 5)
     assert cx.ranks == (1, 1)
     assert cx.diffs[1] == (-1, 1, 0, 0, 0)
+
+
+def test_sphere_complex_refuses_a_bool_t():
+    # True is an int, but no t; TupleSpec refuses it the same way
+    with pytest.raises(ValueError, match="got True"):
+        sphere_complex(1, True)
 
 
 def test_sphere_complex_dd_zero_grid():
@@ -223,6 +230,61 @@ def test_compare_examples():
     # torsion placement: Z_3 classes sit in even degrees 2, 4 times the
     # exterior degrees
     assert rep.degrees[2][1] == (0, (3,))
+
+
+def _public_rows(cx: QuotientComplex, dom) -> tuple:
+    """The comparison's rows from the public whole-complex path, as the
+    benchmark's traced pass makes them: the normalized groups of
+    `cohomology_from_homology` and `graded_groups`, read degree by degree."""
+    spec = cx.spec
+    oracle_side = cohomology_from_homology(homology(cx, dom), spec.dim).normalized()
+    theory_side = graded_groups(build_ring(spec, dom)).normalized()
+    rows = []
+    for d in range(spec.dim + 1):
+        th = (theory_side.free_rank(d), theory_side.torsion(d))
+        orc = (oracle_side.free_rank(d), oracle_side.torsion(d))
+        rows.append((d, th, orc, th == orc))
+    return tuple(rows)
+
+
+def test_comparison_rows_match_the_public_path():
+    for spec in list(grid_specs(nmax=1)) + [TupleSpec((1,) * 5, 2), TupleSpec((1, 1), 240)]:
+        cx = product_quotient_complex(spec)
+        for dom in (ZZ, GF(2), GF(3)):
+            assert compare_with_theory(spec, dom).degrees == _public_rows(cx, dom), (spec, dom)
+
+
+def test_comparison_reads_the_theory_side(monkeypatch):
+    # z (degree 2) of Z/9 for Z/3 moves the torsion of z and z x2, 2 + 5 = 7
+    real = cohomology_module.base_factor
+
+    def wrong(n1, t, mode):
+        factor = real(n1, t, mode)
+        return factor._replace(torsion={**factor.torsion, (0, 1, 0): 9})
+
+    monkeypatch.setattr(cohomology_module, "base_factor", wrong)
+    rep = compare_with_theory(TupleSpec((1, 2), 3), ZZ)
+    assert rep.mismatches() == (2, 7)
+    assert rep.degrees[7][1:3] == ((0, (9,)), (0, (3,)))
+
+
+def test_comparison_reads_the_oracle_side(monkeypatch):
+    # a factor 6 of d_2 made 12: H^2 = Z/6 turns Z/12, and both have the
+    # same rank mod 2 and mod 3
+    real = oracle_module._cached_factors
+    real.cache_clear()
+
+    def doubled(spec, cap):
+        cells, factors = real(spec, cap)
+        assert factors[2][-1] == 6
+        return cells, factors[:2] + (factors[2][:-1] + (12,),) + factors[3:]
+
+    monkeypatch.setattr(oracle_module, "_cached_factors", doubled)
+    spec = TupleSpec((1, 1), 6)
+    rep = compare_with_theory(spec, ZZ)
+    assert rep.mismatches() == (2,)
+    assert rep.degrees[2][1:3] == ((0, (6,)), (0, (12,)))
+    assert compare_with_theory(spec, GF(2)).ok and compare_with_theory(spec, GF(3)).ok
 
 
 def test_connected_closed_orientable_ends():

@@ -420,63 +420,60 @@ def binom_mod2_expand(k: int, precision: int) -> TruncPoly:
 
 def elementary_divisors(torsion) -> tuple[int, ...]:
     """Normalize a multiset of torsion orders to the divisibility chain
-    d_1 | d_2 | ... (trivial orders <= 1 are dropped)."""
-    powers: dict[int, list[int]] = {}
-    for q in torsion:
-        q = int(q)
-        if q < 0:
-            raise ValueError("torsion orders must be non-negative")
-        if q <= 1:
-            continue
-        for p in prime_factors(q):
-            powers.setdefault(p, []).append(nu_p(p, q))
-    for exps in powers.values():
-        exps.sort(reverse=True)
-    depth = max((len(v) for v in powers.values()), default=0)
-    chain = []
-    for i in range(depth):
-        d = 1
-        for p, exps in powers.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        chain.append(d)
-    # chain[0] is the largest divisor; report in increasing order d_1 | d_2 | ...
-    return tuple(reversed(chain))
+    d_1 | d_2 | ... (trivial orders 0 and 1 are dropped), with no factoring:
+    diag(a, b) has the invariant factors gcd(a, b) | lcm(a, b), and
+    exchanging each pair (i < j) for them leaves, prime by prime, the
+    exponents sorted. Sorted orders that already form a chain, such as the
+    calculator's, are returned as they are."""
+    chain = sorted(ZZ(q) for q in torsion)
+    if chain and chain[0] < 0:
+        raise ValueError("torsion orders must be non-negative")
+    chain = [q for q in chain if q > 1]
+    if any(b % a for a, b in zip(chain, chain[1:])):
+        for i in range(len(chain)):
+            for j in range(i + 1, len(chain)):
+                g = gcd(chain[i], chain[j])
+                chain[i], chain[j] = g, chain[i] // g * chain[j]
+        chain = [q for q in chain if q > 1]
+    return tuple(chain)
 
 
 class GradedAbGroup(
     NamedTuple("GradedAbGroup", [("groups", tuple[tuple[int, int, tuple[int, ...]], ...])])
 ):
-    """Finitely supported map degree -> (free rank, torsion multiset).
+    """Finitely supported map degree -> (free rank, torsion), stored in one
+    canonical form made at construction: rows (degree, free rank, elementary
+    divisors) sorted by degree, with zero rows dropped. So tuple equality and
+    hashing compare groups up to isomorphism, and oracle output and theory
+    predictions compare directly.
 
     For field coefficients the per-degree dimension is stored in the free
-    rank slot with empty torsion. Equality normalizes torsion to elementary
-    divisors first, so oracle output and theory predictions compare directly.
+    rank slot with empty torsion.
     """
 
+    __slots__ = ()
+
     def __new__(cls, groups):
-        self = super().__new__(cls, groups)
-        self._by_degree = {d: (f, t) for d, f, t in groups}
-        return self
+        rows = sorted((ZZ(d), ZZ(f), elementary_divisors(t)) for d, f, t in groups)
+        return super().__new__(cls, tuple(row for row in rows if row[1] or row[2]))
+
+    @classmethod
+    def _make(cls, iterable) -> "GradedAbGroup":
+        return cls(*iterable)  # through __new__, and so _replace too
 
     @classmethod
     def of(cls, data) -> "GradedAbGroup":
         """data: mapping degree -> (free, torsion iterable)."""
-        rows = []
-        for d, (free, tors) in sorted(data.items()):
-            tors = tuple(sorted(int(q) for q in tors if int(q) > 1))
-            if free or tors:
-                rows.append((int(d), int(free), tors))
-        return cls(tuple(rows))
+        return cls((d, f, t) for d, (f, t) in data.items())
 
     def as_dict(self) -> dict[int, tuple[int, tuple[int, ...]]]:
-        return dict(self._by_degree)
+        return {d: (f, t) for d, f, t in self.groups}
 
     def free_rank(self, d: int) -> int:
-        return self._by_degree.get(d, (0, ()))[0]
+        return self.as_dict().get(d, (0, ()))[0]
 
     def torsion(self, d: int) -> tuple[int, ...]:
-        return self._by_degree.get(d, (0, ()))[1]
+        return self.as_dict().get(d, (0, ()))[1]
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(d for d, _, _ in self.groups)
@@ -487,22 +484,11 @@ class GradedAbGroup(
 
     def betti(self) -> tuple[int, ...]:
         """Per-degree free ranks 0..max_degree (field-coefficient view)."""
-        return tuple(self.free_rank(d) for d in range(self.max_degree + 1))
+        rows = self.as_dict()
+        return tuple(rows.get(d, (0,))[0] for d in range(self.max_degree + 1))
 
     def normalized(self) -> "GradedAbGroup":
-        return GradedAbGroup.of(
-            {d: (f, elementary_divisors(t)) for d, f, t in self.groups}
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedAbGroup):
-            return NotImplemented
-        return self.normalized().groups == other.normalized().groups
-
-    __ne__ = object.__ne__  # the inverse of __eq__, not tuple inequality
-
-    def __hash__(self):
-        return hash(self.normalized().groups)
+        return self  # already canonical
 
     def __str__(self):
         if not self.groups:
@@ -529,7 +515,7 @@ class PoincareSeries(NamedTuple):
 
     @classmethod
     def of(cls, coeffs) -> "PoincareSeries":
-        cs = [int(c) for c in coeffs]
+        cs = [ZZ(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         if any(c < 0 for c in cs):

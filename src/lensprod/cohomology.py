@@ -176,6 +176,7 @@ def base_factor(n1: int, t, mode: CoeffMode) -> BaseFactor:
     Each presentation lists its bases as exponent triples over y, z and w,
     with degrees 1, 2 and 2 n1 + 1; its letters write it as a tensor product
     of truncated polynomial algebras k[g]/(g^h)."""
+    TupleSpec((n1,), t)  # refuses n1 and t as the spec of the r = 1 space
     pres = mode.presentation
     y_squared_is_z = False
     letters: tuple = ()  # none over Z, where the cup lengths are refused
@@ -347,7 +348,7 @@ def graded_groups(ring: CohomologyRing) -> GradedAbGroup:
     data = {}
     for d, monomials in ring.basis_by_degree.items():
         orders = [ring.factor.torsion[m.base] for m in monomials]
-        data[d] = (orders.count(0), tuple(q for q in orders if q))
+        data[d] = (orders.count(0), orders)  # the group drops the 0s
     return GradedAbGroup.of(data)
 
 
@@ -451,40 +452,27 @@ def projection_pi_star(t: int, t_prime) -> ProjectionRule:
     return ProjectionRule(t, t_prime, t_prime // t)
 
 
-class ReductionMap(
-    NamedTuple(
-        "ReductionMap",
-        [("source", CohomologyRing), ("target", CohomologyRing), ("table", tuple)],
-    )
-):
+class ReductionMap(NamedTuple):
     """Mod-p reduction of the integral ring on basis monomials. It acts on
     the base factor (universal coefficients degree by degree) and fixes every
-    x_S. table is ((monomial, image-or-None), ...)."""
+    x_S: w reduces to the top base of the target's base factor, y z^{n1}
+    when p divides t, else w itself; z^a reduces to z^a, and a base the
+    target lacks (z^a when p does not divide t) reduces to zero."""
 
-    def __new__(cls, source: CohomologyRing, target: CohomologyRing, table: tuple):
-        self = super().__new__(cls, source, target, table)
-        self._map = dict(table)
-        return self
+    source: CohomologyRing
+    target: CohomologyRing
 
     def image(self, m: BasisMonomial) -> dict:
         self.source._require(m)
-        img = self._map.get(m)
-        return {} if img is None else {img: self.target.dom(1)}
+        degree = self.target.factor.degree
+        base = max(degree, key=degree.get) if m.base[2] else m.base
+        return {BasisMonomial(base, m.ext): self.target.dom(1)} if base in degree else {}
 
 
 def change_coefficients(ring: CohomologyRing, p: int) -> ReductionMap:
     if ring.mode.presentation not in (FREE, INTEGRAL):
         raise ValueError("coefficient reduction starts from the integral ring")
-    target = build_ring(ring.spec, GF(p))
-    # w reduces to the top class of the target's base factor: y z^{n1} when
-    # p divides t, else w itself; z^a reduces to z^a, which dies when p does
-    # not divide t
-    top = max(target.factor.degree, key=target.factor.degree.get)
-    table = []
-    for m in ring.basis:
-        base = top if m.base[2] else m.base
-        table.append((m, BasisMonomial(base, m.ext) if base in target.factor.degree else None))
-    return ReductionMap(ring, target, tuple(table))
+    return ReductionMap(ring, build_ring(ring.spec, GF(p)))
 
 
 # ---------------------------------------------------------------------------

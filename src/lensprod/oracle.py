@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import gcd, prod
+from math import prod
 from typing import Callable, Iterator, NamedTuple
 
 from .algebra import Coeff, GradedAbGroup, TupleSpec, ZZ, elementary_divisors
@@ -549,9 +549,7 @@ def _dense_snf(mat: list[list[int]]) -> tuple[int, ...]:
     nonzero remainder, smaller than the pivot, as the next pivot, until the
     pivot's row and column are clear; then drop both. With its column clear,
     the column steps change only the pivot's row. Then the divisibility
-    chain: diag(a, b) has the invariant factors gcd(a, b) | lcm(a, b), and
-    exchanging each pair (i < j) for them leaves, prime by prime, the
-    exponents sorted along the diagonal."""
+    chain of the diagonal, by `elementary_divisors`, behind its 1s."""
     diagonal = []
     while any(map(any, mat)):
         _, i, j = min((abs(v), i, j) for i, row in enumerate(mat) for j, v in enumerate(row) if v)
@@ -574,11 +572,8 @@ def _dense_snf(mat: list[list[int]]) -> tuple[int, ...]:
         del mat[i]
         for row in mat:
             del row[j]
-    for i in range(len(diagonal)):
-        for j in range(i + 1, len(diagonal)):
-            g = gcd(diagonal[i], diagonal[j])
-            diagonal[i], diagonal[j] = g, diagonal[i] // g * diagonal[j]
-    return tuple(diagonal)
+    chain = elementary_divisors(diagonal)  # it drops the 1s
+    return (1,) * (len(diagonal) - len(chain)) + chain
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +721,7 @@ def compare_with_theory(spec: TupleSpec, dom: Coeff = ZZ, cap: int = DEFAULT_CAP
         free, tors = homology[d]
         orders = [ring.factor.torsion[m.base] for m in ring.basis_by_degree.get(d, ())]
         th = (orders.count(0), elementary_divisors(orders) if any(orders) else ())  # it drops the 0s
-        orc = (free, elementary_divisors(below) if below else ())
+        orc = (free, below)  # a boundary's factors already form a chain
         rows.append((d, th, orc, th == orc))
         below = tors
     return ComparisonReport(spec, dom, all(row[3] for row in rows), tuple(rows))

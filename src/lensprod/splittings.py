@@ -162,6 +162,7 @@ def stunted_cohomology(t, top: int, bottom: int, dom: Coeff) -> GradedAbGroup:
     skeleton, with the bottom cell's attachment killed by the collapse."""
     if bottom < -1 or bottom >= top:
         raise ValueError(f"need -1 <= bottom < top, got ({bottom}, {top})")
+    TupleSpec((top,), t)  # refuses t and top as the spec of CP_(top)(t)
     data: dict[int, tuple[int, tuple[int, ...]]] = {}
     if t == INFINITY:
         for d in range(max(2 * bottom + 2, 2), 2 * top + 1, 2):

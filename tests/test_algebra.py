@@ -3,6 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lensprod.algebra import (
     GF,
@@ -214,6 +215,78 @@ def test_graded_group_normalized_comparison():
     b = GradedAbGroup.of({2: (0, (6,)), 5: (1, ())})
     assert a == b and not a != b
     assert a != GradedAbGroup.of({2: (0, (4,)), 5: (1, ())})
+
+
+def _prime_power_divisors(torsion):
+    """Reference normal form by prime powers: split each order q > 1 into
+    p^nu_p(q), sort each prime's exponents, and multiply them back up
+    column by column."""
+    powers = {}
+    for q in torsion:
+        if q > 1:
+            for p in prime_factors(q):
+                powers.setdefault(p, []).append(nu_p(p, q))
+    for exps in powers.values():
+        exps.sort(reverse=True)
+    depth = max((len(v) for v in powers.values()), default=0)
+    chain = []
+    for i in range(depth):
+        d = 1
+        for p, exps in powers.items():
+            if i < len(exps):
+                d *= p ** exps[i]
+        chain.append(d)
+    return tuple(reversed(chain))
+
+
+# products of a few small prime powers, so that orders share primes and
+# repeat, mixed with the trivial orders 0 and 1
+_ORDERS = st.one_of(
+    st.sampled_from((0, 1)),
+    st.builds(
+        lambda e2, e3, e5, e7: 2**e2 * 3**e3 * 5**e5 * 7**e7,
+        st.integers(0, 4), st.integers(0, 3), st.integers(0, 2), st.integers(0, 1),
+    ),
+)
+
+
+@given(st.lists(_ORDERS, max_size=12))
+def test_elementary_divisors_match_prime_power_reference(torsion):
+    chain = elementary_divisors(torsion)
+    assert chain == _prime_power_divisors(torsion), torsion
+    assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
+    assert elementary_divisors(chain) == chain
+    assert elementary_divisors(reversed(torsion)) == chain
+
+
+def test_elementary_divisors_need_no_factoring():
+    big = 2**89 - 1  # a prime at or above PRIMALITY_BOUND
+    assert elementary_divisors([big, big, 1, 0]) == (big, big)
+    assert elementary_divisors([2 * big, 3]) == (6 * big,)
+    assert elementary_divisors([4 * big, 6 * big]) == (2 * big, 12 * big)
+
+
+def test_graded_group_is_stored_in_canonical_form():
+    a = GradedAbGroup.of({5: (1, ()), 2: (0, (2, 3)), 3: (0, (1, 0))})
+    b = GradedAbGroup.of({2: (0, (6,)), 5: (1, ())})
+    assert tuple(a) == tuple(b) == (((2, 0, (6,)), (5, 1, ())),)
+    assert a.normalized() is a
+    assert not hasattr(a, "__dict__")
+    assert GradedAbGroup._make([((2, 0, (2, 3)), (5, 1, ()))]) == b
+    assert b._replace(groups=((2, 0, (3, 2)), (5, 1, ()))) == b
+
+
+def test_value_constructors_refuse_floats_that_are_not_whole():
+    for make, message in (
+        (lambda: PoincareSeries.of([1.9, 2]), "1.9 is not a whole number"),
+        (lambda: GradedAbGroup.of({1: (0, (2.7,))}), "2.7 is not a whole number"),
+        (lambda: GradedAbGroup.of({1.5: (1, ())}), "1.5 is not a whole number"),
+        (lambda: elementary_divisors([2.5, 4]), "2.5 is not a whole number"),
+        (lambda: elementary_divisors([4, -2]), "torsion orders must be non-negative"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+    assert PoincareSeries.of([1.0, 2]).coeffs == (1, 2)
 
 
 def test_poincare_series():

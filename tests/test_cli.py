@@ -420,6 +420,21 @@ def test_text_output_of_the_corpus_is_pinned():
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, sha256), (line, err)
 
 
+# sha256 of `ring --coeff Z --json`, recorded before graded groups stored
+# their torsion as elementary divisors
+INTEGRAL_RING_DIGESTS = (
+    ("1,1,2", "6", "89082f49c74634c915969c4d92b898bbf136c2e7f2694bbc0e4483c883716d29"),
+    ("2,2,2", "4", "5a52ad42be19e711e6ccc9a1bac033ba4c2a1dee17ea995ef709886c2d2503b1"),
+    (",".join(["1"] * 14), "6", "4d12fd8e22ec06c7fb25560f2e51ebcf2ce48fbe374d8a58c4deb9437b7c0043"),
+)
+
+
+def test_integral_ring_output_is_pinned():
+    for n, t, sha256 in INTEGRAL_RING_DIGESTS:
+        code, out, err = go(["--n", n, "--t", t, "ring", "--coeff", "Z", "--json"])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, sha256), (n, t, err)
+
+
 def test_only_wedge_verifies_the_wedge(monkeypatch):
     from lensprod import splittings
 

@@ -1,3 +1,5 @@
+import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,10 +15,12 @@ from lensprod.algebra import (
 )
 from lensprod.cohomology import (
     BasisMonomial,
+    CoeffMode,
     FREE,
     INTEGRAL,
     PRIMARY,
     UNIT,
+    base_factor,
     build_ring,
     change_coefficients,
     cup_length,
@@ -458,6 +462,41 @@ def test_change_coefficients_examples():
     # t=inf, p=5: rank preserving
     rmap = change_coefficients(build_ring(TupleSpec((2,), INFINITY), ZZ), 5)
     assert rmap.image(mono((0, 2, 0))) == {mono((0, 2, 0)): 1}
+
+
+def test_reduction_map_keeps_no_state_beyond_its_fields():
+    rmap = change_coefficients(build_ring(TupleSpec((1, 1), 2), ZZ), 2)
+    assert rmap._fields == ("source", "target")
+    assert not hasattr(rmap, "__dict__")
+    # w reduces to the top base of the target, y z
+    assert rmap.image(mono((0, 0, 1), (2,))) == {mono((1, 1, 0), (2,)): 1}
+
+
+def test_base_factor_refuses_what_a_spec_refuses():
+    for make, message in (
+        (lambda: base_factor(-1, 2, CoeffMode(GF(2), PRIMARY, 1)), "entries must be non-negative, got (-1,)"),
+        (lambda: base_factor(1, -2, CoeffMode(QQ, UNIT)), "t must be a positive integer or INFINITY, got -2"),
+        (lambda: base_factor(1, 0, CoeffMode(ZZ, INTEGRAL)), "t must be a positive integer or INFINITY, got 0"),
+        (lambda: base_factor(1.5, 2, CoeffMode(ZZ, INTEGRAL)), "1.5 is not a whole number"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+
+
+def test_graded_groups_compare_and_hash_without_factoring():
+    # 2^89 - 1 is a prime at or above PRIMALITY_BOUND, which is_prime refuses
+    g = graded_groups(build_ring(TupleSpec((1,), 2**89 - 1), ZZ))
+    assert g == g and not g != g
+    assert hash(g) == hash(GradedAbGroup.of({0: (1, ()), 2: (0, (2**89 - 1,)), 3: (1, ())}))
+
+
+def test_graded_groups_over_the_grid_are_unchanged():
+    # sha256 of the repr of every integral grid ring's rows, recorded when the
+    # groups were still built from the monomials' torsion orders unnormalized
+    rows = [graded_groups(build_ring(spec, ZZ)).groups for spec in full_grid_specs()]
+    assert len(rows) == 114
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "eea668d76e494a38fa50e70fc14d20953a97938bd0fa992cf0f4749617973461"
 
 
 def test_change_coefficients_is_multiplicative():

@@ -1,5 +1,6 @@
 import cmath
 import random
+import re
 from math import comb
 
 import pytest
@@ -236,6 +237,12 @@ def test_stunted_rejects_malformed_range():
         stunted_cohomology(2, 2, 2, ZZ)
     with pytest.raises(ValueError):
         stunted_cohomology(2, 2, -2, ZZ)
+
+
+def test_stunted_refuses_t_as_a_spec_does():
+    for t, dom in ((2.5, ZZ), (0, GF(2)), (-3, QQ), (True, ZZ)):
+        with pytest.raises(ValueError, match=re.escape(f"t must be a positive integer or INFINITY, got {t}")):
+            stunted_cohomology(t, 3, 0, dom)
 
 
 def test_verify_wedge_worked_example():

@@ -23,6 +23,7 @@ from .cohomology import (
     poincare_polynomial,
     zero_divisor_cup_length,
 )
+from .steenrod import is_orientable, is_spin
 
 __all__ = [
     "TriState",
@@ -425,8 +426,6 @@ def invariant_report(
 ) -> InvariantReport:
     """Every invariant of spec, each evaluated once and handed on to the
     ones that read it."""
-    from .steenrod import is_orientable, is_spin
-
     chi = euler_char(spec)
     # kervaire_semichar's value, without its even-dimension warning
     chi_star = Fraction(chi, 2) if spec.dim % 2 == 0 else _odd_semichar(spec)

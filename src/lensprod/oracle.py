@@ -11,40 +11,34 @@ coefficients, one (free, torsion) row per degree, and matches each row
 against the predicted ring's basis in that degree.
 
 Boundaries are stored column-major, one {row: value} map per cell, and the
-SNF reduces those columns in place. Z_t^(r-1) acts on the quotient by
-translating the twists, and the boundary commutes with that action, so each
-cell tuple's boundary is worked out once, at twist 0, as a template, and
-moved to the other twists. The exact d o d = 0 check rests on the same
-symmetry: d o d = 0 on the twist-0 columns, with every column the twist-0
-one moved, gives d o d = 0 on every column (see `_quotient`). The SNF
-is a sparse unit-pivot elimination (Dumas-Saunders-Villard, "On efficient
-sparse integer matrix Smith normal forms", JSC 2001) in passes over the
-columns, shortest first (see `_snf_factors`), then a dense SNF of the small
-residual: a diagonal by least-remainder pivots, then gcd/lcm exchanges (see
-`_dense_snf`). The boundaries are reduced in order, each with compression
-(Bauer-Kerber-Reininghaus, "Clear and Compress", 2014): the rows of d_{d+1}
-at the unit-pivot columns of d_d are left out, exact over Z since d o d = 0
-is checked before.
+SNF reduces those columns in place. The SNF is a sparse unit-pivot
+elimination (Dumas-Saunders-Villard, "On efficient sparse integer matrix
+Smith normal forms", JSC 2001) in passes over the columns, shortest first
+(see `_snf_factors`), then a dense SNF of the small residual: a diagonal by
+least-remainder pivots, then gcd/lcm exchanges (see `_dense_snf`). The
+boundaries are reduced in order, each with compression (Bauer-Kerber-
+Reininghaus, "Clear and Compress", 2014): the rows of d_{d+1} at the
+unit-pivot columns of d_d are left out, exact over Z since d o d = 0 is
+checked before.
 
-`product_quotient_complex` builds the whole quotient complex: the templates
-come from one builder, `_boundaries`, one degree per call, `_quotient` sends
-g to 1 and checks d o d on each degree before it hands it on, and `_columns`
-moves them to every twist, so every column is made from checked triples.
-The comparison (`_cached_factors`) does not build it. Before the quotient
-the product is a free Z[Z_t]-complex, and in the basis a (x) g^c b each
-boundary entry of a tensor step is one monomial alpha g^k, most of them
-units +-g^k of Z[Z_t]. So it tensors the spheres on one at a time over
-Z[Z_t] (`_tensor`), checks d o d, eliminates every unit entry
-(`_eliminate`, Gaussian elimination of chain complexes) and checks d o d
-again, which leaves a few generators: for (2,2,2;6), 12 in place of
-S_1 (x) S_2's 216. Only the last sphere is tensored on together with the
-quotient, a complex of 432 cells in place of 7,776; it goes through the
-same `_quotient`, one checked degree at a time, and is reduced as it comes,
-the rows compression drops never built. Elimination over Z[Z_t] is a
+Every complex is built by one fold: the spheres are tensored on one at a
+time over Z[Z_t] under the diagonal action (`_step`), and each step's d o d
+is checked over Z[Z_t] (`_check_step`). In the basis x (x) g^c e_j each
+boundary entry is one monomial alpha g^k, and the column at twist c is the
+c = 0 one moved by c, so a step keeps only its c = 0 columns. The
+comparison (`_cached_factors`) makes every step but the last explicit
+(`_free`), eliminates every unit entry +-g^k (`_eliminate`, Gaussian
+elimination of chain complexes) and checks d o d again, which leaves a few
+generators: for (2,2,2;6), 12 in place of S_1 (x) S_2's 216. Its last step
+goes to the quotient (g -> 1, `_sum_out`) one degree at a time and is
+reduced as it comes, the rows compression drops never built: for (2,2,2;6)
+a complex of 432 cells in place of 7,776. Elimination over Z[Z_t] is a
 homotopy equivalence that survives the later tensor steps and the quotient,
 so the small quotient's cell counts and factors give the whole one's
 homology over Z and, after (x) F_p, over every F_p; they are all the
-comparison keeps.
+comparison keeps. `product_quotient_complex` runs the same fold without the
+elimination and lists each degree in sorted label order, which gives the
+whole quotient complex.
 
 There is no oracle for t = INFINITY: the circle quotient is not a finite free
 quotient. That regime is validated elsewhere (duality, Euler characteristics,
@@ -54,11 +48,11 @@ wedge bookkeeping, the Gysin sequence of the circle bundle).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from math import prod
-from typing import Callable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from .algebra import Coeff, GradedAbGroup, TupleSpec, ZZ, elementary_divisors
+from .cohomology import CohomologyRing, resolve_mode
 
 __all__ = [
     "DEFAULT_CAP",
@@ -99,7 +93,7 @@ class EquivariantComplex(NamedTuple):
         return (1,) * (self.dim + 1)
 
     def check_dd_zero(self) -> None:
-        _check_ring(f"S^{self.dim}", _sphere_factor(self.diffs), self.t, 1)
+        _check_ring(f"S^{self.dim}", _sphere_factor(self.diffs), self.t)
 
 
 def sphere_complex(n: int, t: int) -> EquivariantComplex:
@@ -122,17 +116,13 @@ def sphere_complex(n: int, t: int) -> EquivariantComplex:
 
 class QuotientComplex(NamedTuple):
     """Integral cell complex of the quotient space. basis[d] lists the cells
-    (cells j_1..j_r, twists a_2..a_r) of degree d, sorted; boundaries[d] is
-    the boundary into degree d-1 in column-major form: boundaries[d][col] is
-    the {row: int} map of the nonzero entries of the boundary of
-    basis[d][col] (boundaries[0] is None).
-
-    With T = t^(r-1), cell (cells, h) sits at position k T + code(h), where
-    k ranks the cell tuple among those of its degree and code(h) reads the
-    twists as a base-t number, a_2 most significant. Z_t^(r-1) acts on every
-    degree by adding to the twists digit by digit mod t, and the boundary
-    commutes with that action: the column of (cells, h) is the column of
-    (cells, 0) with the twist part of each row moved by h."""
+    (cells j_1..j_r, twists a_2..a_r) of degree d, the images of
+    e_{j_1} (x) g^{a_2} e_{j_2} (x) .. (x) g^{a_r} e_{j_r}, sorted;
+    boundaries[d] is the boundary into degree d-1 in column-major form:
+    boundaries[d][col] is the {row: int} map of the nonzero entries of the
+    boundary of basis[d][col] (boundaries[0] is None). Z_t^(r-1) acts on
+    every degree by adding to the twists mod t, and the boundary commutes
+    with that action."""
 
     spec: TupleSpec
     basis: tuple
@@ -147,24 +137,6 @@ class QuotientComplex(NamedTuple):
         return len(self.basis) - 1
 
 
-class _Moves(dict):
-    """moves[x][h] is the code of the twists x + h, added digit by digit mod
-    t, for each code h < t^(r-1); a table is made when its x is first used.
-    The tables share one int object per code, so each entry costs a pointer."""
-
-    def __init__(self, t: int, r: int):
-        self.t, self.r = t, r
-        self.codes = list(range(t ** (r - 1)))
-
-    def __missing__(self, x: int) -> list:
-        t, codes = self.t, [0]
-        for k in reversed(range(self.r - 1)):  # most significant digit first
-            a = x // t**k
-            codes = [y * t + (a + b) % t for y in codes for b in range(t)]
-        self[x] = codes = [self.codes[c] for c in codes]
-        return codes
-
-
 def _check_cap(spec: TupleSpec, cap: int) -> None:
     """Refuse spec when its whole quotient complex is above the cap in cells
     or in boundary entries."""
@@ -177,23 +149,13 @@ def _check_cap(spec: TupleSpec, cap: int) -> None:
     # A column has one entry per nonzero group-ring coefficient of each
     # face's sphere boundary: 2 for lambda - 1 (none when t = 1) and t for the
     # norm element. For r >= 2 no two share a row, so this is the entry
-    # count; for r = 1 it counts the coefficients the build walks.
+    # count; for r = 1 it counts the coefficients the build sums.
     entries = sum(total // (2 * ni + 2) * ((2 * ni + 2) * (t > 1) + ni * t) for ni in spec.n)
     if entries > ENTRIES_PER_CELL * cap:
         raise MemoryCapError(
             f"quotient boundaries have {entries} entries, "
             f"above {ENTRIES_PER_CELL} times the cap {cap}"
         )
-
-
-def _product_tuples(degrees, sizes: list) -> list[list]:
-    """The cell tuples (x, j_2..j_m) of each degree, in product order: x a
-    generator of the first factor, of degree degrees[x], and j_i < sizes[i]
-    a cell of a sphere."""
-    tuples: list[list] = [[] for _ in range(max(degrees) + sum(sizes) - len(sizes) + 1)]
-    for cells in product(range(len(degrees)), *map(range, sizes)):
-        tuples[degrees[cells[0]] + sum(cells[1:])].append(cells)
-    return tuples
 
 
 def _sphere_factor(diffs: tuple) -> tuple[list, list]:
@@ -204,168 +166,157 @@ def _sphere_factor(diffs: tuple) -> tuple[list, list]:
     return list(range(len(diffs))), [[]] + cols
 
 
-def _boundaries(first: tuple, spheres: list, t: int, tuples: list) -> Callable:
-    """The boundaries of first (x) S_2 (x) .. (x) S_m over R = Z[Z_t], under
-    the diagonal action, as a function of the degree, so a caller holds only
-    the degrees it is using. first is a free R-complex (degrees, cols) in
-    the form `_sphere_factor` gives, spheres are the group-ring boundaries of
-    the other factors, and the free generators are
-    c (x) g^{a_2} e_{j_2} (x) .. (x) g^{a_m} e_{j_m}, c a generator of
-    first, with cell tuple (c, j_2, .., j_m) and twists a_i in Z_t. With
-    T = t^(m-1), the generator sits at position k T + code(a), k the rank
-    of its cell tuple among tuples[d] (see QuotientComplex).
+def _one_sphere(diffs: tuple) -> list:
+    """The quotient of one sphere (g -> 1) as the terms of a step with one
+    twist: the boundary of e_d is the sum of its group-ring coefficients
+    times e_{d-1}."""
+    return [[[]]] + [[[(0, 0, 0, sum(c))] if sum(c) else []] for c in diffs[1:]]
 
-    boundary(d) returns one template per cell tuple of degree d: the
-    {(face, x, k): coefficient} terms of its twist-0 column, the term at row
-    face + x times g^k, face = k' T the position of the face's cell tuple
-    and x < T a twist code. A term alpha g^k of the boundary of c moves every
-    twist by -k and keeps g^k; a term beta g^l of the boundary of e_{j_i}
-    moves a_i by l, carries the Koszul sign of the degrees before it, and
-    no g. The column at the twists h is the template with x moved by h."""
+
+def _step(first: tuple, diffs: tuple, t: int, key=None) -> tuple[list, list]:
+    """One tensor step: first (x) S over R = Z[Z_t] under the diagonal
+    action, first a free R-complex (degrees, cols) in the form
+    `_sphere_factor` gives and diffs the group-ring boundaries of the sphere
+    S. Returns (pairs, terms): pairs[d] lists the pairs (x, j) of a generator
+    x of first and a cell e_j of S with degrees[x] + j = d, sorted by key
+    (in product order when key is None); the generators x (x) g^c e_j of
+    the i-th pair sit at the positions i t + c of degree d, and terms[d][i]
+    is their c = 0 column.
+
+    A term (face, h, k, v) stands, in the column at twist c, for v g^k times
+    the generator at position face + (h + c) % t of degree d - 1. A term
+    alpha g^k y of the boundary of x gives alpha g^k (y (x) g^(c-k) e_j):
+    face is the position of (y, j) and h = -k. A term beta g^l of the
+    boundary of e_j gives beta x (x) g^(c+l) e_{j-1}, with the Koszul sign of
+    x's degree: face is the position of (x, j - 1), h = l and k = 0. A
+    column of first holds each (row, power) once, so no two terms of one
+    column share a (face, h)."""
     degrees, cols = first
-    r = len(spheres) + 1
-    twists = t ** (r - 1)
-    ones = sum(t**k for k in range(r - 1))
-
-    def boundary(d: int) -> list:
-        start = {cells: k * twists for k, cells in enumerate(tuples[d - 1])}
-        out: list = []
-        for cells in tuples[d]:
-            template: dict = {}
-            rest = cells[1:]
-            for c, k, coef in cols[cells[0]]:
-                key = start[(c,) + rest], -k % t * ones, k
-                template[key] = template.get(key, 0) + coef
-            degree = degrees[cells[0]]
-            for i, j in enumerate(rest, 1):
-                if j:
-                    sign = -1 if degree % 2 else 1
-                    face = start[cells[:i] + (j - 1,) + cells[i + 1 :]]
-                    for c, coef in enumerate(spheres[i - 1][j]):
-                        if coef:
-                            key = face, c * t ** (r - 1 - i), 0
-                            template[key] = template.get(key, 0) + sign * coef
-                degree += j
-            out.append(template)
-        return out
-
-    return boundary
+    pairs: list[list] = [[] for _ in range(max(degrees) + len(diffs))]
+    for x, degree in enumerate(degrees):
+        for j in range(len(diffs)):
+            pairs[degree + j].append((x, j))
+    for row in pairs:
+        row.sort(key=key)
+    face = [[0] * len(degrees) for _ in diffs]  # face[j][x]: the position of (x, j)
+    for row in pairs:
+        for i, (x, j) in enumerate(row):
+            face[j][x] = i * t
+    terms = []
+    for row in pairs:
+        out = []
+        for x, j in row:
+            at = face[j]
+            col = [(at[y], -k % t, k, v) for y, k, v in cols[x]]
+            if j:
+                sign = -1 if degrees[x] % 2 else 1
+                col += [(face[j - 1][x], l, 0, sign * b) for l, b in enumerate(diffs[j]) if b]
+            out.append(col)
+        terms.append(out)
+    return pairs, terms
 
 
-def _quotient(spec: TupleSpec, first: tuple, spheres: list, tuples: list) -> Iterator[list]:
-    """The quotient by the action (g -> 1) of the complex `_boundaries`
-    makes from first, spheres and tuples, one degree at a time, each checked
-    before it is yielded. For d = 1, 2, .. it sums d_d's templates over k:
-    for each cell tuple of degree d, one (face, moves[x], value) triple per
-    nonzero sum of its (face, x, k) terms, the twist-0 triples. It composes
-    d_{d-1} with each twist-0 column, reading the column of d_{d-1} at
-    k' T + h as degree d - 1's triples of k' moved by h, and raises unless
-    that is zero; only then does it yield d_d's triples, which `_columns`
-    moves to the other twists.
-
-    Why the twist-0 columns suffice: write s_h for the move
-    k T + x -> k T + code(x + h) of cell positions (QuotientComplex), an
-    action of Z_t^(r-1) on every degree, and D for the map whose column at
-    s_h c, c a twist-0 cell, is s_h applied to c's twist-0 column, as
-    `_columns` makes it. So D s_h c = s_h D c for each twist-0 c; every cell
-    is some s_g c, so D s_h (s_g c) = s_{h+g} D c = s_h s_g D c =
-    s_h D (s_g c): D commutes with every s_h on every cell. The check says
-    D D c = 0 for each twist-0 c; so D D (s_h c) = s_h D D c = 0, and D, the
-    map whose columns the callers make, is a chain complex."""
-    t = spec.t
-    twists = t ** len(spheres)
-    moves = _Moves(t, len(spheres) + 1)
-    boundary = _boundaries(first, spheres, t, tuples)
-    lower = [[]] * len(tuples[0])  # d_0 = 0
-    for d in range(1, len(tuples)):
-        upper = []
-        for template in boundary(d):
-            merged: dict = {}
-            for (face, x, _), v in template.items():
-                merged[face, x] = merged.get((face, x), 0) + v
-            upper.append([(face, moves[x], v) for (face, x), v in merged.items() if v])
-        for top in upper:
+def _check_step(name, terms: list, t: int, checked=None) -> None:
+    """d o d = 0 over Z[Z_t] on a step's c = 0 columns, or on those of the
+    pairs checked[d] lists for each degree d, accumulated by the key
+    row t + power of g; name is the complex's name in the error. The column
+    at twist c is the c = 0 one moved by 1 (x) g^c, which commutes with d and
+    with the action, so the c = 0 columns prove d o d on all."""
+    wrap = list(range(t)) * 2  # wrap[a] = a % t for a < 2 t
+    for d in range(2, len(terms)):
+        lower = terms[d - 1]
+        for i in range(len(terms[d])) if checked is None else checked[d]:
             acc: dict = {}
-            for mid, tr, v in top:  # an entry at the twist-0 cell mid moved by h
-                h = tr[0]
-                for face, tr2, w in lower[mid // twists]:
-                    row = face + tr2[h]
-                    acc[row] = acc.get(row, 0) + v * w
+            for face, h, k, v in terms[d][i]:
+                for face2, h2, k2, w in lower[face // t]:
+                    key = (face2 + wrap[h + h2]) * t + wrap[k + k2]
+                    acc[key] = acc.get(key, 0) + v * w
             if any(acc.values()):
-                raise AssertionError(f"d o d != 0 at degree {d} of {spec}")
-        lower = upper  # before the yield, so degree d - 1's triples are freed
-        yield upper
+                raise AssertionError(f"d o d != 0 over Z[Z_t] at degree {d} of {name}")
 
 
-def _columns(triples: list, twists: int, cleared, nrows: int) -> list:
-    """The columns of the map D whose column k T + h is triples[k] moved by
-    the twist h, {face + moves[x][h]: value}, with the rows in `cleared` left
-    out. The rows are one int per row of the nrows, shared by the columns."""
+def _free(terms: list, t: int) -> tuple[list, list]:
+    """A step as an explicit free R-complex (degrees, cols) in the form of
+    `_sphere_factor`: the generator at position i t + c of degree d follows
+    the lower degrees' generators, and its column is the c = 0 column of the
+    i-th pair moved by c."""
+    degrees: list = []
+    cols: list = []
+    below = 0  # the position of degree d - 1's first generator
+    for d, row in enumerate(terms):
+        here = len(cols)
+        for col in row:
+            for c in range(t):
+                cols.append([(below + face + (h + c) % t, k, v) for face, h, k, v in col])
+        degrees += [d] * (len(cols) - here)
+        below = here
+    return degrees, cols
+
+
+def _sum_out(row: list, nrows: int, t: int, cleared) -> list:
+    """One degree of a step, terms[d], sent to the quotient (g -> 1): the
+    column at position i t + c is {face + (h + c) % t: v} over the terms of
+    row[i], with the rows in cleared left out. No two terms of a column share
+    a (face, h), so no two share a row. The rows are one int per row of the
+    nrows, shared by the columns."""
     rows = list(range(nrows))
+    # block[face][h + c] is the row face + (h + c) % t, face a multiple of t
+    block = [rows[face : face + t] * 2 if face % t == 0 else None for face in range(nrows)]
     return [
-        {rows[row]: v for face, tr, v in top if (row := face + tr[h]) not in cleared}
-        for top in triples
-        for h in range(twists)
+        {r: v for face, h, _, v in col if (r := block[face][h + c]) not in cleared}
+        for col in row
+        for c in range(t)
     ]
 
 
 def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> QuotientComplex:
-    """Tensor the sphere complexes over the group ring of the diagonal action;
-    the quotient basis fixes the first coordinate's group element to the
-    identity. The boundaries are the `_columns` of the triples `_quotient`
-    yields, with no rows cleared, so each degree is checked before its
-    columns are made."""
+    """The whole quotient complex, by the fold of `_cached_factors` without
+    the elimination: each step keeps the label (cells, twists) of every
+    generator and sorts each degree's pairs by it, so the last step's
+    generators are the basis in sorted order, and its degrees sent to the
+    quotient (`_sum_out`) are the boundaries. Every step is checked before
+    the next is made, and the last before any of its columns."""
     _check_cap(spec, cap)
-    spheres = [sphere_complex(ni, spec.t).diffs for ni in spec.n]
-    first = _sphere_factor(spheres[0])
-    tuples = _product_tuples(first[0], [len(diffs) for diffs in spheres[1:]])
-    twists = spec.t ** (spec.r - 1)
-    boundaries = (None,) + tuple(
-        tuple(_columns(triples, twists, (), len(tuples[d - 1]) * twists))
-        for d, triples in enumerate(_quotient(spec, first, spheres[1:], tuples), 1)
-    )
-    twist_tuples = list(product(range(spec.t), repeat=spec.r - 1))
-    basis = tuple(tuple((cells, h) for cells in row for h in twist_tuples) for row in tuples)
-    return QuotientComplex(spec, basis, boundaries)
+    t = spec.t
+    spheres = [sphere_complex(ni, t).diffs for ni in spec.n]
+    if spec.r == 1:
+        terms, twists = _one_sphere(spheres[0]), 1
+        basis = [[((d,), ())] for d in range(len(terms))]
+    else:
+        first = _sphere_factor(spheres[0])
+        labels, twists = [((j,), ()) for j in first[0]], t
+        for m, diffs in enumerate(spheres[1:], 2):
+            cells_of = [[cells + (j,) for j in range(len(diffs))] for cells, _ in labels]  # [x][j]
+            pairs, terms = _step(first, diffs, t, lambda p: (cells_of[p[0]][p[1]], labels[p[0]][1]))
+            # Checked on the pairs whose inner twists are all 0: s_h, adding h
+            # to the twists, commutes with each step's D by induction (D on
+            # (s_h x, j) is the rule applied to D' s_h x = s_h D' x, and the
+            # column at c is the c = 0 one moved), every generator is s_h z
+            # for such a pair's z at c = 0, and D D s_h z = s_h D D z = 0.
+            untwisted = [[i for i, (x, _) in enumerate(row) if not any(labels[x][1])] for row in pairs]
+            _check_step(spec, terms, t, untwisted)
+            twists_of = {twist: [twist + (c,) for c in range(t)] for _, twist in labels}
+            basis = [
+                [(cells_of[x][j], twist) for x, j in row for twist in twists_of[labels[x][1]]] for row in pairs
+            ]
+            if m < spec.r:
+                first, labels = _free(terms, t), [label for row in basis for label in row]
+    boundaries = [_sum_out(terms[d], len(basis[d - 1]), twists, ()) for d in range(1, len(terms))]
+    return QuotientComplex(spec, tuple(map(tuple, basis)), (None,) + tuple(map(tuple, boundaries)))
 
 
 # ---------------------------------------------------------------------------
 # Gaussian elimination over Z[Z_t]
 
 
-def _tensor(first: tuple, diffs: tuple, t: int) -> tuple[list, list]:
-    """first (x) S over R = Z[Z_t] under the diagonal action, as a free
-    R-complex (degrees, cols) in the form of `_sphere_factor`: the generator
-    of cell tuple k and twist c has the position k t + c after the lower
-    degrees', and its column is the twist-0 template of `_boundaries` moved
-    by 1 (x) g^c, (a, c', b) -> (a, c' + c, b)."""
-    tuples = _product_tuples(first[0], [len(diffs)])
-    boundary = _boundaries(first, [diffs], t, tuples)
-    degrees: list = []
-    cols: list = []
-    below = 0  # the position of degree d - 1's first generator
-    for d, row in enumerate(tuples):
-        here = len(cols)
-        for template in boundary(d) if d else [{}] * len(row):
-            for c in range(t):
-                cols.append([(below + face + (x + c) % t, k, v) for (face, x, k), v in template.items() if v])
-        degrees += [d] * (len(cols) - here)
-        below = here
-    return degrees, cols
-
-
-def _check_ring(name: str, cx: tuple, t: int, step: int) -> None:
-    """d o d = 0 over Z[Z_t] on the columns 0, step, 2 step, .. of the free
-    R-complex cx, accumulated by (row, power of g); name is the complex's
-    name in the error. A tensor step makes every column by moving its c = 0
-    template with 1 (x) g, which commutes with d and with the action, so its
-    c = 0 columns (step t) prove d o d on all, as the twist-0 ones do for
-    `_quotient`; a sphere and an eliminated complex are checked whole
-    (step 1)."""
+def _check_ring(name: str, cx: tuple, t: int) -> None:
+    """d o d = 0 over Z[Z_t] on every column of the free R-complex cx,
+    accumulated by (row, power of g); name is the complex's name in the
+    error. Checks a sphere and an eliminated complex whole."""
     degrees, cols = cx
-    for x in range(0, len(cols), step):
+    for x, col in enumerate(cols):
         acc: dict = {}
-        for mid, k, v in cols[x]:
+        for mid, k, v in col:
             for row, k2, w in cols[mid]:
                 key = row, (k + k2) % t
                 acc[key] = acc.get(key, 0) + v * w
@@ -675,33 +626,34 @@ _FACTORS_CACHE_SIZE = 128
 def _cached_factors(spec: TupleSpec, cap: int) -> tuple[tuple[int, ...], tuple]:
     """Cell counts and boundary invariant factors of a quotient complex with
     the homology of spec's, over Z and so over every F_p, after refusing spec
-    as `product_quotient_complex` would. The first sphere is a free
-    Z[Z_t]-complex; each further sphere but the last is tensored on
-    (`_tensor`), d o d is checked on the c = 0 columns (`_check_ring`), every
-    unit entry is eliminated (`_eliminate`) and the result is checked whole.
-    The last sphere is tensored on and the quotient taken by `_quotient`, one
-    checked degree at a time; d_d's columns are made from its triples
-    (`_columns`) with the rows that d_{d-1}'s sweep took as pivots left out,
-    and reduced in place. For r <= 2 nothing is eliminated, and the result is
-    the whole quotient complex's."""
+    as `product_quotient_complex` would. The fold: each sphere but the last
+    is tensored on (`_step`), checked over Z[Z_t] (`_check_step`), made
+    explicit (`_free`), stripped of every unit entry (`_eliminate`) and
+    checked whole (`_check_ring`). The last is tensored on and checked; then
+    each degree goes to the quotient (`_sum_out`) with the rows that
+    d_{d-1}'s sweep took as pivots left out, and is reduced in place. For
+    r <= 2 nothing is eliminated, and the result is the whole quotient
+    complex's."""
     _check_cap(spec, cap)
     t = spec.t
     built = {ni: sphere_complex(ni, t).diffs for ni in set(spec.n)}  # each distinct sphere once
     spheres = [built[ni] for ni in spec.n]
-    first = _sphere_factor(spheres[0])
-    for diffs in spheres[1:-1]:
-        cx = _tensor(first, diffs, t)
-        _check_ring(spec, cx, t, t)
-        first = _eliminate(cx, t)
-        _check_ring(spec, first, t, 1)
-    last = spheres[1:][-1:]
-    tuples = _product_tuples(first[0], [len(diffs) for diffs in last])
-    twists = t ** len(last)
-    out, pivots = [()], ()
-    for d, triples in enumerate(_quotient(spec, first, last, tuples), 1):
-        factors, pivots = _snf_factors(_columns(triples, twists, pivots, len(tuples[d - 1]) * twists))
+    if spec.r == 1:
+        terms, twists = _one_sphere(spheres[0]), 1
+    else:
+        first = _sphere_factor(spheres[0])
+        for diffs in spheres[1:-1]:
+            terms = _step(first, diffs, t)[1]
+            _check_step(spec, terms, t)
+            first = _eliminate(_free(terms, t), t)
+            _check_ring(spec, first, t)
+        terms, twists = _step(first, spheres[-1], t)[1], t
+        _check_step(spec, terms, t)
+    out, cleared = [()], ()
+    for d in range(1, len(terms)):
+        factors, cleared = _snf_factors(_sum_out(terms[d], len(terms[d - 1]) * twists, twists, cleared))
         out.append(factors)
-    return tuple(len(row) * twists for row in tuples), tuple(out)
+    return tuple(len(row) * twists for row in terms), tuple(out)
 
 
 def compare_with_theory(spec: TupleSpec, dom: Coeff = ZZ, cap: int = DEFAULT_CAP) -> ComparisonReport:
@@ -712,8 +664,6 @@ def compare_with_theory(spec: TupleSpec, dom: Coeff = ZZ, cap: int = DEFAULT_CAP
     H_{d-1} (none over a field); the theory's counts the degree-d monomials
     of a freshly built ring by their torsion orders. Only the factors are
     cached, as a pass over the grid compares each (spec, coefficient) once."""
-    from .cohomology import CohomologyRing, resolve_mode
-
     homology = _homology_rows(*_cached_factors(spec, cap), dom)
     ring = CohomologyRing(spec, resolve_mode(spec, dom))
     rows, below = [], ()  # below: the torsion of H_{d-1}

@@ -276,6 +276,12 @@ def test_graded_group_is_stored_in_canonical_form():
     assert b._replace(groups=((2, 0, (3, 2)), (5, 1, ()))) == b
 
 
+def test_graded_group_prints_each_degree():
+    g = GradedAbGroup.of({0: (1, ()), 2: (0, (3,)), 3: (2, (2, 4))})
+    assert str(g) == "0: Z; 2: Z/3; 3: Z^2 + Z/2 + Z/4"
+    assert str(GradedAbGroup.of({})) == "0"
+
+
 def test_value_constructors_refuse_floats_that_are_not_whole():
     for make, message in (
         (lambda: PoincareSeries.of([1.9, 2]), "1.9 is not a whole number"),
@@ -295,6 +301,8 @@ def test_poincare_series():
     assert (p * q).coeffs == (1, 0, 1, 1, 0, 1)
     assert (p * q).is_palindromic()
     assert str(p) == "1 + s^2"
+    assert str(PoincareSeries.of([1, 1]) + PoincareSeries.of([0, 0, 1])) == "1 + s + s^2"
+    assert PoincareSeries.of([]) + PoincareSeries.of([]) == PoincareSeries.of([])
 
 
 def test_tuple_spec_derived_quantities():

@@ -75,6 +75,19 @@ def test_repeated_valued_flag_exits_2():
     assert go(["--n", "1", "--t", "2", "ring", "--json", "--json"])[0] == 0
 
 
+def test_usage_errors_name_the_flag():
+    for args, message in (
+        (["--n", "1", "--t", "3", "ring", "--coeff", "G"], "--coeff must be Z, Q, F2 or F:<p>, got 'G'"),
+        (["--n", "1", "ring"], "--n needs --t"),
+        (["tseries"], "tseries needs --t"),
+        (["--n", "1", "--t", "3", "invariants", "--tc-override", "2"], "--tc-override expects lo,hi"),
+        (["--t", "3", "tseries", "--law", "x"], "--law must be additive or multiplicative"),
+        (["--n", "1", "--t", "2", "wedge", "--k", "-1"], "--k must be non-negative"),
+        (["--n", "1", "--t", "3", "oracle", "--cap", "0"], "--cap must be positive"),
+    ):
+        assert go(args) == (2, "", f"error: {message}\n"), args
+
+
 def test_unsupported_combinations_exit_3():
     for args in (
         ["--n", "1", "--t", "inf", "steenrod", "--coeff", "Q"],

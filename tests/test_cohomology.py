@@ -78,6 +78,7 @@ def test_build_ring_lens3_integral():
     assert graded_groups(ring) == GradedAbGroup.of(
         {0: (1, ()), 2: (0, (3,)), 3: (1, ())}
     )
+    assert str(ring) == "H*(CP_(1,)(3); Z)"
 
 
 def test_build_ring_poincare_examples():

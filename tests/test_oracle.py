@@ -424,93 +424,89 @@ def test_dd_check_trips_on_a_negated_entry_at_a_nonzero_twist():
         _assert_dd_zero(broken.boundaries)
 
 
+def _negate_a_term(terms: list, t: int, chosen=lambda d, i: True) -> int:
+    """Negate one term of some d_d, d >= 2, of a step's c = 0 columns, in the
+    column of a pair i that chosen(d, i) accepts, at a row whose own boundary
+    is nonzero, so that d o d over Z[Z_t] no longer vanishes. Returns d."""
+    for d in range(2, len(terms)):
+        for i, col in enumerate(terms[d]):
+            for m, (face, h, k, v) in enumerate(col):
+                if chosen(d, i) and terms[d - 1][face // t]:
+                    col[m] = (face, h, k, -v)
+                    return d
+    raise AssertionError("no term to corrupt")
+
+
 @pytest.mark.parametrize("n", [(1, 1), (1, 1, 1)], ids=["r2", "r3"])
 def test_build_refuses_a_non_complex_before_making_its_columns(monkeypatch, n):
-    # Negate one twist-0 term of d_d, d >= 2, at a row whose own boundary is
-    # nonzero. For r >= 2 no two terms of a template share a (face, x), so it
-    # is one term of the quotient too. The build must refuse at degree d
-    # with the columns of the degrees below made and none of degree d.
+    # Corrupt the last step in the column of a pair whose inner twists are
+    # all 0: the whole complex checks its steps on those pairs only. It and
+    # the comparison's factors must each refuse at the corrupted degree
+    # before any quotient column is made.
     spec = TupleSpec(n, 3)
-    twists = spec.t ** (spec.r - 1)
-    make, columns = oracle_module._boundaries, oracle_module._columns
-    corrupted, made = [], []
+    step, sum_out = oracle_module._step, oracle_module._sum_out
+    steps, corrupted, made = [], [], []
 
-    def corrupting(first, spheres, t, tuples):
-        boundary = make(first, spheres, t, tuples)
+    def corrupting(first, diffs, t, key=None):
+        pairs, terms = step(first, diffs, t, key)
+        steps.append(diffs)
+        if len(steps) == spec.r - 1:
+            degrees = first[0]
 
-        def corrupted_boundary(d):
-            templates = boundary(d)
-            if d >= 2 and not corrupted:
-                template, key = next(
-                    (template, key)
-                    for template in templates
-                    for key in template
-                    if boundary(d - 1)[key[0] // twists]  # face = k' T
-                )
-                template[key] = -template[key]
-                corrupted.append(d)
-            return templates
+            # x's offset in its degree is its twist in the whole complex's
+            # steps, for r <= 3; the comparison checks every pair anyway
+            def untwisted(d, i):
+                x = pairs[d][i][0]
+                return (x - degrees.index(degrees[x])) % t == 0
 
-        return corrupted_boundary
+            corrupted.append(_negate_a_term(terms, t, untwisted))
+        return pairs, terms
 
-    def recorded_columns(*args):
+    def recorded_sum_out(*args):
         made.append(args)
-        return columns(*args)
+        return sum_out(*args)
 
-    monkeypatch.setattr(oracle_module, "_boundaries", corrupting)
-    monkeypatch.setattr(oracle_module, "_columns", recorded_columns)
-    with pytest.raises(AssertionError) as raised:
-        product_quotient_complex(spec)
-    assert corrupted, "no entry to corrupt"
-    assert f"d o d != 0 at degree {corrupted[0]} of" in str(raised.value)
-    assert len(made) == corrupted[0] - 1
+    monkeypatch.setattr(oracle_module, "_step", corrupting)
+    monkeypatch.setattr(oracle_module, "_sum_out", recorded_sum_out)
+    for build in (product_quotient_complex, lambda spec: _cached_factors.__wrapped__(spec, DEFAULT_CAP)):
+        steps.clear()
+        corrupted.clear()
+        with pytest.raises(AssertionError) as raised:
+            build(spec)
+        assert f"d o d != 0 over Z[Z_t] at degree {corrupted[0]} of" in str(raised.value)
+        assert len(steps) == spec.r - 1 and not made
 
 
 @pytest.mark.parametrize("where", ["stored-twist-0", "stored-twisted", "full-twist-0"])
 def test_stream_checks_each_degree_before_its_snf(monkeypatch, where):
-    # [full-twist-0]: (1,1,1;3) runs one Z[Z_t] tensor step. Negate one c = 0
-    # template term of its d_d, d >= 2, at a row whose own boundary is
-    # nonzero, so d o d over Z[Z_t] sees it: the factors must refuse at
-    # degree d before that step is eliminated, and reduce nothing.
+    # [full-twist-0]: (1,1,1;3) runs one Z[Z_t] tensor step before the last.
+    # Corrupt it: the factors must refuse at the corrupted degree before that
+    # step is made explicit or eliminated, and reduce nothing.
     # [stored-*]: for (1,1;3) the last step is the whole quotient complex; the
     # columns the reduction receives are its boundaries with the cleared rows
-    # dropped, at twist 0 or at the nonzero twists, and are reduced uncopied
+    # dropped, at twist 0 or at the nonzero twists, and are the very lists
+    # `_sum_out` made, reduced uncopied
     spec = TupleSpec((1, 1, 1) if where == "full-twist-0" else (1, 1), 3)
-    if where != "full-twist-0":  # before the wrappers, which would record its reduction
+    if where != "full-twist-0":  # before the wrappers, which would record its columns
         cx = product_quotient_complex(spec)
         expected = (cx.ranks, boundary_factors(cx))
-    make, columns = oracle_module._boundaries, oracle_module._columns
+    step, sum_out, free = oracle_module._step, oracle_module._sum_out, oracle_module._free
     snf, eliminate = oracle_module._snf_factors, oracle_module._eliminate
-    calls, made, reduced, corrupted, eliminated = [], [], [], [], []
+    steps, made, reduced, corrupted, freed, eliminated = [], [], [], [], [], []
 
-    def corrupting(first, spheres, t, tuples):
-        boundary = make(first, spheres, t, tuples)
-        calls.append(len(spheres))
-        if len(calls) > 1:  # only the first tensor step, over Z[Z_t]
-            return boundary
+    def corrupting(first, diffs, t, key=None):
+        pairs, terms = step(first, diffs, t, key)
+        steps.append(diffs)
+        if len(steps) == 1:
+            corrupted.append(_negate_a_term(terms, t))
+        return pairs, terms
 
-        def corrupted_boundary(d):
-            templates = boundary(d)
-            if d >= 2 and not corrupted:
-                template, key = next(
-                    (template, key)
-                    for template in templates
-                    for key in template
-                    if boundary(d - 1)[key[0] // t]  # face = k' t, one cell tuple's t twists
-                )
-                template[key] = -template[key]
-                corrupted.append(d)
-            return templates
+    def recorded(calls, function):
+        def record(*args):
+            calls.append(function(*args))
+            return calls[-1]
 
-        return corrupted_boundary
-
-    def recorded_eliminate(*args):
-        eliminated.append(args)
-        return eliminate(*args)
-
-    def recorded_columns(*args):
-        made.append(columns(*args))
-        return made[-1]
+        return record
 
     def recorded_snf(cols):
         received = [dict(col) for col in cols]
@@ -518,25 +514,24 @@ def test_stream_checks_each_degree_before_its_snf(monkeypatch, where):
         reduced.append((cols, received, pivots))
         return factors, pivots
 
-    monkeypatch.setattr(oracle_module, "_eliminate", recorded_eliminate)
-    monkeypatch.setattr(oracle_module, "_columns", recorded_columns)
+    monkeypatch.setattr(oracle_module, "_free", recorded(freed, free))
+    monkeypatch.setattr(oracle_module, "_eliminate", recorded(eliminated, eliminate))
+    monkeypatch.setattr(oracle_module, "_sum_out", recorded(made, sum_out))
     monkeypatch.setattr(oracle_module, "_snf_factors", recorded_snf)
     if where == "full-twist-0":
-        monkeypatch.setattr(oracle_module, "_boundaries", corrupting)
+        monkeypatch.setattr(oracle_module, "_step", corrupting)
         with pytest.raises(AssertionError) as raised:
             _cached_factors.__wrapped__(spec, DEFAULT_CAP)
-        assert corrupted, "no entry to corrupt"
-        assert f"degree {corrupted[0]} of" in str(raised.value)
-        assert calls == [1] and not eliminated and not made
+        assert f"d o d != 0 over Z[Z_t] at degree {corrupted[0]} of" in str(raised.value)
+        assert len(steps) == 1 and not freed and not eliminated and not made and not reduced
     else:
-        twists = spec.t ** (spec.r - 1)
         assert _cached_factors.__wrapped__(spec, DEFAULT_CAP) == expected
-        assert len(reduced) == cx.dim and not eliminated
+        assert len(reduced) == cx.dim and not freed and not eliminated
         cleared, dropped = set(), 0
         for d, (_, received, pivots) in enumerate(reduced, start=1):
             kept = [{i: v for i, v in col.items() if i not in cleared} for col in cx.boundaries[d]]
             assert len(received) == len(kept)
-            at = [j for j in range(len(kept)) if (j % twists == 0) == (where == "stored-twist-0")]
+            at = [j for j in range(len(kept)) if (j % spec.t == 0) == (where == "stored-twist-0")]
             assert [received[j] for j in at] == [kept[j] for j in at]
             dropped += sum(len(cx.boundaries[d][j]) - len(kept[j]) for j in at)
             cleared = pivots
@@ -660,8 +655,8 @@ def test_in_place_factors_match_the_copying_path(spec):
 
 
 def _reference_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> QuotientComplex:
-    """The tuple-indexed builder the twist templates replaced: every entry is
-    found by building its row's (cells, twists) tuple and looking it up."""
+    """A tuple-indexed builder, independent of the tensor steps: every entry
+    is found by building its row's (cells, twists) tuple and looking it up."""
     t, r = spec.t, spec.r
     total = t ** (r - 1)
     for ni in spec.n:
@@ -712,7 +707,8 @@ def _reference_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> QuotientCompl
 
 def _assert_dd_zero(boundaries) -> None:
     """d o d = 0 composed column by column over every column, independent of
-    the twist action that the build's check (`_quotient`) relies on."""
+    the twist action that the build's check (`_check_step` on the pairs whose
+    inner twists are all 0) relies on."""
     for d in range(2, len(boundaries)):
         for col in boundaries[d]:
             acc: dict = {}

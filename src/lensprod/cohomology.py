@@ -31,12 +31,16 @@ of truncated polynomial algebras k[g]/(g^h), its letters, so the cup length
 and the zero-divisor cup length of a ring are closed-form sums over the
 letters, plus 1 for each x_i.
 
-Rings are immutable after construction and all queries are pure.
+A ring counts its monomials by a product formula and lists them only on
+demand; rings are cheap to build, so none is cached. All queries are pure.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from itertools import combinations, groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import (
@@ -161,15 +165,10 @@ class BaseFactor(NamedTuple):
         return base if base in self.degree else None
 
 
-# Bounded so a long-running process keeps bounded memory. build_ring serves
-# the CLI and the calculator (the oracle's comparison builds its ring and
-# keeps none); both sizes are above the acceptance grid's working set, 95
-# specs over Z, F2 and F3: 285 rings on 45 base factors.
-_FACTOR_CACHE_SIZE = 128
-_RING_CACHE_SIZE = 512
-
-
-@lru_cache(maxsize=_FACTOR_CACHE_SIZE)
+# Bounded so a long-running process keeps bounded memory, and above the
+# acceptance grid's working set: 95 specs over Z, F2 and F3 use 45 base
+# factors.
+@lru_cache(maxsize=128)
 def base_factor(n1: int, t, mode: CoeffMode) -> BaseFactor:
     """The base factor, the one place that reads the presentation.
 
@@ -226,23 +225,8 @@ class CohomologyRing:
     def __init__(self, spec: TupleSpec, mode: CoeffMode):
         self.spec = spec
         self.mode = mode
-        self.dom = mode.dom
         self.factor = base_factor(spec.n[0], spec.t, mode)
         exterior = range(2, spec.r + 1)
-
-        # by (degree, -b): w-based monomials first in a tied degree, the order the outputs keep
-        ext_degree = {ext: sum(2 * spec.n[i - 1] + 1 for i in ext) for ext in _subsets(exterior)}
-        keyed = sorted(
-            (d + e, -base[2], BasisMonomial(base, ext))
-            for ext, e in ext_degree.items()
-            for base, d in self.factor.degree.items()
-        )
-        self.basis: tuple = tuple(m for _, _, m in keyed)
-        self._basis_set = frozenset(self.basis)
-        by_degree: dict[int, list] = {}
-        for d, _, m in keyed:
-            by_degree.setdefault(d, []).append(m)
-        self.basis_by_degree = {d: tuple(v) for d, v in by_degree.items()}
         self.relations = self.factor.relations + tuple(f"x{i}^2 = 0" for i in exterior)
         self.generators = tuple(
             (str(BasisMonomial(g)), self.factor.degree[g]) for g in self.factor.generators
@@ -250,24 +234,48 @@ class CohomologyRing:
 
     # -- structure ----------------------------------------------------------
 
-    def _degree_raw(self, m: BasisMonomial) -> int:
-        return self.factor.degree[m.base] + sum(2 * self.spec.n[i - 1] + 1 for i in m.ext)
+    dom = property(lambda self: self.mode.dom)
+    is_field = property(lambda self: self.dom.is_field)
+    unit = property(lambda self: BasisMonomial(_UNIT_BASE))
+
+    def counts(self) -> dict:
+        """degree -> {torsion order (0 if free): multiplicity}: the base
+        factor's bases convolved with prod_{i >= 2} (1 + s^(2 n_i + 1))."""
+        ext = Counter({0: 1})
+        for ni in self.spec.n[1:]:
+            ext.update({e + 2 * ni + 1: c for e, c in ext.items()})
+        out: dict = {}
+        for base, d in self.factor.degree.items():
+            q = self.factor.torsion[base]
+            for e, c in ext.items():
+                row = out.setdefault(d + e, {})
+                row[q] = row.get(q, 0) + c
+        return out
+
+    @property
+    def basis_by_degree(self) -> dict:
+        """degree -> its basis monomials, listed on access, w-based ones first
+        in a tied degree: the order the outputs keep."""
+        keyed = sorted(
+            (d + sum(2 * self.spec.n[i - 1] + 1 for i in ext), -b[2], BasisMonomial(b, ext))
+            for ext in exterior_subsets(self.spec.r) for b, d in self.factor.degree.items()
+        )
+        return {d: tuple(m for _, _, m in ms) for d, ms in groupby(keyed, itemgetter(0))}
+
+    @property
+    def basis(self) -> tuple:
+        return tuple(m for ms in self.basis_by_degree.values() for m in ms)
 
     def degree(self, m: BasisMonomial) -> int:
         self._require(m)
-        return self._degree_raw(m)
+        return self.factor.degree[m.base] + sum(2 * self.spec.n[i - 1] + 1 for i in m.ext)
 
     def _require(self, m: BasisMonomial) -> None:
-        if m not in self._basis_set:
+        below, r = 1, self.spec.r  # a base of the factor, and ext = (i_1 < ... < i_k) within 2..r
+        for i in m.ext:
+            below = i if below < i <= r else r + 1
+        if below > r or m.base not in self.factor.degree:
             raise ValueError(f"{m} is not a basis monomial of {self.spec} over {self.dom}")
-
-    @property
-    def is_field(self) -> bool:
-        return self.dom.is_field
-
-    @property
-    def unit(self) -> BasisMonomial:
-        return BasisMonomial(_UNIT_BASE)
 
     def torsion_order(self, m: BasisMonomial) -> int:
         """0 for a free/field summand, q >= 2 for Z/q (integral mode only)."""
@@ -325,37 +333,29 @@ class CohomologyRing:
         return f"H*({self.spec}; {self.dom})"
 
 
-def _subsets(indices) -> list:
-    out = [()]
-    for i in indices:
-        out += [s + (i,) for s in out]
-    return sorted(out)
+def exterior_subsets(r: int) -> list:
+    """The subsets S of {2..r}, each a sorted tuple, in lexicographic order."""
+    return sorted(s for k in range(r) for s in combinations(range(2, r + 1), k))
 
 
-@lru_cache(maxsize=_RING_CACHE_SIZE)
 def build_ring(spec: TupleSpec, dom: Coeff = ZZ) -> CohomologyRing:
     """The cohomology ring of the space named by spec over the given domain.
 
     Finite t paired with rational or F_p coefficients is answered by the
-    matching presentation, never rejected. The returned object is cached and
-    shared; it is immutable."""
+    matching presentation, never rejected. A ring costs O(r + |B|) to build,
+    B its base factor, and is built afresh on every call; it is immutable."""
     return CohomologyRing(spec, resolve_mode(spec, dom))
 
 
 def graded_groups(ring: CohomologyRing) -> GradedAbGroup:
-    """Per-degree group data collecting the free/torsion contributions of all
-    basis monomials (for a field: dimensions in the free slot)."""
-    data = {}
-    for d, monomials in ring.basis_by_degree.items():
-        orders = [ring.factor.torsion[m.base] for m in monomials]
-        data[d] = (orders.count(0), orders)  # the group drops the 0s
-    return GradedAbGroup.of(data)
+    """Per-degree groups from the counts (over a field: dimensions as ranks)."""
+    return GradedAbGroup.of({d: (row.pop(0, 0), Counter(row).elements()) for d, row in ring.counts().items()})
 
 
 def poincare_polynomial(ring: CohomologyRing) -> PoincareSeries:
     if not ring.is_field:
         raise ValueError("Poincare polynomial needs field coefficients")
-    return PoincareSeries.from_dict({d: len(ms) for d, ms in ring.basis_by_degree.items()})
+    return PoincareSeries.from_dict({d: sum(row.values()) for d, row in ring.counts().items()})
 
 
 def field_modes(spec: TupleSpec) -> tuple[Coeff, ...]:

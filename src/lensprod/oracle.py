@@ -8,7 +8,7 @@ mod-p homology all follow from those invariant factors: over F_p the rank of
 a boundary is the number of its factors that p does not divide (universal
 coefficients). A comparison routine reads cohomology off them by universal
 coefficients, one (free, torsion) row per degree, and matches each row
-against the predicted ring's basis in that degree.
+against the predicted ring's counts in that degree.
 
 Boundaries are stored column-major, one {row: value} map per cell, and the
 SNF reduces those columns in place. The SNF is a sparse unit-pivot
@@ -47,12 +47,13 @@ wedge bookkeeping, the Gysin sequence of the circle bundle).
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from math import prod
 from typing import NamedTuple
 
 from .algebra import Coeff, GradedAbGroup, TupleSpec, ZZ, elementary_divisors
-from .cohomology import CohomologyRing, resolve_mode
+from .cohomology import build_ring
 
 __all__ = [
     "DEFAULT_CAP",
@@ -273,9 +274,9 @@ def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> Quotien
     """The whole quotient complex, by the fold of `_cached_factors` without
     the elimination: each step keeps the label (cells, twists) of every
     generator and sorts each degree's pairs by it, so the last step's
-    generators are the basis in sorted order, and its degrees sent to the
-    quotient (`_sum_out`) are the boundaries. Every step is checked before
-    the next is made, and the last before any of its columns."""
+    generators are the basis in sorted order, and its degrees, sent to the
+    quotient (`_sum_out`) top down and each freed once used, the boundaries.
+    Every step is checked before the next, the last before any columns."""
     _check_cap(spec, cap)
     t = spec.t
     spheres = [sphere_complex(ni, t).diffs for ni in spec.n]
@@ -301,8 +302,8 @@ def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> Quotien
             ]
             if m < spec.r:
                 first, labels = _free(terms, t), [label for row in basis for label in row]
-    boundaries = [_sum_out(terms[d], len(basis[d - 1]), twists, ()) for d in range(1, len(terms))]
-    return QuotientComplex(spec, tuple(map(tuple, basis)), (None,) + tuple(map(tuple, boundaries)))
+    boundaries = [_sum_out(terms.pop(), len(basis[d - 1]), twists, ()) for d in range(len(terms) - 1, 0, -1)]
+    return QuotientComplex(spec, tuple(map(tuple, basis)), (None,) + tuple(map(tuple, reversed(boundaries))))
 
 
 # ---------------------------------------------------------------------------
@@ -649,11 +650,13 @@ def _cached_factors(spec: TupleSpec, cap: int) -> tuple[tuple[int, ...], tuple]:
             _check_ring(spec, first, t)
         terms, twists = _step(first, spheres[-1], t)[1], t
         _check_step(spec, terms, t)
+    cells = tuple(len(row) * twists for row in terms)
     out, cleared = [()], ()
     for d in range(1, len(terms)):
-        factors, cleared = _snf_factors(_sum_out(terms[d], len(terms[d - 1]) * twists, twists, cleared))
+        factors, cleared = _snf_factors(_sum_out(terms[d], cells[d - 1], twists, cleared))
+        terms[d] = None  # each degree's terms are read once
         out.append(factors)
-    return tuple(len(row) * twists for row in terms), tuple(out)
+    return cells, tuple(out)
 
 
 def compare_with_theory(spec: TupleSpec, dom: Coeff = ZZ, cap: int = DEFAULT_CAP) -> ComparisonReport:
@@ -661,16 +664,16 @@ def compare_with_theory(spec: TupleSpec, dom: Coeff = ZZ, cap: int = DEFAULT_CAP
     divisors) row per degree on each side. A mismatch signals a bug in one
     side. The oracle's row d is universal coefficients on the cached factors:
     the free rank of H_d and the non-unit factors of d_d, the torsion of
-    H_{d-1} (none over a field); the theory's counts the degree-d monomials
-    of a freshly built ring by their torsion orders. Only the factors are
+    H_{d-1} (none over a field); the theory's is a freshly built ring's
+    count of its degree-d monomials by torsion order. Only the factors are
     cached, as a pass over the grid compares each (spec, coefficient) once."""
     homology = _homology_rows(*_cached_factors(spec, cap), dom)
-    ring = CohomologyRing(spec, resolve_mode(spec, dom))
+    counts = build_ring(spec, dom).counts()
     rows, below = [], ()  # below: the torsion of H_{d-1}
     for d in range(spec.dim + 1):
         free, tors = homology[d]
-        orders = [ring.factor.torsion[m.base] for m in ring.basis_by_degree.get(d, ())]
-        th = (orders.count(0), elementary_divisors(orders) if any(orders) else ())  # it drops the 0s
+        row = counts.get(d, {})
+        th = (row.pop(0, 0), elementary_divisors(Counter(row).elements()) if row else ())
         orc = (free, below)  # a boundary's factors already form a chain
         rows.append((d, th, orc, th == orc))
         below = tors

@@ -18,7 +18,7 @@ from .algebra import (
     INFINITY,
     TupleSpec,
 )
-from .cohomology import build_ring, poincare_polynomial
+from .cohomology import build_ring, exterior_subsets, poincare_polynomial
 
 __all__ = [
     "CLIFFORD_BASE",
@@ -143,11 +143,8 @@ def wedge_decomposition(spec: TupleSpec, k: int = 0) -> tuple[WedgeSummand, ...]
     if k < 0:
         raise ValueError("bundle multiplicity must be non-negative")
     n1 = spec.n[0]
-    subsets = [()]
-    for i in range(2, spec.r + 1):
-        subsets += [s + (i,) for s in subsets]
     out = []
-    for sigma in sorted(subsets):
+    for sigma in exterior_subsets(spec.r):
         r_sigma = len(sigma) + 1
         size = n1 + sum(spec.n[i - 1] for i in sigma)
         top = size + k + r_sigma - 1

@@ -1,9 +1,15 @@
 import hashlib
 import re
+import tracemalloc
+from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lensprod import oracle
 from lensprod.algebra import (
     GF,
     GradedAbGroup,
@@ -12,6 +18,7 @@ from lensprod.algebra import (
     QQ,
     TupleSpec,
     ZZ,
+    elementary_divisors,
 )
 from lensprod.cohomology import (
     BasisMonomial,
@@ -498,6 +505,71 @@ def test_graded_groups_over_the_grid_are_unchanged():
     assert len(rows) == 114
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "eea668d76e494a38fa50e70fc14d20953a97938bd0fa992cf0f4749617973461"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.lists(st.integers(0, 3), min_size=1, max_size=5),
+    t=st.sampled_from((1, 2, 3, 4, 6, 8, 9, 12, INFINITY)),
+    dom=st.sampled_from((ZZ, GF(2), GF(3), QQ)),
+)
+def test_counts_equal_the_listing(n, t, dom):
+    # the product formula against the listed basis counted by degree and
+    # torsion order, and so every reader of the counts: the graded groups,
+    # the Poincare polynomial and the comparison's theory rows (its oracle
+    # side stubbed out, so t = inf and specs above the cap are drawn too)
+    spec = TupleSpec(tuple(sorted(n)), t)
+    ring = build_ring(spec, dom)
+    listed: dict = {}
+    for m in ring.basis:
+        listed.setdefault(ring.degree(m), []).append(ring.torsion_order(m))
+    assert ring.counts() == {d: Counter(orders) for d, orders in listed.items()}
+    assert graded_groups(ring) == GradedAbGroup.of({d: (o.count(0), o) for d, o in listed.items()})
+    if ring.is_field:
+        assert poincare_polynomial(ring) == PoincareSeries.from_dict({d: len(o) for d, o in listed.items()})
+    no_homology = defaultdict(lambda: (0, ()))
+    with mock.patch.object(oracle, "_cached_factors", lambda spec, cap: ((), ())), mock.patch.object(
+        oracle, "_homology_rows", lambda cells, factors, dom: no_homology
+    ):
+        rows = oracle.compare_with_theory(spec, dom).degrees
+    expected = [listed.get(d, []) for d in range(spec.dim + 1)]
+    assert [th for _, th, _, _ in rows] == [(o.count(0), elementary_divisors(o)) for o in expected]
+
+
+def test_require_accepts_exactly_the_listed_monomials():
+    # the shape check against the listing: every base triple up to one past
+    # the factor's (so bases the presentation lacks, such as z where t acts
+    # invertibly or w mod p | t) and every tuple of up to three indices in
+    # 0..r+1 (so index 1, index r+1, repeats and disorder)
+    for spec in (TupleSpec((1, 2, 2), 4), TupleSpec((0, 1, 1), 3), TupleSpec((2, 2), INFINITY)):
+        exts = [ext for k in range(4) for ext in product(range(spec.r + 2), repeat=k)]
+        for dom in (ZZ, GF(2), QQ):
+            ring = build_ring(spec, dom)
+            listed = set(ring.basis)
+            for base in product(range(3), range(spec.n[0] + 2), range(3)):
+                for ext in exts:
+                    m = mono(base, ext)
+                    try:
+                        ring.degree(m)
+                    except ValueError:
+                        assert m not in listed, (spec, dom, m)
+                    else:
+                        assert m in listed, (spec, dom, m)
+
+
+def test_a_ring_retains_little_memory():
+    # a ring keeps its base factor and the x_i's degrees, not its 2^16 * 4
+    # monomials (36 MB while the basis was stored)
+    spec = TupleSpec((1,) * 17, 2)
+    base_factor(1, 2, resolve_mode(spec, GF(2)))  # cached and shared by the rings
+    tracemalloc.start()
+    try:
+        ring = build_ring(spec, GF(2))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(sum(row.values()) for row in ring.counts().values()) == 2**16 * 4
+    assert retained < 1_000_000, retained
 
 
 def test_change_coefficients_is_multiplicative():

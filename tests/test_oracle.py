@@ -573,13 +573,16 @@ def test_streamed_factors_peak_below_the_whole_complex(n, t):
     # traced peak is about 0.12 and 0.02 of the complex's traced size here
     # (0.21 when the whole quotient was streamed, about 0.32 when full
     # boundaries were copied into the reduction, about 1.2 when every
-    # boundary was held)
+    # boundary was held). The whole build itself frees each degree's terms
+    # of its last step once that degree's columns are made, so it peaks at
+    # about 1.05 and 1.16 times the complex it returns (1.27 and 1.67 while
+    # every degree's terms were held until the end)
     spec = TupleSpec(n, t)
     _cached_factors.cache_clear()
     tracemalloc.start()
     try:
         cx = product_quotient_complex(spec)
-        size = tracemalloc.get_traced_memory()[0]
+        size, whole_peak = tracemalloc.get_traced_memory()
         del cx
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
@@ -588,6 +591,7 @@ def test_streamed_factors_peak_below_the_whole_complex(n, t):
     finally:
         tracemalloc.stop()
     assert peak <= 0.27 * size, (peak, size)
+    assert whole_peak <= 1.35 * size, (whole_peak, size)
 
 
 def _lru_sizes() -> dict:
@@ -606,11 +610,9 @@ def test_compare_with_theory_keeps_only_the_factors():
     spec, dom = TupleSpec((1, 2), 5), GF(3)
     _cached_factors.cache_clear()
     base_factor(spec.n[0], spec.t, resolve_mode(spec, dom))  # shared with the calculator
-    rings = build_ring.cache_info().currsize
     before = _lru_sizes()
     assert compare_with_theory(spec, dom).ok
     after = _lru_sizes()
-    assert build_ring.cache_info().currsize == rings
     grown = {key: after[key] - before.get(key, 0) for key in after if after[key] != before.get(key)}
     assert grown == {("lensprod.oracle", "_cached_factors"): 1}
 
@@ -869,7 +871,6 @@ def test_oracle_caches_hold_the_grid():
     factors = {(spec.n[0], spec.t, resolve_mode(spec, dom)) for spec, dom in pairs}
     for cache, working_set in (
         (_cached_factors, len(specs)),
-        (build_ring, len(pairs)),
         (base_factor, len(factors)),
     ):
         maxsize = cache.cache_info().maxsize

@@ -391,17 +391,18 @@ class TruncPoly(NamedTuple):
         return out
 
     def __str__(self):
-        z = self.dom(0)
-        terms = []
-        for j, c in enumerate(self.coeffs):
-            if c == z:
-                continue
-            if j == 0:
-                terms.append(str(c))
-            else:
-                zz = "z" if j == 1 else f"z^{j}"
-                terms.append(zz if c == self.dom(1) else f"{c}*{zz}")
-        return " + ".join(terms) if terms else "0"
+        return _poly_str(self.coeffs, "z", self.dom(0), self.dom(1))
+
+
+def _poly_str(coeffs, var: str, zero, one) -> str:
+    """A polynomial in var as "c + v + c*v^j", skipping zero terms."""
+    terms = []
+    for j, c in enumerate(coeffs):
+        if c == zero:
+            continue
+        power = var if j == 1 else f"{var}^{j}"
+        terms.append(str(c) if j == 0 else power if c == one else f"{c}*{power}")
+    return " + ".join(terms) if terms else "0"
 
 
 def binom_mod2_expand(k: int, precision: int) -> TruncPoly:
@@ -554,13 +555,4 @@ class PoincareSeries(NamedTuple):
         return self.coeffs == tuple(reversed(self.coeffs))
 
     def __str__(self):
-        terms = []
-        for d, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if d == 0:
-                terms.append(str(c))
-            else:
-                s = "s" if d == 1 else f"s^{d}"
-                terms.append(s if c == 1 else f"{c}*{s}")
-        return " + ".join(terms) if terms else "0"
+        return _poly_str(self.coeffs, "s", 0, 1)

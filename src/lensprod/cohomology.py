@@ -21,12 +21,13 @@ the base factor for degree reasons, while w * x_S are basis monomials.
 A basis monomial's base is the exponent triple (e, a, b) of y^e z^a w^b,
 the same letters in every presentation. A BaseFactor holds the triples that
 are bases, with their degrees and torsion, its generators and relations, and
-whether y^2 = z; base_factor builds it once per (n1, t, mode) and no other
-part of the ring reads the presentation. A product of two bases adds their
-triples, rewrites y^2 as z when the relation holds, and is zero unless the
-sum is a base. CohomologyRing is generic over the factor: a product of basis
-monomials is that product of bases, the union of the exterior subsets, and
-the Koszul sign of the odd letters. The base factor is also a tensor product
+whether y^2 = z; base_factor builds it once per (n1, t, mode) and nothing
+else reads the presentation (the splittings' stunted spaces read their
+groups from it too). A product of two bases adds their triples, rewrites
+y^2 as z when the relation holds, and is zero unless the sum is a base.
+CohomologyRing is generic over the factor: a product of basis monomials is
+that product of bases, the union of the exterior subsets, and the Koszul
+sign of the odd letters. The base factor is also a tensor product
 of truncated polynomial algebras k[g]/(g^h), its letters, so the cup length
 and the zero-divisor cup length of a ring are closed-form sums over the
 letters, plus 1 for each x_i.
@@ -271,11 +272,15 @@ class CohomologyRing:
         return self.factor.degree[m.base] + sum(2 * self.spec.n[i - 1] + 1 for i in m.ext)
 
     def _require(self, m: BasisMonomial) -> None:
-        below, r = 1, self.spec.r  # a base of the factor, and ext = (i_1 < ... < i_k) within 2..r
+        below, r = 1, len(self.spec.n)  # a base of the factor, and ext = (i_1 < ... < i_k) within 2..r
         for i in m.ext:
-            below = i if below < i <= r else r + 1
-        if below > r or m.base not in self.factor.degree:
-            raise ValueError(f"{m} is not a basis monomial of {self.spec} over {self.dom}")
+            if not below < i <= r:
+                break
+            below = i
+        else:
+            if m.base in self.factor.degree:
+                return
+        raise ValueError(f"{m} is not a basis monomial of {self.spec} over {self.dom}")
 
     def torsion_order(self, m: BasisMonomial) -> int:
         """0 for a free/field summand, q >= 2 for Z/q (integral mode only)."""

@@ -8,6 +8,8 @@ over the bits of t: [1](z) = z, [2k](z) = F([k](z), [k](z)) and
 left fold [k](z) = F([k-1](z), z) wherever F is associative through the
 requested precision; a custom law asked above its own precision has no
 defined series there, and its high terms are those of the doubling grouping.
+One routine evaluates F on series held as {exponents: coefficient} maps: in
+one variable for the t-series, in three for the associativity check.
 """
 
 from __future__ import annotations
@@ -59,12 +61,7 @@ class FormalGroupLaw(NamedTuple):
 
 
 def _clean(coeffs: dict, prec: int, dom: Coeff) -> tuple:
-    out = {}
-    for (i, j), c in coeffs.items():
-        c = dom(c)
-        if i + j <= prec and c != dom(0):
-            out[(i, j)] = c
-    return tuple(sorted(out.items()))
+    return tuple(sorted(((i, j), c) for (i, j), c in _reduced(coeffs, dom).items() if i + j <= prec))
 
 
 def make_additive(dom: Coeff = ZZ, prec: int = 8) -> FormalGroupLaw:
@@ -88,7 +85,7 @@ def make_custom(coeffs: dict, dom: Coeff = ZZ, prec: int = 8) -> FormalGroupLaw:
     return law
 
 
-# --- axiom checks on multivariate dicts (total degree <= prec) -------------
+# --- evaluating a law on series --------------------------------------------
 
 
 def _mv_mul(a: dict, b: dict, prec: int, dom: Coeff) -> dict:
@@ -97,30 +94,31 @@ def _mv_mul(a: dict, b: dict, prec: int, dom: Coeff) -> dict:
         for eb, cb in b.items():
             e = tuple(x + y for x, y in zip(ea, eb))
             if sum(e) <= prec:
-                out[e] = dom(out.get(e, 0) + ca * cb)
-    return {e: c for e, c in out.items() if c != dom(0)}
-
-def _mv_pow(a: dict, k: int, nvars: int, prec: int, dom: Coeff) -> dict:
-    out = {(0,) * nvars: dom(1)}
-    for _ in range(k):
-        out = _mv_mul(out, a, prec, dom)
-    return out
+                out[e] = out.get(e, 0) + ca * cb
+    return _reduced(out, dom)
 
 
-def _substitute(law: FormalGroupLaw, u: dict, v: dict, nvars: int) -> dict:
-    """F(u, v) where u, v are multivariate dicts in nvars variables."""
-    prec, dom = law.prec, law.dom
+def _reduced(a: dict, dom: Coeff) -> dict:
+    """Coerce each coefficient into dom once and drop the zeros."""
+    coerced = ((e, dom(c)) for e, c in a.items())
+    return {e: c for e, c in coerced if c}
+
+
+def _substitute(law: FormalGroupLaw, u: dict, v: dict, nvars: int, prec: int) -> dict:
+    """F(u, v) truncated at total degree prec, for series u and v given as
+    {exponents: coefficient} maps in nvars variables: the sum of c_ij u^i v^j."""
+    dom = law.dom
+    upows = [{(0,) * nvars: dom(1)}]
+    vpows = upows[:]
     out: dict = {}
-    upows = {0: {(0,) * nvars: dom(1)}}
-    vpows = {0: {(0,) * nvars: dom(1)}}
     for (i, j), c in law.coeffs:
-        if i not in upows:
-            upows[i] = _mv_pow(u, i, nvars, prec, dom)
-        if j not in vpows:
-            vpows[j] = _mv_pow(v, j, nvars, prec, dom)
+        while len(upows) <= i:
+            upows.append(_mv_mul(upows[-1], u, prec, dom))
+        while len(vpows) <= j:
+            vpows.append(_mv_mul(vpows[-1], v, prec, dom))
         for e, x in _mv_mul(upows[i], vpows[j], prec, dom).items():
-            out[e] = dom(out.get(e, 0) + c * x)
-    return {e: c for e, c in out.items() if c != dom(0)}
+            out[e] = out.get(e, 0) + c * x
+    return _reduced(out, dom)
 
 
 def _validate(law: FormalGroupLaw) -> None:
@@ -136,9 +134,9 @@ def _validate(law: FormalGroupLaw) -> None:
     x = {(1, 0, 0): dom(1)}
     y = {(0, 1, 0): dom(1)}
     z = {(0, 0, 1): dom(1)}
-    fxy = _substitute(law, x, y, 3)
-    fyz = _substitute(law, y, z, 3)
-    if _substitute(law, fxy, z, 3) != _substitute(law, x, fyz, 3):
+    fxy = _substitute(law, x, y, 3, law.prec)
+    fyz = _substitute(law, y, z, 3, law.prec)
+    if _substitute(law, fxy, z, 3, law.prec) != _substitute(law, x, fyz, 3, law.prec):
         raise ValueError("associativity fails up to the stored precision")
 
 
@@ -156,26 +154,14 @@ class TSeries(NamedTuple):
         return str(self.poly)
 
 
-def _evaluate(law: FormalGroupLaw, a: TruncPoly, b: TruncPoly) -> TruncPoly:
-    """F(a, b) as the truncated sum of c_ij a^i b^j."""
-    apow, bpow = [TruncPoly.one(a.dom, a.prec)], [TruncPoly.one(b.dom, b.prec)]
-    out = TruncPoly.zero(a.dom, a.prec)
-    for (i, j), c in law.coeffs:
-        while len(apow) <= i:
-            apow.append(apow[-1] * a)
-        while len(bpow) <= j:
-            bpow.append(bpow[-1] * b)
-        out = out + (apow[i] * bpow[j]).scale(c)
-    return out
-
-
 def t_series(law: FormalGroupLaw, t: int, precision: int) -> TSeries:
     if isinstance(t, bool) or not isinstance(t, int) or t < 1:
         raise ValueError(f"t must be a positive integer, got {t}")
-    z = TruncPoly.var(law.dom, precision)
+    z = {(1,): law.dom(1)}  # at precision 0 the products and the read-out drop it
     cur = z
     for bit in bin(t)[3:]:
-        cur = _evaluate(law, cur, cur)
+        cur = _substitute(law, cur, cur, 1, precision)
         if bit == "1":
-            cur = _evaluate(law, cur, z)
-    return TSeries(cur, t, law.kind)
+            cur = _substitute(law, cur, z, 1, precision)
+    coeffs = [cur.get((j,), 0) for j in range(precision + 1)]
+    return TSeries(TruncPoly.of(law.dom, coeffs, precision), t, law.kind)

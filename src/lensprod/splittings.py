@@ -6,19 +6,22 @@ The wedge decomposition is consumed combinatorially: each summand is a
 suspension shift (possibly negative, treated as formal Laurent bookkeeping)
 of a stunted space CP_(top)(t) / CP_(bottom)(t), and the verification matches
 shifted reduced Poincare polynomials against the Thom-isomorphism prediction.
+A stunted space's groups are read off the base factor of the r = 1 ring, so
+no presentation is derived here a second time.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import (
-    Coeff,
-    GradedAbGroup,
-    INFINITY,
-    TupleSpec,
+from .algebra import Coeff, GradedAbGroup, TupleSpec
+from .cohomology import (
+    base_factor,
+    build_ring,
+    exterior_subsets,
+    poincare_polynomial,
+    resolve_mode,
 )
-from .cohomology import build_ring, exterior_subsets, poincare_polynomial
 
 __all__ = [
     "CLIFFORD_BASE",
@@ -154,36 +157,19 @@ def wedge_decomposition(spec: TupleSpec, k: int = 0) -> tuple[WedgeSummand, ...]
 
 
 def stunted_cohomology(t, top: int, bottom: int, dom: Coeff) -> GradedAbGroup:
-    """Reduced cohomology of CP_(top)(t) / CP_(bottom)(t) from its cell
-    structure: cells of the ambient space in the degrees above the collapsed
-    skeleton, with the bottom cell's attachment killed by the collapse."""
+    """Reduced cohomology of CP_(top)(t) / CP_(bottom)(t): the groups of the
+    r = 1 ring above the collapsed skeleton, one per base of its base factor,
+    with the bottom cell in degree 2 bottom + 2 freed by the collapse."""
     if bottom < -1 or bottom >= top:
         raise ValueError(f"need -1 <= bottom < top, got ({bottom}, {top})")
-    TupleSpec((top,), t)  # refuses t and top as the spec of CP_(top)(t)
-    data: dict[int, tuple[int, tuple[int, ...]]] = {}
-    if t == INFINITY:
-        for d in range(max(2 * bottom + 2, 2), 2 * top + 1, 2):
-            data[d] = (1, ())
-        return GradedAbGroup.of(data)
-    lo = max(2 * bottom + 2, 1)
-    hi = 2 * top + 1
-    if dom.kind == "Fp" and t % dom.p == 0:
-        # every cochain differential is multiplication by t = 0 in F_p
-        for d in range(lo, hi + 1):
-            data[d] = (1, ())
-    elif dom.is_field:
-        # t acts invertibly: only the freed bottom cell and the top survive
-        if lo % 2 == 0:
-            data[lo] = (1, ())
-        data[hi] = (1, ())
-    else:
-        if lo % 2 == 0:
-            data[lo] = (1, ())
-        if t > 1:
-            for d in range(lo + 2 - (lo % 2), hi, 2):
-                data[d] = (0, (t,))
-        data[hi] = (1, ())
-    return GradedAbGroup.of(data)
+    factor = base_factor(top, t, resolve_mode(TupleSpec((top,), t), dom))
+    cut = 2 * bottom + 2
+    rows = [(cut, 1, ())] if cut else []
+    for base, d in factor.degree.items():
+        if d > cut:
+            q = factor.torsion[base]
+            rows.append((d, 0, (q,)) if q else (d, 1, ()))
+    return GradedAbGroup(rows)
 
 
 class WedgeCheck(NamedTuple):
@@ -202,25 +188,16 @@ def verify_wedge(spec: TupleSpec, k: int, dom: Coeff) -> WedgeCheck:
     gives P~(T(k gamma)) = s^{2k} P(space) for k >= 1 and the k = 0 case is
     the reduced polynomial of the space itself. Negative shifts are formal
     Laurent bookkeeping. A mismatch signals an implementation bug."""
-    if not dom.is_field:
-        raise ValueError("wedge verification runs in field modes")
+    poly = poincare_polynomial(build_ring(spec, dom))  # refuses a non-field domain
     lhs: dict[int, int] = {}
     for summand in wedge_decomposition(spec, k):
         stunted = stunted_cohomology(summand.t, summand.top, summand.bottom, dom)
-        for d in stunted.degrees():
+        for d, free, _ in stunted.groups:
             key = d + summand.shift
-            lhs[key] = lhs.get(key, 0) + stunted.free_rank(d)
-    ring = build_ring(spec, dom)
-    poly = poincare_polynomial(ring)
-    rhs: dict[int, int] = {}
-    if k == 0:
-        for d in range(1, poly.degree + 1):
-            if poly.coeff(d):
-                rhs[d + 1] = poly.coeff(d)
-    else:
-        for d in range(poly.degree + 1):
-            if poly.coeff(d):
-                rhs[d + 2 * k + 1] = poly.coeff(d)
+            lhs[key] = lhs.get(key, 0) + free
+    # s * P~(T(k gamma)): P shifted up 2k + 1, or its reduced part up 1 when k = 0
+    shift = 2 * k + 1 if k else 1
+    rhs = {d + shift: c for d, c in enumerate(poly.coeffs) if c and (k or d)}
     lhs = {d: c for d, c in lhs.items() if c}
     mismatch = None
     for d in sorted(set(lhs) | set(rhs)):

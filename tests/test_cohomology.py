@@ -367,15 +367,16 @@ def test_restriction_is_injective_multiplicative_section():
         for kept in ({1}, {1, 2}, {1, 3}, {1, 2, 3}):
             rmap = restriction_p(ring, kept)
             seen = {}
-            for m in rmap.sub.basis:
+            sub_basis = rmap.sub.basis
+            for m in sub_basis:
                 img = rmap.image(m)
                 assert rmap.sub.degree(m) == ring.degree(img)
                 assert img not in seen
                 seen[img] = m
                 # section: retract(image(m)) == m
                 assert rmap.retract(img) == m
-            for m1 in rmap.sub.basis:
-                for m2 in rmap.sub.basis:
+            for m1 in sub_basis:
+                for m2 in sub_basis:
                     direct = rmap.sub.multiply(m1, m2)
                     pushed = ring.multiply(rmap.image(m1), rmap.image(m2))
                     assert {rmap.image(m): c for m, c in direct.items()} == pushed
@@ -417,12 +418,13 @@ def test_projection_push_is_a_ring_map():
         rule = projection_pi_star(t, t_prime)
         source = build_ring(TupleSpec(n, t_prime), ZZ)
         target = build_ring(TupleSpec(n, t), ZZ)
-        for m1 in source.basis:
+        basis = source.basis
+        for m1 in basis:
             img1 = rule.push(m1, source, target)
             assert all(
                 target.degree(m) == source.degree(m1) for m in img1
             )
-            for m2 in source.basis:
+            for m2 in basis:
                 lhs = {}
                 for m, c in source.multiply(m1, m2).items():
                     for mm, cc in rule.push(m, source, target).items():
@@ -582,8 +584,9 @@ def test_change_coefficients_is_multiplicative():
     ]:
         rmap = change_coefficients(build_ring(spec, ZZ), p)
         src, tgt = rmap.source, rmap.target
-        for m1 in src.basis:
-            for m2 in src.basis:
+        basis = src.basis
+        for m1 in basis:
+            for m2 in basis:
                 lhs = {}
                 for m, c in src.multiply(m1, m2).items():
                     for mm, cc in rmap.image(m).items():

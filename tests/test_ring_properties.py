@@ -101,11 +101,12 @@ def test_poincare_duality(spec, dom):
     # H^d x H^(dim-d) -> H^dim is nonsingular in every degree
     ring = build_ring(spec, dom)
     dim = spec.dim
-    (top,) = ring.basis_by_degree[dim]
+    by_degree = ring.basis_by_degree
+    (top,) = by_degree[dim]
     p = None if dom.kind == "Q" else dom.p
     for d in range(dim + 1):
-        left = ring.basis_by_degree.get(d, ())
-        right = ring.basis_by_degree.get(dim - d, ())
+        left = by_degree.get(d, ())
+        right = by_degree.get(dim - d, ())
         assert len(left) == len(right), (spec, d)
         if not left:
             continue

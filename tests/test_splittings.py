@@ -232,6 +232,51 @@ def test_stunted_integral_bottom_cell_is_free():
     )
 
 
+def _reference_stunted(t, top: int, bottom: int, dom) -> GradedAbGroup:
+    """Reduced cohomology of CP_(top)(t) / CP_(bottom)(t) from its cell
+    structure, one cell in each degree up to 2 top + 1 (even ones only for
+    t = INFINITY): the cellular cochain differentials are 0 and t in turn,
+    and the collapse frees the bottom cell's attachment."""
+    data: dict[int, tuple[int, tuple[int, ...]]] = {}
+    if t == INFINITY:
+        for d in range(max(2 * bottom + 2, 2), 2 * top + 1, 2):
+            data[d] = (1, ())
+        return GradedAbGroup.of(data)
+    lo = max(2 * bottom + 2, 1)
+    hi = 2 * top + 1
+    if dom.kind == "Fp" and t % dom.p == 0:
+        # every cochain differential is multiplication by t = 0 in F_p
+        for d in range(lo, hi + 1):
+            data[d] = (1, ())
+    elif dom.is_field:
+        # t acts invertibly: only the freed bottom cell and the top survive
+        if lo % 2 == 0:
+            data[lo] = (1, ())
+        data[hi] = (1, ())
+    else:
+        if lo % 2 == 0:
+            data[lo] = (1, ())
+        if t > 1:
+            for d in range(lo + 2 - (lo % 2), hi, 2):
+                data[d] = (0, (t,))
+        data[hi] = (1, ())
+    return GradedAbGroup.of(data)
+
+
+def test_stunted_groups_match_the_cell_structure():
+    # the base factor's groups above the collapsed skeleton, against the
+    # cellular cochains of the stunted space itself
+    cases = 0
+    for t in (*range(1, 13), INFINITY):
+        for dom in (ZZ, QQ, GF(2), GF(3), GF(5)):
+            for top in range(7):
+                for bottom in range(-1, top):
+                    got = stunted_cohomology(t, top, bottom, dom)
+                    assert got == _reference_stunted(t, top, bottom, dom), (t, top, bottom, dom)
+                    cases += 1
+    assert cases == 1820
+
+
 def test_stunted_rejects_malformed_range():
     with pytest.raises(ValueError):
         stunted_cohomology(2, 2, 2, ZZ)
@@ -310,10 +355,11 @@ def _space_sq_ranks(spec: TupleSpec) -> dict:
     """{(k, d): rank of Sq^k: H~^d -> H~^{d+k}} over F_2, k >= 1, nonzero
     ranks only, from the steenrod module."""
     ring = build_ring(spec, F2)
+    by_degree = ring.basis_by_degree
     out = {}
-    for d, sources in ring.basis_by_degree.items():
+    for d, sources in by_degree.items():
         for k in range(1, spec.dim - d + 1):
-            row = {m: i for i, m in enumerate(ring.basis_by_degree.get(d + k, ()))}
+            row = {m: i for i, m in enumerate(by_degree.get(d + k, ()))}
             rank = _f2_rank(sum(1 << row[m2] for m2 in sq_k(ring, m, k)) for m in sources)
             if d and rank:
                 out[k, d] = rank

@@ -113,8 +113,9 @@ def test_cartan_formula_on_grid():
     # total_sq(m1 m2) = total_sq(m1) total_sq(m2); the left side reduces the
     # product before applying Sq
     for ring in steenrod_rings(nmax=2, rmax=2):
-        for m1 in ring.basis:
-            for m2 in ring.basis:
+        basis = ring.basis
+        for m1 in basis:
+            for m2 in basis:
                 prod = ring.multiply(m1, m2)
                 lhs = {}
                 for m, c in prod.items():
@@ -173,11 +174,12 @@ def test_wu_formula_ties_squares_products_and_stiefel_whitney():
     assert len(specs) == 272
     for spec in specs:
         ring = build_ring(spec, GF(2))
-        (top,) = ring.basis_by_degree[spec.dim]
+        by_degree = ring.basis_by_degree
+        (top,) = by_degree[spec.dim]
         sq_v: set = set()
         for k in range(spec.dim + 1):
-            classes = ring.basis_by_degree.get(k, ())
-            duals = ring.basis_by_degree.get(spec.dim - k, ())
+            classes = by_degree.get(k, ())
+            duals = by_degree.get(spec.dim - k, ())
             wanted = [top in sq_k(ring, x, k) for x in duals]
             (v,) = [  # one solution, by Poincare duality
                 v
@@ -248,12 +250,10 @@ def test_sq1_rank_counts_the_oracles_z2_summands():
     for spec in grid_specs():
         ring = build_ring(spec, GF(2))
         _, factors = _cached_factors(spec, DEFAULT_CAP)
-        index = {m: i for ms in ring.basis_by_degree.values() for i, m in enumerate(ms)}
+        by_degree = ring.basis_by_degree
+        index = {m: i for ms in by_degree.values() for i, m in enumerate(ms)}
         for d in range(spec.dim):
-            images = [
-                sum(1 << index[m2] for m2 in sq_k(ring, m, 1))
-                for m in ring.basis_by_degree.get(d, ())
-            ]
+            images = [sum(1 << index[m2] for m2 in sq_k(ring, m, 1)) for m in by_degree.get(d, ())]
             rank = _f2_rank(images)
             assert rank == sum(1 for q in factors[d + 1] if nu_p(2, q) == 1), (spec, d)
             nonzero += rank > 0

@@ -16,29 +16,27 @@ elimination (Dumas-Saunders-Villard, "On efficient sparse integer matrix
 Smith normal forms", JSC 2001) in passes over the columns, shortest first
 (see `_snf_factors`), then a dense SNF of the small residual: a diagonal by
 least-remainder pivots, then gcd/lcm exchanges (see `_dense_snf`). The
-boundaries are reduced in order, each with compression (Bauer-Kerber-
-Reininghaus, "Clear and Compress", 2014): the rows of d_{d+1} at the
-unit-pivot columns of d_d are left out, exact over Z since d o d = 0 is
-checked before.
+whole complex's boundaries are reduced in order, each with compression
+(Bauer-Kerber-Reininghaus, "Clear and Compress", 2014): the rows of d_{d+1}
+at the unit-pivot columns of d_d are left out, exact over Z since d o d = 0
+is checked before.
 
 Every complex is built by one fold: the spheres are tensored on one at a
 time over Z[Z_t] under the diagonal action (`_step`), and each step's d o d
 is checked over Z[Z_t] (`_check_step`). In the basis x (x) g^c e_j each
 boundary entry is one monomial alpha g^k, and the column at twist c is the
 c = 0 one moved by c, so a step keeps only its c = 0 columns. The
-comparison (`_cached_factors`) makes every step but the last explicit
-(`_free`), eliminates every unit entry +-g^k (`_eliminate`, Gaussian
-elimination of chain complexes) and checks d o d again, which leaves a few
-generators: for (2,2,2;6), 12 in place of S_1 (x) S_2's 216. Its last step
-goes to the quotient (g -> 1, `_sum_out`) one degree at a time and is
-reduced as it comes, the rows compression drops never built: for (2,2,2;6)
-a complex of 432 cells in place of 7,776. Elimination over Z[Z_t] is a
-homotopy equivalence that survives the later tensor steps and the quotient,
-so the small quotient's cell counts and factors give the whole one's
-homology over Z and, after (x) F_p, over every F_p; they are all the
-comparison keeps. `product_quotient_complex` runs the same fold without the
-elimination and lists each degree in sorted label order, which gives the
-whole quotient complex.
+comparison (`_cached_factors`) reduces each step by the sphere's own
+acyclic matching (`_reduce`, algebraic Morse theory), whose pivots are the
+sphere's +-1 entries, and checks d o d again; the last step is reduced in
+the quotient (g -> 1). That leaves 2^(r-1) (2 n_1 + 2) cells at any t: for
+(2,2,2;6), 24 in place of the whole quotient's 7,776. The reduction is a
+homotopy equivalence over Z[Z_t] that survives the later tensor steps and
+the quotient, so the small complex's cell counts and factors, all the
+comparison keeps, give the whole one's homology over Z and every F_p.
+`product_quotient_complex` runs the fold without the reduction, lists each
+degree in sorted label order and sends it to the quotient (`_sum_out`),
+which gives the whole quotient complex.
 
 There is no oracle for t = INFINITY: the circle quotient is not a finite free
 quotient. That regime is validated elsewhere (duality, Euler characteristics,
@@ -49,6 +47,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 from math import prod
 from typing import NamedTuple
 
@@ -254,25 +253,20 @@ def _free(terms: list, t: int) -> tuple[list, list]:
     return degrees, cols
 
 
-def _sum_out(row: list, nrows: int, t: int, cleared) -> list:
+def _sum_out(row: list, nrows: int, t: int) -> list:
     """One degree of a step, terms[d], sent to the quotient (g -> 1): the
     column at position i t + c is {face + (h + c) % t: v} over the terms of
-    row[i], with the rows in cleared left out. No two terms of a column share
-    a (face, h), so no two share a row. The rows are one int per row of the
-    nrows, shared by the columns."""
+    row[i]. No two terms of a column share a (face, h), so no two share a
+    row. The rows are one int per row of the nrows, shared by the columns."""
     rows = list(range(nrows))
     # block[face][h + c] is the row face + (h + c) % t, face a multiple of t
     block = [rows[face : face + t] * 2 if face % t == 0 else None for face in range(nrows)]
-    return [
-        {r: v for face, h, _, v in col if (r := block[face][h + c]) not in cleared}
-        for col in row
-        for c in range(t)
-    ]
+    return [{block[face][h + c]: v for face, h, _, v in col} for col in row for c in range(t)]
 
 
 def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> QuotientComplex:
     """The whole quotient complex, by the fold of `_cached_factors` without
-    the elimination: each step keeps the label (cells, twists) of every
+    the reduction: each step keeps the label (cells, twists) of every
     generator and sorts each degree's pairs by it, so the last step's
     generators are the basis in sorted order, and its degrees, sent to the
     quotient (`_sum_out`) top down and each freed once used, the boundaries.
@@ -302,18 +296,19 @@ def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> Quotien
             ]
             if m < spec.r:
                 first, labels = _free(terms, t), [label for row in basis for label in row]
-    boundaries = [_sum_out(terms.pop(), len(basis[d - 1]), twists, ()) for d in range(len(terms) - 1, 0, -1)]
+    boundaries = [_sum_out(terms.pop(), len(basis[d - 1]), twists) for d in range(len(terms) - 1, 0, -1)]
     return QuotientComplex(spec, tuple(map(tuple, basis)), (None,) + tuple(map(tuple, reversed(boundaries))))
 
 
 # ---------------------------------------------------------------------------
-# Gaussian elimination over Z[Z_t]
+# the Morse reduction of a tensor step
 
 
 def _check_ring(name: str, cx: tuple, t: int) -> None:
     """d o d = 0 over Z[Z_t] on every column of the free R-complex cx,
     accumulated by (row, power of g); name is the complex's name in the
-    error. Checks a sphere and an eliminated complex whole."""
+    error. Checks a sphere and a reduced step whole, and with t = 1 the
+    reduced quotient over Z."""
     degrees, cols = cx
     for x, col in enumerate(cols):
         acc: dict = {}
@@ -322,76 +317,79 @@ def _check_ring(name: str, cx: tuple, t: int) -> None:
                 key = row, (k + k2) % t
                 acc[key] = acc.get(key, 0) + v * w
         if any(acc.values()):
-            raise AssertionError(f"d o d != 0 over Z[Z_t] at degree {degrees[x]} of {name}")
+            raise AssertionError(f"d o d != 0 over {'Z' if t == 1 else 'Z[Z_t]'} at degree {degrees[x]} of {name}")
 
 
-def _eliminate(cx: tuple, t: int) -> tuple[list, list]:
-    """Gaussian elimination of the free R-complex cx over R = Z[Z_t]
-    (Bar-Natan, "Fast Khovanov homology computations", JKTR 2007; Skoldberg,
-    "Morse theory from an algebraic viewpoint", Trans. AMS 2006), degree by
-    degree upwards, on every unit entry u = +-g^k; returns the smaller
-    complex in the same form, its generators renumbered in order.
+def _reduce(pairs: list, terms: list, t: int, top: int, m: int) -> list:
+    """A checked step (pairs, terms), as `_step` returns it for a sphere S
+    with top cell e_top, reduced by S's own acyclic matching (Skoldberg,
+    "Morse theory from an algebraic viewpoint", Trans. AMS 2006;
+    Jollenbeck-Welker, "Minimal resolutions via algebraic discrete Morse
+    theory", Mem. AMS 2009). Returns the Morse complex's columns degree by
+    degree, one {row m + k: v} map per critical cell, for v g^k times the
+    row-th critical cell of the degree below: m = t keeps Z[Z_t], m = 1
+    sends g -> 1.
 
-    A pivot u at row rho, column sigma of d_d removes sigma and rho: every
-    other column x of d_d becomes D[y][x] - D[rho][x] u^-1 D[y][sigma], the
-    Schur complement, row sigma is dropped from d_{d+1} and column rho from
-    d_{d-1}. By the Gaussian elimination lemma the result is homotopy
-    equivalent to cx over R; R is commutative and u a unit, so the maps and
-    homotopies are R-linear. Pivots in d_{d+1} leave the entries of d_d
-    alone, so one pass upwards leaves no unit entry.
+    On each fibre x (x) S it matches g^c e_j, j odd, with g^(c+1) e_(j-1)
+    for c < t - 1, and e_j, j even and >= 2, with g^(t-1) e_(j-1), which
+    leaves x (x) e_0 and x (x) g^(t-1) e_top critical. The pivot is S's own
+    entry u = +-1 = u^-1, with k = 0. A boundary leaves x's fibre only for
+    those of x's faces, whose pairs come before x's in each degree, so the
+    matching is acyclic, and going up the degrees, pairs in order and twists
+    ascending, meets every flow it reads made. The flow pi is 0 on a cell
+    matched downwards and the cell on a critical one; for tau matched with
+    sigma, D sigma = u tau + sum a rho, pi(tau) = -u sum a pi(rho). A
+    critical cell's column is pi of its boundary.
 
-    Why the quotient keeps its homology: A ~ A' over R gives
+    Why the quotient keeps its homology: the fibre is R (x) S over Z, so the
+    reduction's maps and homotopy are R-linear and the Morse complex is
+    homotopy equivalent to the step over R = Z[Z_t]. A ~ A' over R gives
     A (x) S ~ A' (x) S under the diagonal action, since f (x) 1 and the
-    homotopies h (x) 1 (with the Koszul sign) commute with g (x) g, and the
-    additive functor - (x)_R Z keeps homotopy equivalences. So each tensor
-    step may start from the eliminated complex of the one before, and the
-    last step's quotient has the homology of the whole quotient complex."""
-    degrees, flat = cx
-    # {x: {row: {k: coefficient}}} per degree, and an empty one above the top
-    levels: list = [{} for _ in range(max(degrees) + 2)]
-    for x, col in enumerate(flat):
-        entries = levels[degrees[x]][x] = {}
-        for row, k, v in col:
-            entries.setdefault(row, {})[k] = v
-    for d in range(1, len(levels) - 1):
-        cols = levels[d]
-        found = True
-        while found:
-            found = False
-            for sigma in list(cols):
-                col = cols[sigma]
-                units = (
-                    (rho, k, v) for rho, e in col.items() if len(e) == 1 for k, v in e.items() if v in (1, -1)
-                )
-                unit = next(units, None)
-                if unit is None:
-                    continue
-                rho, k, s = unit
-                del cols[sigma], col[rho]
-                for other in cols.values():
-                    delta = other.pop(rho, None)
-                    if delta is None:
+    homotopies h (x) 1 (with the Koszul sign) commute with g (x) g, and
+    - (x)_R Z keeps homotopy equivalences. So each step may start from the
+    reduced complex of the one before, and the last may be reduced after
+    g -> 1, where its entries stay integers."""
+    wrap = list(range(t)) * 2  # wrap[a] = a % t for a < 2 t
+    power = wrap if m == t else [0] * (2 * t)  # g^k on a kept power p < m
+    out = []
+    below: list = []  # the flows of degree d - 1, by position
+    for d, row in enumerate(pairs):
+        partner = {x: i for i, (x, _) in enumerate(pairs[d + 1])} if d + 1 < len(pairs) else {}
+        flows: list = [()] * (len(row) * t)  # a flow: (row m, p, w) for w g^p times a critical cell
+        cols = []
+        for i, (x, j) in enumerate(row):
+            if j == 0 or j == top:
+                c = 0 if j == 0 else t - 1
+                acc: dict = {}
+                for face, h, k, v in terms[d][i]:
+                    for base, p, w in below[face + wrap[h + c]]:
+                        key = base + power[p + k]
+                        acc[key] = acc.get(key, 0) + v * w
+                flows[i * t + c] = ((len(cols) * m, 0, 1),)
+                cols.append({key: w for key, w in acc.items() if w})
+            # (c, c') for g^c e_j matched with g^c' e_(j+1): c >= 1 for j even, t - 1 for j odd
+            for c, c2 in [(c, c - 1) for c in range(1, t)] if j % 2 == 0 else [(t - 1, 0)] if j < top else ():
+                acc, tau = {}, i * t + c
+                for face, h, k, v in terms[d + 1][partner[x]]:
+                    at = face + wrap[h + c2]
+                    if at == tau:
+                        u = v
                         continue
-                    for y, gamma in col.items():
-                        e = other.setdefault(y, {})
-                        for k1, a in delta.items():
-                            for k2, b in gamma.items():
-                                kk = (k1 + k2 - k) % t
-                                w = e.get(kk, 0) - a * s * b  # u^-1 = s g^-k
-                                if w:
-                                    e[kk] = w
-                                else:
-                                    del e[kk]
-                        if not e:
-                            del other[y]
-                for above in levels[d + 1].values():
-                    above.pop(sigma, None)
-                del levels[d - 1][rho]
-                found = True
-    kept = sorted(x for level in levels for x in level)
-    new = {x: i for i, x in enumerate(kept)}
-    return [degrees[x] for x in kept], [
-        [(new[row], k, v) for row, e in levels[degrees[x]][x].items() for k, v in e.items()] for x in kept
+                    for base, p, w in flows[at]:
+                        key = base + power[p + k]
+                        acc[key] = acc.get(key, 0) + v * w
+                flows[tau] = tuple((key - key % m, key % m, -u * w) for key, w in acc.items() if w)
+        out.append(cols)
+        below = flows
+    return out
+
+
+def _glued(cols: list, m: int) -> tuple[list, list]:
+    """Per-degree columns as `_reduce` returns them, as one free
+    Z[Z_m]-complex (degrees, cols) in the form of `_sphere_factor`."""
+    starts = [0, *accumulate(map(len, cols))]  # starts[d]: degree d's first generator
+    return [d for d, row in enumerate(cols) for _ in row], [
+        [(starts[d - 1] + key // m, key % m, v) for key, v in col.items()] for d, row in enumerate(cols) for col in row
     ]
 
 
@@ -627,36 +625,29 @@ _FACTORS_CACHE_SIZE = 128
 def _cached_factors(spec: TupleSpec, cap: int) -> tuple[tuple[int, ...], tuple]:
     """Cell counts and boundary invariant factors of a quotient complex with
     the homology of spec's, over Z and so over every F_p, after refusing spec
-    as `product_quotient_complex` would. The fold: each sphere but the last
-    is tensored on (`_step`), checked over Z[Z_t] (`_check_step`), made
-    explicit (`_free`), stripped of every unit entry (`_eliminate`) and
-    checked whole (`_check_ring`). The last is tensored on and checked; then
-    each degree goes to the quotient (`_sum_out`) with the rows that
-    d_{d-1}'s sweep took as pivots left out, and is reduced in place. For
-    r <= 2 nothing is eliminated, and the result is the whole quotient
-    complex's."""
+    as `product_quotient_complex` would. The fold: each sphere but the first
+    is tensored on (`_step`), checked over Z[Z_t] (`_check_step`), reduced
+    by its matching (`_reduce`) and checked whole (`_check_ring`): over
+    Z[Z_t], and over Z for the last, reduced in the quotient. Each degree of
+    the 2^(r-1) (2 n_1 + 2) cells left is reduced in place, uncompressed: on
+    the grid and 300 random specs no composite d_d d_{d+1} of the reduced
+    quotient had a nonzero term, so compression found no row to drop. For
+    r = 1 it is the lens space's own complex."""
     _check_cap(spec, cap)
     t = spec.t
     built = {ni: sphere_complex(ni, t).diffs for ni in set(spec.n)}  # each distinct sphere once
     spheres = [built[ni] for ni in spec.n]
     if spec.r == 1:
-        terms, twists = _one_sphere(spheres[0]), 1
+        cols = [_sum_out(row, 1, 1) for row in _one_sphere(spheres[0])]
     else:
         first = _sphere_factor(spheres[0])
-        for diffs in spheres[1:-1]:
-            terms = _step(first, diffs, t)[1]
+        for m, diffs in zip([t] * (spec.r - 2) + [1], spheres[1:]):
+            pairs, terms = _step(first, diffs, t)
             _check_step(spec, terms, t)
-            first = _eliminate(_free(terms, t), t)
-            _check_ring(spec, first, t)
-        terms, twists = _step(first, spheres[-1], t)[1], t
-        _check_step(spec, terms, t)
-    cells = tuple(len(row) * twists for row in terms)
-    out, cleared = [()], ()
-    for d in range(1, len(terms)):
-        factors, cleared = _snf_factors(_sum_out(terms[d], cells[d - 1], twists, cleared))
-        terms[d] = None  # each degree's terms are read once
-        out.append(factors)
-    return cells, tuple(out)
+            cols = _reduce(pairs, terms, t, len(diffs) - 1, m)
+            first = _glued(cols, m)
+            _check_ring(spec, first, m)
+    return tuple(map(len, cols)), ((),) + tuple(_snf_factors(row)[0] for row in cols[1:])
 
 
 def compare_with_theory(spec: TupleSpec, dom: Coeff = ZZ, cap: int = DEFAULT_CAP) -> ComparisonReport:

@@ -466,6 +466,22 @@ def test_only_wedge_verifies_the_wedge(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_failed_wedge_check_exits_4_and_still_prints(monkeypatch):
+    # a failed cross-check is a bug: exit 4 and one `internal error:` line,
+    # with the document, "verified": false, on stdout as before
+    from lensprod import splittings
+
+    real = splittings.verify_wedge
+
+    def failed(*args):
+        return real(*args)._replace(ok=False, mismatch_degree=3)
+
+    monkeypatch.setattr(splittings, "verify_wedge", failed)
+    code, out, err = go(["--n", "1,1", "--t", "2", "wedge", "--k", "1", "--coeff", "F2", "--json"])
+    assert code == 4 and json.loads(out)["wedge"]["verified"] is False
+    assert err.splitlines() == ["internal error: wedge check fails at degree 3 of CP_(1, 1)(2)"]
+
+
 # the exit codes in the README's table
 README_EXIT_CODES = {
     int(code)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import random
 import sys
@@ -444,12 +445,12 @@ def test_build_refuses_a_non_complex_before_making_its_columns(monkeypatch, n):
     # the comparison's factors must each refuse at the corrupted degree
     # before any quotient column is made.
     spec = TupleSpec(n, 3)
-    step, sum_out = oracle_module._step, oracle_module._sum_out
-    steps, corrupted, made = [], [], []
+    step, sum_out, reduce = oracle_module._step, oracle_module._sum_out, oracle_module._reduce
+    steps, corrupted, made, reduced = [], [], [], []
 
     def corrupting(first, diffs, t, key=None):
         pairs, terms = step(first, diffs, t, key)
-        steps.append(diffs)
+        steps.append(terms)
         if len(steps) == spec.r - 1:
             degrees = first[0]
 
@@ -466,33 +467,44 @@ def test_build_refuses_a_non_complex_before_making_its_columns(monkeypatch, n):
         made.append(args)
         return sum_out(*args)
 
+    def recorded_reduce(pairs, terms, *args):
+        reduced.append(terms)
+        return reduce(pairs, terms, *args)
+
     monkeypatch.setattr(oracle_module, "_step", corrupting)
     monkeypatch.setattr(oracle_module, "_sum_out", recorded_sum_out)
-    for build in (product_quotient_complex, lambda spec: _cached_factors.__wrapped__(spec, DEFAULT_CAP)):
+    monkeypatch.setattr(oracle_module, "_reduce", recorded_reduce)
+    for build, reduces in (
+        (product_quotient_complex, False),
+        (lambda spec: _cached_factors.__wrapped__(spec, DEFAULT_CAP), True),
+    ):
         steps.clear()
         corrupted.clear()
+        reduced.clear()
         with pytest.raises(AssertionError) as raised:
             build(spec)
         assert f"d o d != 0 over Z[Z_t] at degree {corrupted[0]} of" in str(raised.value)
         assert len(steps) == spec.r - 1 and not made
+        # the comparison reduces every step before the corrupted one, and never that one
+        assert [id(terms) for terms in reduced] == [id(terms) for terms in steps[:-1] if reduces]
 
 
 @pytest.mark.parametrize("where", ["stored-twist-0", "stored-twisted", "full-twist-0"])
 def test_stream_checks_each_degree_before_its_snf(monkeypatch, where):
     # [full-twist-0]: (1,1,1;3) runs one Z[Z_t] tensor step before the last.
     # Corrupt it: the factors must refuse at the corrupted degree before that
-    # step is made explicit or eliminated, and reduce nothing.
-    # [stored-*]: for (1,1;3) the last step is the whole quotient complex; the
-    # columns the reduction receives are its boundaries with the cleared rows
-    # dropped, at twist 0 or at the nonzero twists, and are the very lists
-    # `_sum_out` made, reduced uncopied
-    spec = TupleSpec((1, 1, 1) if where == "full-twist-0" else (1, 1), 3)
+    # step is reduced, and run no SNF.
+    # [stored-*]: the last step of (1,1;3) is tensored onto the first sphere,
+    # that of (1,1,1;3) onto the reduced Z[Z_3] complex of the first two,
+    # whose entries carry powers of g. Each degree's SNF receives the very
+    # columns the last `_reduce` made, uncopied and whole, and the factors
+    # give the whole complex's homology
+    spec = TupleSpec((1, 1) if where == "stored-twist-0" else (1, 1, 1), 3)
     if where != "full-twist-0":  # before the wrappers, which would record its columns
-        cx = product_quotient_complex(spec)
-        expected = (cx.ranks, boundary_factors(cx))
-    step, sum_out, free = oracle_module._step, oracle_module._sum_out, oracle_module._free
-    snf, eliminate = oracle_module._snf_factors, oracle_module._eliminate
-    steps, made, reduced, corrupted, freed, eliminated = [], [], [], [], [], []
+        cx = _reference_complex(spec)
+        whole = (cx.ranks, boundary_factors(cx))
+    step, reduce, snf = oracle_module._step, oracle_module._reduce, oracle_module._snf_factors
+    steps, made, copies, reduced, corrupted = [], [], [], [], []
 
     def corrupting(first, diffs, t, key=None):
         pairs, terms = step(first, diffs, t, key)
@@ -501,79 +513,151 @@ def test_stream_checks_each_degree_before_its_snf(monkeypatch, where):
             corrupted.append(_negate_a_term(terms, t))
         return pairs, terms
 
-    def recorded(calls, function):
-        def record(*args):
-            calls.append(function(*args))
-            return calls[-1]
-
-        return record
+    def recorded_reduce(*args):
+        made.append(reduce(*args))
+        copies.append([[dict(col) for col in row] for row in made[-1]])
+        return made[-1]
 
     def recorded_snf(cols):
         received = [dict(col) for col in cols]
         factors, pivots = snf(cols)
-        reduced.append((cols, received, pivots))
+        reduced.append((cols, received))
         return factors, pivots
 
-    monkeypatch.setattr(oracle_module, "_free", recorded(freed, free))
-    monkeypatch.setattr(oracle_module, "_eliminate", recorded(eliminated, eliminate))
-    monkeypatch.setattr(oracle_module, "_sum_out", recorded(made, sum_out))
+    monkeypatch.setattr(oracle_module, "_reduce", recorded_reduce)
     monkeypatch.setattr(oracle_module, "_snf_factors", recorded_snf)
     if where == "full-twist-0":
         monkeypatch.setattr(oracle_module, "_step", corrupting)
         with pytest.raises(AssertionError) as raised:
             _cached_factors.__wrapped__(spec, DEFAULT_CAP)
         assert f"d o d != 0 over Z[Z_t] at degree {corrupted[0]} of" in str(raised.value)
-        assert len(steps) == 1 and not freed and not eliminated and not made and not reduced
+        assert len(steps) == 1 and not made and not reduced
     else:
-        assert _cached_factors.__wrapped__(spec, DEFAULT_CAP) == expected
-        assert len(reduced) == cx.dim and not freed and not eliminated
-        cleared, dropped = set(), 0
-        for d, (_, received, pivots) in enumerate(reduced, start=1):
-            kept = [{i: v for i, v in col.items() if i not in cleared} for col in cx.boundaries[d]]
-            assert len(received) == len(kept)
-            at = [j for j in range(len(kept)) if (j % spec.t == 0) == (where == "stored-twist-0")]
-            assert [received[j] for j in at] == [kept[j] for j in at]
-            dropped += sum(len(cx.boundaries[d][j]) - len(kept[j]) for j in at)
-            cleared = pivots
-        assert dropped, "no cleared row to drop"
-    assert [id(cols) for cols, _, _ in reduced] == [id(cols) for cols in made]
+        cached = _cached_factors.__wrapped__(spec, DEFAULT_CAP)
+        for dom in (ZZ, GF(2), GF(3)):
+            assert _homology_groups(*cached, dom) == _homology_groups(*whole, dom)
+        assert len(made) == spec.r - 1 and len(reduced) == spec.dim
+        assert [received for _, received in reduced] == copies[-1][1:]
+        assert [id(cols) for cols, _ in reduced] == [id(cols) for cols in made[-1][1:]]
 
 
 def test_elimination_shrinks_the_complex_before_the_quotient(monkeypatch):
-    # (2,2,2;6): S_1 (x) S_2 has 216 free Z[Z_6] generators and 12 after the
-    # unit entries are eliminated, so the quotient the SNF reduces, and whose
-    # cell counts are cached, has 432 cells, of which the 6 in degree 0 have
-    # no boundary, in place of 7,776
+    # (2,2,2;6): S_1 (x) S_2 has 216 free Z[Z_6] generators, and S_2's
+    # matching leaves 12; the last step has 432, whose quotient was reduced
+    # whole before, and S_3's matching leaves 24 cells of it, of which the
+    # one in degree 0 has no boundary, in place of 7,776
     spec = TupleSpec((2, 2, 2), 6)
-    eliminate, snf = oracle_module._eliminate, oracle_module._snf_factors
+    reduce, snf = oracle_module._reduce, oracle_module._snf_factors
     sizes, reduced = [], []
 
-    def recorded_eliminate(cx, t):
-        small = eliminate(cx, t)
-        sizes.append((len(cx[0]), len(small[0])))
-        return small
+    def recorded_reduce(pairs, terms, t, top, m):
+        cols = reduce(pairs, terms, t, top, m)
+        sizes.append((sum(map(len, pairs)) * t, sum(map(len, cols)), m))
+        return cols
 
     def recorded_snf(cols):
         reduced.append(len(cols))
         return snf(cols)
 
-    monkeypatch.setattr(oracle_module, "_eliminate", recorded_eliminate)
+    monkeypatch.setattr(oracle_module, "_reduce", recorded_reduce)
     monkeypatch.setattr(oracle_module, "_snf_factors", recorded_snf)
     cells, _ = _cached_factors.__wrapped__(spec, DEFAULT_CAP)
-    assert sum(cells) == 432 and _cells(spec) == 7776
-    assert sizes == [(216, 12)]
-    assert sum(reduced) + 6 == 432
+    assert sum(cells) == 24 and _cells(spec) == 7776
+    assert sizes == [(216, 12, 6), (432, 24, 1)]
+    assert cells[0] == 1 and sum(reduced) + 1 == 24
+
+
+def test_reduced_quotient_has_the_closed_form_count():
+    # each step's matching leaves two critical cells per fibre, so the
+    # quotient the SNF reduces has 2^(r-1) (2 n_1 + 2) cells at any t: 24
+    # for (2,2,2;6), 48 for (2,2,2,2;3), 256 for (1^7;3), whose whole
+    # complex of 11.9 M cells is far above the default cap
+    specs = [spec for spec in grid_specs(ts=(1, 2, 3, 4, 6)) if spec.r >= 2]
+    for spec in specs + [TupleSpec((1,) * 7, 3)]:
+        cells, _ = _cached_factors.__wrapped__(spec, 10**12)
+        assert sum(cells) == 2 ** (spec.r - 1) * (2 * spec.n[0] + 2), spec
+
+
+def _mutant_reduce(old: str, new: str):
+    """`_reduce` with one piece of its source replaced, run in the oracle
+    module's namespace."""
+    source = inspect.getsource(oracle_module._reduce)
+    assert source.count(old) == 1
+    namespace = dict(vars(oracle_module))
+    exec(source.replace(old, new), namespace)
+    return namespace["_reduce"]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("-u * w", "u * w"),  # the pivot's sign flipped
+        ("[(c, c - 1) for c in range(1, t)]", "[(c, c) for c in range(1, t)]"),  # g^c e_j with g^c e_(j-1)
+    ],
+    ids=["sign", "twist"],
+)
+def test_a_wrong_reduction_is_caught(monkeypatch, old, new):
+    # (1,1,1;3): the reduced Z[Z_3] complex of its first step fails
+    # `_check_ring`; (1,1;3): the reduced quotient is a complex, but its
+    # homology differs from the reference builder's
+    monkeypatch.setattr(oracle_module, "_reduce", _mutant_reduce(old, new))
+    with pytest.raises(AssertionError, match="d o d != 0 over Z\\[Z_t\\] at degree 2 of"):
+        _cached_factors.__wrapped__(TupleSpec((1, 1, 1), 3), DEFAULT_CAP)
+    spec = TupleSpec((1, 1), 3)
+    cx = _reference_complex(spec)
+    cached = _cached_factors.__wrapped__(spec, DEFAULT_CAP)
+    assert _homology_groups(*cached, ZZ) != _homology_groups(cx.ranks, boundary_factors(cx), ZZ)
+
+
+def test_quotient_check_refuses_a_negated_entry(monkeypatch):
+    # the quotient's d o d over Z is checked before any SNF. Every composite
+    # of the reduced quotient's boundaries vanishes term by term, so no
+    # negated entry there can trip it: hand it the unreduced quotient of the
+    # last step in the reduction's place, once as it is, which passes and
+    # gives the whole complex's factors, and once with one entry negated
+    spec = TupleSpec((1, 1), 3)
+    cx = _reference_complex(spec)
+    whole = (cx.ranks, boundary_factors(cx))
+    snf, sums = oracle_module._snf_factors, []
+
+    def unreduced(pairs, terms, t, top, m):
+        sums.append([oracle_module._sum_out(row, len(below) * t, t) for row, below in zip(terms, [[]] + pairs)])
+        return sums[-1]
+
+    def recorded_snf(cols):
+        reduced.append(cols)
+        return snf(cols)
+
+    monkeypatch.setattr(oracle_module, "_reduce", unreduced)
+    monkeypatch.setattr(oracle_module, "_snf_factors", recorded_snf)
+    reduced: list = []
+    assert _cached_factors.__wrapped__(spec, DEFAULT_CAP) == whole
+    cols = sums[-1]
+    d, j, row = next(
+        (d, j, row) for d in range(2, len(cols)) for j, col in enumerate(cols[d]) for row in col if cols[d - 1][row]
+    )
+
+    def negated(*args):
+        cols = unreduced(*args)
+        cols[d][j][row] = -cols[d][j][row]
+        return cols
+
+    monkeypatch.setattr(oracle_module, "_reduce", negated)
+    reduced.clear()
+    with pytest.raises(AssertionError, match=f"d o d != 0 over Z at degree {d} of"):
+        _cached_factors.__wrapped__(spec, DEFAULT_CAP)
+    assert not reduced
 
 
 @pytest.mark.parametrize("n, t", [((2, 2, 2), 6), ((2, 2, 2, 2), 3)])
 def test_streamed_factors_peak_below_the_whole_complex(n, t):
-    # the comparison never builds the whole complex: it eliminates unit
-    # entries over Z[Z_t] before the quotient, then builds only the rows the
-    # reduction keeps of the small quotient and reduces them in place. Its
-    # traced peak is about 0.12 and 0.02 of the complex's traced size here
-    # (0.21 when the whole quotient was streamed, about 0.32 when full
-    # boundaries were copied into the reduction, about 1.2 when every
-    # boundary was held). The whole build itself frees each degree's terms
+    # the comparison never builds the whole complex: it reduces each step by
+    # the sphere's Morse matching, the last in the quotient, and reduces the
+    # small quotient's columns in place. Its traced peak is about 0.008 and
+    # 0.003 of the complex's traced size here (0.09 and 0.02 with Gaussian
+    # elimination over Z[Z_t] and the last step's quotient built, 0.21 when
+    # the whole quotient was streamed, about 0.32 when full boundaries were
+    # copied into the reduction, about 1.2 when every boundary was held). The whole build itself frees each degree's terms
     # of its last step once that degree's columns are made, so it peaks at
     # about 1.05 and 1.16 times the complex it returns (1.27 and 1.67 while
     # every degree's terms were held until the end)
@@ -634,10 +718,10 @@ oracle_specs = st.builds(
 @example(spec=TupleSpec((1, 1), 150))
 @example(spec=TupleSpec((0, 0), 12500))
 def test_in_place_factors_match_the_copying_path(spec):
-    # _cached_factors eliminates over Z[Z_t] before the quotient and reduces
-    # the kept rows of the small quotient in place, which has the whole
-    # complex's homology over Z, F2 and F3, and is the whole complex for
-    # r <= 2; boundary_factors reduces a copy of the whole complex's
+    # _cached_factors reduces each step by the sphere's matching and the
+    # last in the quotient, which leaves 2^(r-1) (2 n_1 + 2) cells with the
+    # whole complex's homology over Z, F2 and F3, and is the whole complex
+    # for r = 1; boundary_factors reduces a copy of the whole complex's
     # boundaries, and it and smith_normal_form leave their input as it was
     cx = product_quotient_complex(spec)
     kept = [[dict(col) for col in b] for b in cx.boundaries[1:]]
@@ -645,8 +729,10 @@ def test_in_place_factors_match_the_copying_path(spec):
     whole = boundary_factors(cx)  # what homology(cx, dom) reads
     for dom in (ZZ, GF(2), GF(3)):
         assert _homology_groups(*cached, dom) == _homology_groups(cx.ranks, whole, dom)
-    if spec.r <= 2:
+    if spec.r == 1:
         assert cached == (cx.ranks, whole)
+    else:
+        assert sum(cached[0]) == 2 ** (spec.r - 1) * (2 * spec.n[0] + 2)
     assert [list(b) for b in cx.boundaries[1:]] == kept
     rows, cols = cx.ranks[0], cx.ranks[1]
     if rows * cols <= 100_000:
@@ -780,9 +866,9 @@ def test_largest_complex_factors_pinned():
     spec = TupleSpec((2, 2, 2, 2), 3)
     h = hashlib.sha256(repr(_whole_factors(spec)).encode())
     assert h.hexdigest() == LARGEST_FACTORS_SHA256
-    # the comparison caches the eliminated quotient's 432 cells, not 34,992
+    # the comparison caches the reduced quotient's 48 cells, not 34,992
     cells, _ = _cached_factors(spec, DEFAULT_CAP)
-    assert sum(cells) == 432 and _cells(spec) == 34992
+    assert sum(cells) == 48 and _cells(spec) == 34992
 
 
 def _diagonal_invariant_factors(ks) -> tuple[int, ...]:

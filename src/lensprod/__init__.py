@@ -17,7 +17,6 @@ from .algebra import (
 )
 from .cohomology import (
     BasisMonomial,
-    BundleSpec,
     CohomologyRing,
     build_ring,
     change_coefficients,
@@ -48,7 +47,6 @@ from .oracle import (
     compare_with_theory,
     homology,
     product_quotient_complex,
-    smith_normal_form,
     sphere_complex,
 )
 from .splittings import (

@@ -1,5 +1,5 @@
-"""Exact arithmetic foundations: coefficient domains, truncated polynomial
-arithmetic, p-adic valuations, and graded abelian-group bookkeeping.
+"""Exact arithmetic foundations: coefficient domains, a truncated-polynomial
+record, p-adic valuations, and graded abelian-group bookkeeping.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely between threads.
@@ -283,16 +283,22 @@ class TupleSpec(NamedTuple("TupleSpec", [("n", tuple[int, ...]), ("t", object)])
 # truncated polynomials
 
 
-class TruncPoly(NamedTuple):
-    """Univariate polynomial truncated at degree <= prec over a Coeff domain.
+def _no_tuple_arithmetic(self, other):
+    return NotImplemented  # a record is a tuple: refuse, rather than concatenate or repeat
 
-    coeffs always has length prec + 1; arithmetic on mixed precision
-    truncates to the smaller one.
-    """
+
+class TruncPoly(NamedTuple):
+    """A univariate polynomial truncated at degree <= prec over a Coeff
+    domain, as a record: coeffs has length prec + 1, each coefficient in the
+    domain's canonical form. It carries and prints a series (a t-series, a
+    Stiefel-Whitney class) and has no arithmetic; +, * and scalar * raise
+    TypeError."""
 
     coeffs: tuple
     prec: int
     dom: Coeff
+
+    __add__ = __mul__ = __rmul__ = _no_tuple_arithmetic
 
     @classmethod
     def of(cls, dom: Coeff, coeffs, prec: int) -> "TruncPoly":
@@ -303,92 +309,11 @@ class TruncPoly(NamedTuple):
         return cls(tuple(cs), prec, dom)
 
     @classmethod
-    def _exact(cls, dom: Coeff, cs, prec: int) -> "TruncPoly":
-        """prec + 1 values already of dom's type (sums and products of its
-        coefficients): only F_p needs reducing, Z and Q values are kept."""
-        if dom.kind == "Fp":
-            cs = [c % dom.p for c in cs]
-        return cls(tuple(cs), prec, dom)
-
-    @classmethod
-    def zero(cls, dom: Coeff, prec: int) -> "TruncPoly":
-        return cls.of(dom, (), prec)
-
-    @classmethod
     def one(cls, dom: Coeff, prec: int) -> "TruncPoly":
         return cls.of(dom, (1,), prec)
 
-    @classmethod
-    def var(cls, dom: Coeff, prec: int) -> "TruncPoly":
-        return cls.of(dom, (0, 1), prec)
-
     def coeff(self, j: int):
         return self.coeffs[j] if 0 <= j <= self.prec else self.dom(0)
-
-    def truncate(self, prec: int) -> "TruncPoly":
-        if prec >= self.prec:
-            return self  # immutable, so sharing it is safe
-        return TruncPoly.of(self.dom, self.coeffs, prec)
-
-    def _pair(self, other: "TruncPoly") -> tuple["TruncPoly", "TruncPoly", int]:
-        if not isinstance(other, TruncPoly):
-            other = TruncPoly.of(self.dom, (other,), self.prec)
-        if self.dom != other.dom:
-            raise ValueError(f"coefficient domains differ: {self.dom} vs {other.dom}")
-        prec = min(self.prec, other.prec)
-        return self.truncate(prec), other.truncate(prec), prec
-
-    def __add__(self, other):
-        a, b, prec = self._pair(other)
-        return TruncPoly._exact(self.dom, [x + y for x, y in zip(a.coeffs, b.coeffs)], prec)
-
-    def __sub__(self, other):
-        a, b, prec = self._pair(other)
-        return TruncPoly._exact(self.dom, [x - y for x, y in zip(a.coeffs, b.coeffs)], prec)
-
-    def __neg__(self):
-        return TruncPoly._exact(self.dom, [-c for c in self.coeffs], self.prec)
-
-    def __mul__(self, other):
-        a, b, prec = self._pair(other)
-        out = [self.dom(0)] * (prec + 1)
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j in range(prec + 1 - i):
-                y = b.coeffs[j]
-                if y != 0:
-                    out[i + j] += x * y
-        return TruncPoly._exact(self.dom, out, prec)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "TruncPoly":
-        c = self.dom(c)
-        return TruncPoly._exact(self.dom, [c * x for x in self.coeffs], self.prec)
-
-    def pow(self, k: int) -> "TruncPoly":
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        out = TruncPoly.one(self.dom, self.prec)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    __pow__ = pow
-
-    def compose(self, inner: "TruncPoly") -> "TruncPoly":
-        """self(inner(z)); inner must have zero constant term."""
-        a, b, prec = self._pair(inner)
-        if b.coeff(0) != self.dom(0):
-            raise ValueError("composition needs an inner series without constant term")
-        out = TruncPoly.zero(self.dom, prec)
-        power = TruncPoly.one(self.dom, prec)
-        for c in a.coeffs:
-            if c != 0:
-                out = out + power.scale(c)
-            power = power * b
-        return out
 
     def __str__(self):
         return _poly_str(self.coeffs, "z", self.dom(0), self.dom(1))
@@ -548,11 +473,7 @@ class PoincareSeries(NamedTuple):
                 out[i + j] += a * b
         return PoincareSeries.of(out)
 
-    def __rmul__(self, other):
-        return NotImplemented  # not tuple repetition
-
-    def is_palindromic(self) -> bool:
-        return self.coeffs == tuple(reversed(self.coeffs))
+    __rmul__ = _no_tuple_arithmetic
 
     def __str__(self):
         return _poly_str(self.coeffs, "s", 0, 1)

@@ -68,7 +68,6 @@ __all__ = [
     "base_factor",
     "BasisMonomial",
     "CohomologyRing",
-    "BundleSpec",
     "build_ring",
     "graded_groups",
     "poincare_polynomial",
@@ -103,24 +102,6 @@ def resolve_mode(spec: TupleSpec, dom: Coeff) -> CoeffMode:
     if dom.kind == "Fp" and spec.t % dom.p == 0:
         return CoeffMode(dom, PRIMARY, nu_p(dom.p, spec.t))
     return CoeffMode(dom, UNIT)
-
-
-class BundleSpec(NamedTuple("BundleSpec", [("k", int), ("base", TupleSpec)])):
-    """k-fold Whitney sum of the canonical complex line bundle over the base."""
-
-    __slots__ = ()
-
-    def __new__(cls, k: int, base: TupleSpec):
-        if k < 0:
-            raise ValueError("multiplicity must be non-negative")
-        return super().__new__(cls, k, base)
-
-    def sphere_space(self) -> TupleSpec:
-        """The unit-sphere bundle of k copies of the line bundle is again a
-        space of the same family, with k-1 appended to the tuple."""
-        if self.k < 1:
-            raise ValueError("the sphere bundle needs at least one summand")
-        return TupleSpec.make(self.base.n + (self.k - 1,), self.base.t, sort=True)
 
 
 class BasisMonomial(NamedTuple):
@@ -287,12 +268,6 @@ class CohomologyRing:
         self._require(m)
         return self.factor.torsion[m.base]
 
-    def positive_generators(self) -> tuple:
-        """Ring generators of positive degree, as basis monomials."""
-        return tuple(BasisMonomial(g) for g in self.factor.generators) + tuple(
-            BasisMonomial(_UNIT_BASE, (i,)) for i in range(2, self.spec.r + 1)
-        )
-
     # -- multiplication -----------------------------------------------------
 
     def multiply(self, m1: BasisMonomial, m2: BasisMonomial) -> dict:
@@ -324,15 +299,6 @@ class CohomologyRing:
             if c != self.dom(0):
                 out[m] = c
         return out
-
-    def mul(self, e1: dict, e2: dict) -> dict:
-        """Bilinear extension of multiply to linear combinations."""
-        out: dict = {}
-        for m1, c1 in e1.items():
-            for m2, c2 in e2.items():
-                for m, c in self.multiply(m1, m2).items():
-                    out[m] = out.get(m, 0) + c1 * c2 * c
-        return self._normalize(out)
 
     def __str__(self):
         return f"H*({self.spec}; {self.dom})"
@@ -391,14 +357,6 @@ class RestrictionMap(NamedTuple):
         self.full._require(out)
         return out
 
-    def retract(self, m: BasisMonomial):
-        """Preimage of a full-ring monomial in the image, else None."""
-        self.full._require(m)
-        pos = {idx: j for j, idx in enumerate(self.kept, start=1)}
-        if any(i not in pos for i in m.ext):
-            return None
-        return BasisMonomial(m.base, tuple(sorted(pos[i] for i in m.ext)))
-
 
 def restriction_p(ring: CohomologyRing, kept) -> RestrictionMap:
     """The injection of the ring of the reduced tuple; index 1 must be kept."""
@@ -421,13 +379,6 @@ class ProjectionRule(NamedTuple):
     t: int
     t_prime: object
     omega_multiplier: object  # int for finite t', None otherwise
-
-    def apply(self, m: BasisMonomial):
-        if not m.base[2]:
-            return 1, m
-        if self.omega_multiplier is None:
-            raise ValueError("the t' = INFINITY ring has no w class")
-        return self.omega_multiplier, m
 
     def push(self, m: BasisMonomial, source: CohomologyRing, target: CohomologyRing) -> dict:
         """Image in the target (t) ring of a basis monomial of the source

@@ -51,10 +51,6 @@ class TriState(NamedTuple):
     value: object  # True, False, or None for unknown
     reason: str = ""
 
-    @property
-    def known(self) -> bool:
-        return self.value is not None
-
     def __bool__(self):
         if self.value is None:
             raise ValueError(f"tri-state is unknown: {self.reason}")

@@ -63,7 +63,6 @@ __all__ = [
     "ComparisonReport",
     "sphere_complex",
     "product_quotient_complex",
-    "smith_normal_form",
     "boundary_factors",
     "homology",
     "compare_with_theory",
@@ -395,17 +394,6 @@ def _glued(cols: list, m: int) -> tuple[list, list]:
 
 # ---------------------------------------------------------------------------
 # Smith normal form
-
-
-def smith_normal_form(matrix) -> tuple[int, ...]:
-    """Invariant factors d_1 | d_2 | ... of an integer matrix given as a list
-    of rows (zero factors dropped, units included)."""
-    cols: dict[int, dict[int, int]] = {}
-    for i, row in enumerate(matrix):
-        for j, v in enumerate(row):
-            if v:
-                cols.setdefault(j, {})[i] = int(v)
-    return _snf_factors(cols.values())[0]
 
 
 def _snf_factors(columns) -> tuple[tuple[int, ...], set]:

@@ -62,14 +62,6 @@ def sq_k(ring: CohomologyRing, m: BasisMonomial, k: int) -> dict:
     }
 
 
-def sq_k_elem(ring: CohomologyRing, elem: dict, k: int) -> dict:
-    out: dict = {}
-    for m, c in elem.items():
-        for m2, c2 in sq_k(ring, m, k).items():
-            out[m2] = (out.get(m2, 0) + c * c2) % 2
-    return {m: c for m, c in out.items() if c}
-
-
 # ---------------------------------------------------------------------------
 # characteristic classes of the tangent bundle
 

@@ -38,9 +38,9 @@ from lensprod.invariants import (
 )
 from lensprod.oracle import compare_with_theory
 from lensprod.splittings import mu1, verify_wedge
-from lensprod.steenrod import sq_k, sq_k_elem, stiefel_whitney_total, total_sq
+from lensprod.steenrod import sq_k, stiefel_whitney_total, total_sq
 
-from _grid import binom_expand, full_grid_specs, grid_specs
+from _grid import apply_linear, full_grid_specs, grid_specs, mul, multiplicative_t_series, sq_k_elem
 
 ORACLE_TS = (1, 2, 3, 4, 6)
 
@@ -76,11 +76,11 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_poincare_duality():
     for spec in grid_specs(ts=ORACLE_TS):
         for dom in field_modes(spec):
-            poly = poincare_polynomial(build_ring(spec, dom))
-            assert poly.is_palindromic(), (spec, dom)
+            coeffs = poincare_polynomial(build_ring(spec, dom)).coeffs
+            assert coeffs == coeffs[::-1], (spec, dom)
     for spec in grid_specs(ts=(INFINITY,)):
-        poly = poincare_polynomial(build_ring(spec, QQ))
-        assert poly.is_palindromic(), spec
+        coeffs = poincare_polynomial(build_ring(spec, QQ)).coeffs
+        assert coeffs == coeffs[::-1], spec
 
 
 @criterion(3, "Euler characteristic case formula")
@@ -142,12 +142,8 @@ def test_criterion_6_steenrod():
         for m1 in basis:
             sq1 = total_sq(ring, m1)
             for m2 in basis:
-                lhs = {}
-                for m, c in ring.multiply(m1, m2).items():
-                    for m3, c3 in total_sq(ring, m).items():
-                        lhs[m3] = (lhs.get(m3, 0) + c * c3) % 2
-                lhs = {m3: c for m3, c in lhs.items() if c}
-                assert lhs == ring.mul(sq1, total_sq(ring, m2)), (spec, m1, m2)
+                lhs = apply_linear(lambda m: total_sq(ring, m), ring, ring.multiply(m1, m2))
+                assert lhs == mul(ring, sq1, total_sq(ring, m2)), (spec, m1, m2)
         for b in range(1, 12):
             for a in range(1, 12 - b + 1):
                 if a >= 2 * b:
@@ -170,8 +166,7 @@ def test_criterion_7_t_series():
     for t in range(1, 13):
         for prec in range(1, 9):
             law = make_multiplicative(1, ZZ, prec)
-            closed = binom_expand(t, prec) - TruncPoly.one(ZZ, prec)
-            assert t_series(law, t, prec).poly == closed
+            assert t_series(law, t, prec).poly == multiplicative_t_series(t, prec)
             additive = make_additive(ZZ, prec)
             assert t_series(additive, t, prec).poly == TruncPoly.of(ZZ, (0, t), prec)
 

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,10 +23,8 @@ from lensprod.algebra import (
     nu_p,
     prime_factors,
 )
-from lensprod.cohomology import BasisMonomial, BundleSpec
+from lensprod.cohomology import BasisMonomial
 from lensprod.fgl import make_custom
-
-from _grid import binom_expand
 
 
 def test_nu_p_examples():
@@ -112,72 +111,8 @@ def test_binom_mod2_matches_integer_expansion():
     for k in range(0, 20):
         for prec in (0, 3, 8):
             lucas = binom_mod2_expand(k, prec)
-            exact = binom_expand(k, prec)
-            reduced = TruncPoly.of(GF(2), exact.coeffs, prec)
-            assert lucas == reduced
-
-
-def test_poly_ops_examples():
-    f2 = GF(2)
-    one_plus_z = TruncPoly.of(f2, (1, 1), 4)
-    assert str(one_plus_z * one_plus_z) == "1 + z^2"
-
-    f = TruncPoly.of(ZZ, (0, 1, 1), 3)
-    assert f.compose(f).coeffs == (0, 1, 2, 2)
-
-    g = TruncPoly.of(QQ, (1, 1), 2)
-    assert [int(c) for c in g.pow(5).coeffs] == [1, 5, 10]
-
-
-def test_poly_precision_mismatch_truncates_to_min():
-    a = TruncPoly.of(ZZ, (1, 1, 1, 1), 3)
-    b = TruncPoly.of(ZZ, (1, 1), 5)
-    assert (a + b).prec == 3
-    assert (a * b).prec == 3
-
-
-def test_poly_compose_needs_zero_constant_term():
-    a = TruncPoly.of(ZZ, (0, 1), 4)
-    b = TruncPoly.of(ZZ, (1, 1), 4)
-    with pytest.raises(ValueError):
-        a.compose(b)
-
-
-def test_poly_ring_axioms_randomized():
-    rng = random.Random(11)
-    for dom in (ZZ, QQ, GF(5)):
-        for _ in range(40):
-            prec = rng.randint(1, 6)
-            a, b, c = (
-                TruncPoly.of(dom, [rng.randint(-4, 4) for _ in range(prec + 1)], prec)
-                for _ in range(3)
-            )
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            assert a * b == b * a
-            assert a + b == b + a
-
-
-def test_poly_arithmetic_keeps_canonical_coefficients():
-    # results skip the coercion of TruncPoly.of, so check they still hold
-    # the domain's canonical values
-    rng = random.Random(3)
-    for dom in (ZZ, QQ, GF(2), GF(3), GF(5)):
-        for _ in range(20):
-            prec = rng.randint(0, 6)
-            a, b = (
-                TruncPoly.of(dom, [rng.randint(-9, 9) for _ in range(rng.randint(0, prec + 1))], prec)
-                for _ in range(2)
-            )
-            for res in (a + b, a - b, -a, a * b, b * a, 3 * a, a.scale(-7), a + 5, a.pow(3)):
-                assert len(res.coeffs) == res.prec + 1
-                for c in res.coeffs:
-                    if dom.kind == "Fp":
-                        assert type(c) is int and c in range(dom.p), (dom, res)
-                    elif dom.kind == "Z":
-                        assert type(c) is int, (dom, res)
-                    else:
-                        assert type(c) is Fraction, (dom, res)
+            exact = [comb(k, j) for j in range(prec + 1)]
+            assert lucas == TruncPoly.of(GF(2), exact, prec)
 
 
 def test_coefficients_map_fractions_and_reject_what_has_no_image():
@@ -299,7 +234,7 @@ def test_poincare_series():
     p = PoincareSeries.of((1, 0, 1))
     q = PoincareSeries.of((1, 0, 0, 1))
     assert (p * q).coeffs == (1, 0, 1, 1, 0, 1)
-    assert (p * q).is_palindromic()
+    assert (p * q).coeffs == (p * q).coeffs[::-1]
     assert str(p) == "1 + s^2"
     assert str(PoincareSeries.of([1, 1]) + PoincareSeries.of([0, 0, 1])) == "1 + s + s^2"
     assert PoincareSeries.of([]) + PoincareSeries.of([]) == PoincareSeries.of([])
@@ -334,7 +269,6 @@ def test_records_validate_on_construction():
         (lambda: TupleSpec((1,), True), "t must be a positive integer or INFINITY, got True"),
         (lambda: TupleSpec((1.7,), 3), "1.7 is not a whole number"),
         (lambda: TupleSpec.make((2, 1.5), 3, sort=True), "1.5 is not a whole number"),
-        (lambda: BundleSpec(-1, TupleSpec((1,), 2)), "multiplicity must be non-negative"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             make()
@@ -346,7 +280,7 @@ def test_records_are_immutable():
         (TupleSpec((1, 2), 3), "n"),
         (GF(3), "p"),
         (BasisMonomial((0, 1, 0), (2,)), "ext"),
-        (TruncPoly.var(ZZ, 2), "coeffs"),
+        (TruncPoly.of(ZZ, (0, 1), 2), "coeffs"),
     ):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
@@ -355,10 +289,10 @@ def test_records_are_immutable():
 
 
 def test_series_arithmetic_is_not_tuple_arithmetic():
-    # records are tuples; a scalar on the left must not repeat or concatenate
-    p = TruncPoly.var(ZZ, 3)
-    assert 2 * p == p * 2 == p.scale(2)
-    with pytest.raises(TypeError):
-        2 + p
+    # records are tuples; no operand order may repeat or concatenate them
+    p = TruncPoly.of(ZZ, (0, 1), 3)
+    for op in (lambda: p + p, lambda: p * 2, lambda: 2 * p, lambda: 2 + p):
+        with pytest.raises(TypeError):
+            op()
     with pytest.raises(TypeError):
         2 * PoincareSeries.of((1, 1))

@@ -41,7 +41,7 @@ from lensprod.cohomology import (
 )
 from lensprod.steenrod import total_sq
 
-from _grid import full_grid_specs, grid_specs, tuples
+from _grid import apply_linear, full_grid_specs, grid_specs, mul, tuples
 
 
 def mono(base, ext=()):
@@ -50,19 +50,6 @@ def mono(base, ext=()):
 
 # ---------------------------------------------------------------------------
 # presentations and module structure
-
-
-def test_bundle_sphere_space():
-    from lensprod.cohomology import BundleSpec
-
-    base = TupleSpec((1, 2), 3)
-    assert BundleSpec(3, base).sphere_space() == TupleSpec((1, 2, 2), 3)
-    # one summand appends a zero coordinate (sorted to the front)
-    assert BundleSpec(1, base).sphere_space() == TupleSpec((0, 1, 2), 3)
-    with pytest.raises(ValueError):
-        BundleSpec(0, base).sphere_space()
-    with pytest.raises(ValueError):
-        BundleSpec(-1, base)
 
 
 def test_resolve_mode():
@@ -326,8 +313,8 @@ def test_multiply_associative_and_graded_commutative():
                 }
                 assert left == ring._normalize(right), (spec, dom, m1, m2)
                 for m3 in basis:
-                    lhs = ring.mul(left, {m3: 1})
-                    rhs = ring.mul({m1: 1}, ring.multiply(m2, m3))
+                    lhs = mul(ring, left, {m3: 1})
+                    rhs = mul(ring, {m1: 1}, ring.multiply(m2, m3))
                     assert lhs == rhs, (spec, dom, m1, m2, m3)
 
 
@@ -373,8 +360,6 @@ def test_restriction_is_injective_multiplicative_section():
                 assert rmap.sub.degree(m) == ring.degree(img)
                 assert img not in seen
                 seen[img] = m
-                # section: retract(image(m)) == m
-                assert rmap.retract(img) == m
             for m1 in sub_basis:
                 for m2 in sub_basis:
                     direct = rmap.sub.multiply(m1, m2)
@@ -383,14 +368,17 @@ def test_restriction_is_injective_multiplicative_section():
 
 
 def test_projection_examples():
+    target = build_ring(TupleSpec((1, 1), 2), ZZ)
     rule = projection_pi_star(2, 4)
     assert rule.omega_multiplier == 2
-    assert rule.apply(mono((0, 0, 1))) == (2, mono((0, 0, 1)))
+    w = mono((0, 0, 1))
+    assert rule.push(w, build_ring(TupleSpec((1, 1), 4), ZZ), target) == {w: 2}
     assert projection_pi_star(3, 3).omega_multiplier == 1
     inf_rule = projection_pi_star(2, INFINITY)
     assert inf_rule.omega_multiplier is None
-    assert inf_rule.apply(mono((0, 1, 0))) == (1, mono((0, 1, 0)))
-    assert inf_rule.apply(mono((0, 0, 0), (2,)))[0] == 1
+    source = build_ring(TupleSpec((1, 1), INFINITY), ZZ)
+    for m in (mono((0, 1, 0)), mono((0, 0, 0), (2,))):
+        assert inf_rule.push(m, source, target) == {m: 1}
 
 
 def test_projection_sphere_pullback_compatibility():
@@ -425,12 +413,8 @@ def test_projection_push_is_a_ring_map():
                 target.degree(m) == source.degree(m1) for m in img1
             )
             for m2 in basis:
-                lhs = {}
-                for m, c in source.multiply(m1, m2).items():
-                    for mm, cc in rule.push(m, source, target).items():
-                        lhs[mm] = lhs.get(mm, 0) + c * cc
-                lhs = target._normalize(lhs)
-                rhs = target.mul(img1, rule.push(m2, source, target))
+                lhs = apply_linear(lambda m: rule.push(m, source, target), target, source.multiply(m1, m2))
+                rhs = mul(target, img1, rule.push(m2, source, target))
                 assert lhs == rhs, (n, t, t_prime, m1, m2)
 
 
@@ -587,12 +571,8 @@ def test_change_coefficients_is_multiplicative():
         basis = src.basis
         for m1 in basis:
             for m2 in basis:
-                lhs = {}
-                for m, c in src.multiply(m1, m2).items():
-                    for mm, cc in rmap.image(m).items():
-                        lhs[mm] = lhs.get(mm, 0) + c * cc
-                lhs = tgt._normalize(lhs)
-                rhs = tgt.mul(rmap.image(m1), rmap.image(m2))
+                lhs = apply_linear(rmap.image, tgt, src.multiply(m1, m2))
+                rhs = mul(tgt, rmap.image(m1), rmap.image(m2))
                 assert lhs == rhs, (spec, p, m1, m2)
 
 
@@ -685,11 +665,12 @@ def test_zero_divisor_cup_length_projective_spaces():
 def test_betti_palindromic():
     for spec in grid_specs(ts=(1, 2, 3, 4, 6)):
         for dom in field_modes(spec):
-            poly = poincare_polynomial(build_ring(spec, dom))
-            assert poly.is_palindromic(), (spec, dom)
+            coeffs = poincare_polynomial(build_ring(spec, dom)).coeffs
+            assert coeffs == coeffs[::-1], (spec, dom)
     for spec in full_grid_specs():
         if not spec.finite:
-            assert poincare_polynomial(build_ring(spec, QQ)).is_palindromic()
+            coeffs = poincare_polynomial(build_ring(spec, QQ)).coeffs
+            assert coeffs == coeffs[::-1], spec
 
 
 def test_poincare_tensor_factorization():

@@ -114,7 +114,7 @@ def test_parallelizable_examples():
     assert parallelizable(TupleSpec((0, 1), INFINITY)).value is True  # S^3
     assert parallelizable(TupleSpec((1,), 5)).value is True  # 3-manifold
     assert parallelizable(TupleSpec((2,), 5)).value is None  # literature
-    assert parallelizable(TupleSpec((1,), 5)).known and not unknown("r").known
+    assert parallelizable(TupleSpec((1,), 5)).value is not None and unknown("r").value is None
 
 
 def test_parallelizable_implications_on_grid():

@@ -27,11 +27,10 @@ from lensprod.oracle import (
     compare_with_theory,
     homology,
     product_quotient_complex,
-    smith_normal_form,
     sphere_complex,
 )
 
-from _grid import grid_specs
+from _grid import grid_specs, smith_normal_form
 
 
 def test_sphere_complex_structure():

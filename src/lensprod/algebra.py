@@ -461,12 +461,16 @@ class PoincareSeries(NamedTuple):
         return len(self.coeffs) - 1
 
     def __add__(self, other):
+        if not isinstance(other, PoincareSeries):
+            return NotImplemented
         top = max(self.degree, other.degree)
         return PoincareSeries.of(
             [self.coeff(d) + other.coeff(d) for d in range(top + 1)]
         )
 
     def __mul__(self, other):
+        if not isinstance(other, PoincareSeries):
+            return NotImplemented
         out = [0] * (self.degree + other.degree + 1 if self.coeffs and other.coeffs else 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):

@@ -117,7 +117,6 @@ class BasisMonomial(NamedTuple):
         return "*".join(parts) if parts else "1"
 
 
-_UNIT_BASE = (0, 0, 0)
 _GENERATOR_BASES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # y, z and w
 
 
@@ -208,17 +207,18 @@ class CohomologyRing:
         self.spec = spec
         self.mode = mode
         self.factor = base_factor(spec.n[0], spec.t, mode)
-        exterior = range(2, spec.r + 1)
-        self.relations = self.factor.relations + tuple(f"x{i}^2 = 0" for i in exterior)
-        self.generators = tuple(
-            (str(BasisMonomial(g)), self.factor.degree[g]) for g in self.factor.generators
-        ) + tuple((f"x{i}", 2 * spec.n[i - 1] + 1) for i in exterior)
 
     # -- structure ----------------------------------------------------------
 
     dom = property(lambda self: self.mode.dom)
     is_field = property(lambda self: self.dom.is_field)
-    unit = property(lambda self: BasisMonomial(_UNIT_BASE))
+
+    # the presentation's (name, degree) generators and relation strings, made on access
+    generators = property(
+        lambda self: tuple((str(BasisMonomial(g)), self.factor.degree[g]) for g in self.factor.generators)
+        + tuple((f"x{i}", 2 * self.spec.n[i - 1] + 1) for i in range(2, self.spec.r + 1))
+    )
+    relations = property(lambda self: self.factor.relations + tuple(f"x{i}^2 = 0" for i in range(2, self.spec.r + 1)))
 
     def counts(self) -> dict:
         """degree -> {torsion order (0 if free): multiplicity}: the base

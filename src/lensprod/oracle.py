@@ -26,17 +26,18 @@ time over Z[Z_t] under the diagonal action (`_step`), and each step's d o d
 is checked over Z[Z_t] (`_check_step`). In the basis x (x) g^c e_j each
 boundary entry is one monomial alpha g^k, and the column at twist c is the
 c = 0 one moved by c, so a step keeps only its c = 0 columns. The
-comparison (`_cached_factors`) reduces each step by the sphere's own
-acyclic matching (`_reduce`, algebraic Morse theory), whose pivots are the
-sphere's +-1 entries, and checks d o d again; the last step is reduced in
-the quotient (g -> 1). That leaves 2^(r-1) (2 n_1 + 2) cells at any t: for
+comparison folds each prefix (n_1..n_k; t) once (`_fold`), reducing each
+step by the sphere's acyclic matching (`_reduce`, algebraic Morse theory),
+whose pivots are its +-1 entries, and checking d o d over Z[Z_t] again; a
+spec's factors come from the quotient (g -> 1) of its fold, checked over Z
+(`_cached_factors`). That leaves 2^(r-1) (2 n_1 + 2) cells at any t: for
 (2,2,2;6), 24 in place of the whole quotient's 7,776. The reduction is a
 homotopy equivalence over Z[Z_t] that survives the later tensor steps and
-the quotient, so the small complex's cell counts and factors, all the
-comparison keeps, give the whole one's homology over Z and every F_p.
-`product_quotient_complex` runs the fold without the reduction, lists each
-degree in sorted label order and sends it to the quotient (`_sum_out`),
-which gives the whole quotient complex.
+the quotient, so the small complex's cell counts and factors give the whole
+one's homology over Z and every F_p. `product_quotient_complex` runs the
+steps without the reduction, lists each degree in sorted label order and
+sends it to the quotient (`_sum_out`), which gives the whole quotient
+complex.
 
 There is no oracle for t = INFINITY: the circle quotient is not a finite free
 quotient. That regime is validated elsewhere (duality, Euler characteristics,
@@ -45,6 +46,7 @@ wedge bookkeeping, the Gysin sequence of the circle bundle).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
@@ -172,15 +174,14 @@ def _one_sphere(diffs: tuple) -> list:
     return [[[]]] + [[[(0, 0, 0, sum(c))] if sum(c) else []] for c in diffs[1:]]
 
 
-def _step(first: tuple, diffs: tuple, t: int, key=None) -> tuple[list, list]:
+def _step(first: tuple, cells: list, t: int, key=None) -> tuple[list, list]:
     """One tensor step: first (x) S over R = Z[Z_t] under the diagonal
-    action, first a free R-complex (degrees, cols) in the form
-    `_sphere_factor` gives and diffs the group-ring boundaries of the sphere
-    S. Returns (pairs, terms): pairs[d] lists the pairs (x, j) of a generator
-    x of first and a cell e_j of S with degrees[x] + j = d, sorted by key
-    (in product order when key is None); the generators x (x) g^c e_j of
-    the i-th pair sit at the positions i t + c of degree d, and terms[d][i]
-    is their c = 0 column.
+    action, first a free R-complex (degrees, cols) and cells the cols of the
+    sphere S, both in the form `_sphere_factor` gives. Returns (pairs,
+    terms): pairs[d] lists the pairs (x, j) of a generator x of first and a
+    cell e_j of S with degrees[x] + j = d, sorted by key (in product order
+    when key is None); the generators x (x) g^c e_j of the i-th pair sit at
+    the positions i t + c of degree d, and terms[d][i] is their c = 0 column.
 
     A term (face, h, k, v) stands, in the column at twist c, for v g^k times
     the generator at position face + (h + c) % t of degree d - 1. A term
@@ -191,13 +192,13 @@ def _step(first: tuple, diffs: tuple, t: int, key=None) -> tuple[list, list]:
     column of first holds each (row, power) once, so no two terms of one
     column share a (face, h)."""
     degrees, cols = first
-    pairs: list[list] = [[] for _ in range(max(degrees) + len(diffs))]
+    pairs: list[list] = [[] for _ in range(max(degrees) + len(cells))]
     for x, degree in enumerate(degrees):
-        for j in range(len(diffs)):
+        for j in range(len(cells)):
             pairs[degree + j].append((x, j))
     for row in pairs:
         row.sort(key=key)
-    face = [[0] * len(degrees) for _ in diffs]  # face[j][x]: the position of (x, j)
+    face = [[0] * len(degrees) for _ in cells]  # face[j][x]: the position of (x, j)
     for row in pairs:
         for i, (x, j) in enumerate(row):
             face[j][x] = i * t
@@ -209,7 +210,7 @@ def _step(first: tuple, diffs: tuple, t: int, key=None) -> tuple[list, list]:
             col = [(at[y], -k % t, k, v) for y, k, v in cols[x]]
             if j:
                 sign = -1 if degrees[x] % 2 else 1
-                col += [(face[j - 1][x], l, 0, sign * b) for l, b in enumerate(diffs[j]) if b]
+                col += [(face[j - 1][x], l, 0, sign * b) for _, l, b in cells[j]]
             out.append(col)
         terms.append(out)
     return pairs, terms
@@ -264,7 +265,7 @@ def _sum_out(row: list, nrows: int, t: int) -> list:
 
 
 def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> QuotientComplex:
-    """The whole quotient complex, by the fold of `_cached_factors` without
+    """The whole quotient complex, by the tensor steps of `_fold` without
     the reduction: each step keeps the label (cells, twists) of every
     generator and sorts each degree's pairs by it, so the last step's
     generators are the basis in sorted order, and its degrees, sent to the
@@ -281,7 +282,7 @@ def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> Quotien
         labels, twists = [((j,), ()) for j in first[0]], t
         for m, diffs in enumerate(spheres[1:], 2):
             cells_of = [[cells + (j,) for j in range(len(diffs))] for cells, _ in labels]  # [x][j]
-            pairs, terms = _step(first, diffs, t, lambda p: (cells_of[p[0]][p[1]], labels[p[0]][1]))
+            pairs, terms = _step(first, _sphere_factor(diffs)[1], t, lambda p: (cells_of[p[0]][p[1]], labels[p[0]][1]))
             # Checked on the pairs whose inner twists are all 0: s_h, adding h
             # to the twists, commutes with each step's D by induction (D on
             # (s_h x, j) is the rule applied to D' s_h x = s_h D' x, and the
@@ -319,15 +320,14 @@ def _check_ring(name: str, cx: tuple, t: int) -> None:
             raise AssertionError(f"d o d != 0 over {'Z' if t == 1 else 'Z[Z_t]'} at degree {degrees[x]} of {name}")
 
 
-def _reduce(pairs: list, terms: list, t: int, top: int, m: int) -> list:
+def _reduce(pairs: list, terms: list, t: int, top: int) -> list:
     """A checked step (pairs, terms), as `_step` returns it for a sphere S
     with top cell e_top, reduced by S's own acyclic matching (Skoldberg,
     "Morse theory from an algebraic viewpoint", Trans. AMS 2006;
     Jollenbeck-Welker, "Minimal resolutions via algebraic discrete Morse
     theory", Mem. AMS 2009). Returns the Morse complex's columns degree by
-    degree, one {row m + k: v} map per critical cell, for v g^k times the
-    row-th critical cell of the degree below: m = t keeps Z[Z_t], m = 1
-    sends g -> 1.
+    degree, one {row t + k: v} map per critical cell, for v g^k times the
+    row-th critical cell of the degree below.
 
     On each fibre x (x) S it matches g^c e_j, j odd, with g^(c+1) e_(j-1)
     for c < t - 1, and e_j, j even and >= 2, with g^(t-1) e_(j-1), which
@@ -346,15 +346,14 @@ def _reduce(pairs: list, terms: list, t: int, top: int, m: int) -> list:
     A (x) S ~ A' (x) S under the diagonal action, since f (x) 1 and the
     homotopies h (x) 1 (with the Koszul sign) commute with g (x) g, and
     - (x)_R Z keeps homotopy equivalences. So each step may start from the
-    reduced complex of the one before, and the last may be reduced after
-    g -> 1, where its entries stay integers."""
+    reduced complex of the one before, and the quotient of the last reduced
+    complex has the whole quotient's homology."""
     wrap = list(range(t)) * 2  # wrap[a] = a % t for a < 2 t
-    power = wrap if m == t else [0] * (2 * t)  # g^k on a kept power p < m
     out = []
     below: list = []  # the flows of degree d - 1, by position
     for d, row in enumerate(pairs):
         partner = {x: i for i, (x, _) in enumerate(pairs[d + 1])} if d + 1 < len(pairs) else {}
-        flows: list = [()] * (len(row) * t)  # a flow: (row m, p, w) for w g^p times a critical cell
+        flows: list = [()] * (len(row) * t)  # a flow: (row t, p, w) for w g^p times a critical cell
         cols = []
         for i, (x, j) in enumerate(row):
             if j == 0 or j == top:
@@ -362,9 +361,9 @@ def _reduce(pairs: list, terms: list, t: int, top: int, m: int) -> list:
                 acc: dict = {}
                 for face, h, k, v in terms[d][i]:
                     for base, p, w in below[face + wrap[h + c]]:
-                        key = base + power[p + k]
+                        key = base + wrap[p + k]
                         acc[key] = acc.get(key, 0) + v * w
-                flows[i * t + c] = ((len(cols) * m, 0, 1),)
+                flows[i * t + c] = ((len(cols) * t, 0, 1),)
                 cols.append({key: w for key, w in acc.items() if w})
             # (c, c') for g^c e_j matched with g^c' e_(j+1): c >= 1 for j even, t - 1 for j odd
             for c, c2 in [(c, c - 1) for c in range(1, t)] if j % 2 == 0 else [(t - 1, 0)] if j < top else ():
@@ -375,21 +374,35 @@ def _reduce(pairs: list, terms: list, t: int, top: int, m: int) -> list:
                         u = v
                         continue
                     for base, p, w in flows[at]:
-                        key = base + power[p + k]
+                        key = base + wrap[p + k]
                         acc[key] = acc.get(key, 0) + v * w
-                flows[tau] = tuple((key - key % m, key % m, -u * w) for key, w in acc.items() if w)
+                flows[tau] = tuple((key - key % t, key % t, -u * w) for key, w in acc.items() if w)
         out.append(cols)
         below = flows
     return out
 
 
-def _glued(cols: list, m: int) -> tuple[list, list]:
-    """Per-degree columns as `_reduce` returns them, as one free
-    Z[Z_m]-complex (degrees, cols) in the form of `_sphere_factor`."""
+def _glued(cols: list, t: int) -> tuple[list, list]:
+    """Per-degree columns as `_reduce` (or with t = 1 `_quotient`) returns
+    them, as one free Z[Z_t]-complex (degrees, cols) like `_sphere_factor`'s."""
     starts = [0, *accumulate(map(len, cols))]  # starts[d]: degree d's first generator
     return [d for d, row in enumerate(cols) for _ in row], [
-        [(starts[d - 1] + key // m, key % m, v) for key, v in col.items()] for d, row in enumerate(cols) for col in row
+        [(starts[d - 1] + key // t, key % t, v) for key, v in col.items()] for d, row in enumerate(cols) for col in row
     ]
+
+
+def _quotient(fold: tuple) -> list:
+    """A free R-complex (degrees, cols) sent to the quotient (g -> 1),
+    degree by degree: one {row: v} map per generator, for v times the
+    row-th generator of the degree below."""
+    degrees, cols = fold
+    out: list = [[] for _ in range(degrees[-1] + 1)]
+    for d, col in zip(degrees, cols):
+        acc, below = {}, bisect_left(degrees, d - 1)  # below: degree d - 1's first generator
+        for row, _, v in col:
+            acc[row - below] = acc.get(row - below, 0) + v
+        out[d].append({row: v for row, v in acc.items() if v})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -604,37 +617,40 @@ class ComparisonReport(NamedTuple):
 
 
 # Bounded so a long-running process keeps bounded memory, and sized above the
-# acceptance grid's 95 specs, so a pass over the grid over Z, F2 and F3
-# builds each complex once.
+# acceptance grid's 95 specs and their 95 prefixes (15 spheres, 30 pairs, 50
+# triples), so a pass over the grid over Z, F2 and F3 folds each prefix once.
 _FACTORS_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_FACTORS_CACHE_SIZE)
+def _fold(n: tuple, t: int) -> tuple[list, list]:
+    """The prefix (n; t) as a reduced free R-complex (degrees, cols): a
+    sphere's own complex, else the fold of n[:-1] tensored with the last
+    sphere's (`_step`), checked, reduced by the sphere's matching (`_reduce`)
+    and checked whole, each check naming the prefix as a TupleSpec."""
+    if len(n) == 1:
+        return _sphere_factor(sphere_complex(n[0], t).diffs)
+    cells, name = _fold(n[-1:], t)[1], TupleSpec(n, t)
+    pairs, terms = _step(_fold(n[:-1], t), cells, t)
+    _check_step(name, terms, t)
+    fold = _glued(_reduce(pairs, terms, t, len(cells) - 1), t)
+    _check_ring(name, fold, t)
+    return fold
 
 
 @lru_cache(maxsize=_FACTORS_CACHE_SIZE)
 def _cached_factors(spec: TupleSpec, cap: int) -> tuple[tuple[int, ...], tuple]:
     """Cell counts and boundary invariant factors of a quotient complex with
     the homology of spec's, over Z and so over every F_p, after refusing spec
-    as `product_quotient_complex` would. The fold: each sphere but the first
-    is tensored on (`_step`), checked over Z[Z_t] (`_check_step`), reduced
-    by its matching (`_reduce`) and checked whole (`_check_ring`): over
-    Z[Z_t], and over Z for the last, reduced in the quotient. Each degree of
-    the 2^(r-1) (2 n_1 + 2) cells left is reduced in place, uncompressed: on
-    the grid and 300 random specs no composite d_d d_{d+1} of the reduced
-    quotient had a nonzero term, so compression found no row to drop. For
-    r = 1 it is the lens space's own complex."""
+    as `product_quotient_complex` would: the quotient (g -> 1) of spec's own
+    fold, checked over Z (`_check_ring`). Each degree of its
+    2^(r-1) (2 n_1 + 2) cells is reduced in place, uncompressed: on the grid
+    and 300 random specs no composite d_d d_{d+1} of the reduced quotient had
+    a nonzero term, so compression found no row to drop. For r = 1 it is the
+    lens space's own complex."""
     _check_cap(spec, cap)
-    t = spec.t
-    built = {ni: sphere_complex(ni, t).diffs for ni in set(spec.n)}  # each distinct sphere once
-    spheres = [built[ni] for ni in spec.n]
-    if spec.r == 1:
-        cols = [_sum_out(row, 1, 1) for row in _one_sphere(spheres[0])]
-    else:
-        first = _sphere_factor(spheres[0])
-        for m, diffs in zip([t] * (spec.r - 2) + [1], spheres[1:]):
-            pairs, terms = _step(first, diffs, t)
-            _check_step(spec, terms, t)
-            cols = _reduce(pairs, terms, t, len(diffs) - 1, m)
-            first = _glued(cols, m)
-            _check_ring(spec, first, m)
+    cols = _quotient(_fold(spec.n, spec.t))
+    _check_ring(spec, _glued(cols, 1), 1)
     return tuple(map(len, cols)), ((),) + tuple(_snf_factors(row)[0] for row in cols[1:])
 
 
@@ -644,8 +660,8 @@ def compare_with_theory(spec: TupleSpec, dom: Coeff = ZZ, cap: int = DEFAULT_CAP
     side. The oracle's row d is universal coefficients on the cached factors:
     the free rank of H_d and the non-unit factors of d_d, the torsion of
     H_{d-1} (none over a field); the theory's is a freshly built ring's
-    count of its degree-d monomials by torsion order. Only the factors are
-    cached, as a pass over the grid compares each (spec, coefficient) once."""
+    count of its degree-d monomials by torsion order. Only the factors and
+    folds are cached: a pass over the grid compares each (spec, dom) once."""
     homology = _homology_rows(*_cached_factors(spec, cap), dom)
     counts = build_ring(spec, dom).counts()
     rows, below = [], ()  # below: the torsion of H_{d-1}

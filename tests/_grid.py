@@ -9,6 +9,7 @@ from lensprod.oracle import _snf_factors
 from lensprod.steenrod import sq_k
 
 FINITE_TS = (1, 2, 3, 4, 6)
+ONE = BasisMonomial((0, 0, 0))  # the unit 1 of every ring
 
 
 def tuples(nmax=2, rmax=3):

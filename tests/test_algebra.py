@@ -294,5 +294,7 @@ def test_series_arithmetic_is_not_tuple_arithmetic():
     for op in (lambda: p + p, lambda: p * 2, lambda: 2 * p, lambda: 2 + p):
         with pytest.raises(TypeError):
             op()
-    with pytest.raises(TypeError):
-        2 * PoincareSeries.of((1, 1))
+    s = PoincareSeries.of((1, 1))
+    for op in (lambda: 2 * s, lambda: s * 2, lambda: s + 2):
+        with pytest.raises(TypeError):
+            op()

@@ -41,7 +41,7 @@ from lensprod.cohomology import (
 )
 from lensprod.steenrod import total_sq
 
-from _grid import apply_linear, full_grid_specs, grid_specs, mul, tuples
+from _grid import ONE, apply_linear, full_grid_specs, grid_specs, mul, tuples
 
 
 def mono(base, ext=()):
@@ -246,7 +246,7 @@ def test_multiply_exterior_squares_vanish():
         (TupleSpec((0, 1), 3), QQ),
     ]:
         ring = build_ring(spec, dom)
-        x2 = mono(ring.unit.base, (2,))
+        x2 = mono(ONE.base, (2,))
         assert ring.multiply(x2, x2) == {}
 
 
@@ -270,7 +270,7 @@ def test_multiply_omega_annihilates_base_but_not_exterior():
     ring = build_ring(TupleSpec((1, 1), 2), ZZ)
     w = mono((0, 0, 1))
     z = mono((0, 1, 0))
-    x2 = mono(ring.unit.base, (2,))
+    x2 = mono(ONE.base, (2,))
     assert ring.multiply(w, z) == {}
     assert ring.multiply(w, w) == {}
     assert ring.multiply(w, x2) == {mono((0, 0, 1), (2,)): 1}

@@ -16,7 +16,7 @@ from lensprod.cohomology import (
     zero_divisor_cup_length,
 )
 
-from _grid import full_grid_specs, positive_generators
+from _grid import ONE, full_grid_specs, positive_generators
 
 
 def tensor_mul(ring, e1: dict, e2: dict) -> dict:
@@ -48,7 +48,7 @@ def reference_cup_length(ring) -> int:
 
 def reference_zcl(ring) -> int:
     gens = positive_generators(ring)
-    one = ring.unit
+    one = ONE
     bars = [{(g, one): ring.dom(1), (one, g): ring.dom(-1)} for g in gens]
     best = 0
 

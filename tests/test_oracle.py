@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from math import gcd, prod
 
 import pytest
@@ -21,6 +22,7 @@ from lensprod.oracle import (
     QuotientComplex,
     _cached_factors,
     _dense_snf,
+    _fold,
     _homology_groups,
     boundary_factors,
     cohomology_from_homology,
@@ -273,6 +275,7 @@ def test_comparison_reads_the_oracle_side(monkeypatch):
     # same rank mod 2 and mod 3
     real = oracle_module._cached_factors
     real.cache_clear()
+    _fold.cache_clear()
 
     def doubled(spec, cap):
         cells, factors = real(spec, cap)
@@ -437,18 +440,28 @@ def _negate_a_term(terms: list, t: int, chosen=lambda d, i: True) -> int:
     raise AssertionError("no term to corrupt")
 
 
+@pytest.fixture
+def cold_folds():
+    """An empty prefix memo before and after the test, so the comparison
+    runs the patched steps and no fold they made outlives the test."""
+    _fold.cache_clear()
+    yield
+    _fold.cache_clear()
+
+
 @pytest.mark.parametrize("n", [(1, 1), (1, 1, 1)], ids=["r2", "r3"])
-def test_build_refuses_a_non_complex_before_making_its_columns(monkeypatch, n):
+def test_build_refuses_a_non_complex_before_making_its_columns(monkeypatch, cold_folds, n):
     # Corrupt the last step in the column of a pair whose inner twists are
     # all 0: the whole complex checks its steps on those pairs only. It and
     # the comparison's factors must each refuse at the corrupted degree
     # before any quotient column is made.
     spec = TupleSpec(n, 3)
     step, sum_out, reduce = oracle_module._step, oracle_module._sum_out, oracle_module._reduce
+    quotient = oracle_module._quotient
     steps, corrupted, made, reduced = [], [], [], []
 
-    def corrupting(first, diffs, t, key=None):
-        pairs, terms = step(first, diffs, t, key)
+    def corrupting(first, sphere, t, key=None):
+        pairs, terms = step(first, sphere, t, key)
         steps.append(terms)
         if len(steps) == spec.r - 1:
             degrees = first[0]
@@ -466,12 +479,17 @@ def test_build_refuses_a_non_complex_before_making_its_columns(monkeypatch, n):
         made.append(args)
         return sum_out(*args)
 
+    def recorded_quotient(fold):
+        made.append(fold)
+        return quotient(fold)
+
     def recorded_reduce(pairs, terms, *args):
         reduced.append(terms)
         return reduce(pairs, terms, *args)
 
     monkeypatch.setattr(oracle_module, "_step", corrupting)
     monkeypatch.setattr(oracle_module, "_sum_out", recorded_sum_out)
+    monkeypatch.setattr(oracle_module, "_quotient", recorded_quotient)
     monkeypatch.setattr(oracle_module, "_reduce", recorded_reduce)
     for build, reduces in (
         (product_quotient_complex, False),
@@ -489,33 +507,39 @@ def test_build_refuses_a_non_complex_before_making_its_columns(monkeypatch, n):
 
 
 @pytest.mark.parametrize("where", ["stored-twist-0", "stored-twisted", "full-twist-0"])
-def test_stream_checks_each_degree_before_its_snf(monkeypatch, where):
+def test_stream_checks_each_degree_before_its_snf(monkeypatch, cold_folds, where):
     # [full-twist-0]: (1,1,1;3) runs one Z[Z_t] tensor step before the last.
     # Corrupt it: the factors must refuse at the corrupted degree before that
     # step is reduced, and run no SNF.
     # [stored-*]: the last step of (1,1;3) is tensored onto the first sphere,
     # that of (1,1,1;3) onto the reduced Z[Z_3] complex of the first two,
-    # whose entries carry powers of g. Each degree's SNF receives the very
-    # columns the last `_reduce` made, uncopied and whole, and the factors
-    # give the whole complex's homology
+    # whose entries carry powers of g; every step is reduced over Z[Z_3].
+    # Each degree's SNF receives the very columns the quotient of the last
+    # fold made, uncopied and whole, and the factors give the whole
+    # complex's homology
     spec = TupleSpec((1, 1) if where == "stored-twist-0" else (1, 1, 1), 3)
     if where != "full-twist-0":  # before the wrappers, which would record its columns
         cx = _reference_complex(spec)
         whole = (cx.ranks, boundary_factors(cx))
     step, reduce, snf = oracle_module._step, oracle_module._reduce, oracle_module._snf_factors
-    steps, made, copies, reduced, corrupted = [], [], [], [], []
+    quotient = oracle_module._quotient
+    steps, made, quotients, copies, reduced, corrupted = [], [], [], [], [], []
 
-    def corrupting(first, diffs, t, key=None):
-        pairs, terms = step(first, diffs, t, key)
-        steps.append(diffs)
+    def corrupting(first, sphere, t, key=None):
+        pairs, terms = step(first, sphere, t, key)
+        steps.append(sphere)
         if len(steps) == 1:
             corrupted.append(_negate_a_term(terms, t))
         return pairs, terms
 
     def recorded_reduce(*args):
         made.append(reduce(*args))
-        copies.append([[dict(col) for col in row] for row in made[-1]])
         return made[-1]
+
+    def recorded_quotient(fold):
+        quotients.append(quotient(fold))
+        copies.append([[dict(col) for col in row] for row in quotients[-1]])
+        return quotients[-1]
 
     def recorded_snf(cols):
         received = [dict(col) for col in cols]
@@ -524,34 +548,40 @@ def test_stream_checks_each_degree_before_its_snf(monkeypatch, where):
         return factors, pivots
 
     monkeypatch.setattr(oracle_module, "_reduce", recorded_reduce)
+    monkeypatch.setattr(oracle_module, "_quotient", recorded_quotient)
     monkeypatch.setattr(oracle_module, "_snf_factors", recorded_snf)
     if where == "full-twist-0":
         monkeypatch.setattr(oracle_module, "_step", corrupting)
         with pytest.raises(AssertionError) as raised:
             _cached_factors.__wrapped__(spec, DEFAULT_CAP)
         assert f"d o d != 0 over Z[Z_t] at degree {corrupted[0]} of" in str(raised.value)
-        assert len(steps) == 1 and not made and not reduced
+        assert len(steps) == 1 and not made and not quotients and not reduced
     else:
         cached = _cached_factors.__wrapped__(spec, DEFAULT_CAP)
         for dom in (ZZ, GF(2), GF(3)):
             assert _homology_groups(*cached, dom) == _homology_groups(*whole, dom)
-        assert len(made) == spec.r - 1 and len(reduced) == spec.dim
+        assert len(made) == spec.r - 1 and len(quotients) == 1 and len(reduced) == spec.dim
         assert [received for _, received in reduced] == copies[-1][1:]
-        assert [id(cols) for cols, _ in reduced] == [id(cols) for cols in made[-1][1:]]
+        assert [id(cols) for cols, _ in reduced] == [id(cols) for cols in quotients[-1][1:]]
 
 
-def test_elimination_shrinks_the_complex_before_the_quotient(monkeypatch):
+def test_elimination_shrinks_the_complex_before_the_quotient(monkeypatch, cold_folds):
     # (2,2,2;6): S_1 (x) S_2 has 216 free Z[Z_6] generators, and S_2's
-    # matching leaves 12; the last step has 432, whose quotient was reduced
-    # whole before, and S_3's matching leaves 24 cells of it, of which the
-    # one in degree 0 has no boundary, in place of 7,776
+    # matching leaves 12; the last step has 432, and S_3's matching, also
+    # over Z[Z_6], leaves 24, whose quotient has 24 cells, of which the one
+    # in degree 0 has no boundary, in place of 7,776
     spec = TupleSpec((2, 2, 2), 6)
-    reduce, snf = oracle_module._reduce, oracle_module._snf_factors
-    sizes, reduced = [], []
+    reduce, quotient, snf = oracle_module._reduce, oracle_module._quotient, oracle_module._snf_factors
+    sizes, quotients, reduced = [], [], []
 
-    def recorded_reduce(pairs, terms, t, top, m):
-        cols = reduce(pairs, terms, t, top, m)
-        sizes.append((sum(map(len, pairs)) * t, sum(map(len, cols)), m))
+    def recorded_reduce(pairs, terms, t, top):
+        cols = reduce(pairs, terms, t, top)
+        sizes.append((sum(map(len, pairs)) * t, sum(map(len, cols)), t))
+        return cols
+
+    def recorded_quotient(fold):
+        cols = quotient(fold)
+        quotients.append(sum(map(len, cols)))
         return cols
 
     def recorded_snf(cols):
@@ -559,10 +589,12 @@ def test_elimination_shrinks_the_complex_before_the_quotient(monkeypatch):
         return snf(cols)
 
     monkeypatch.setattr(oracle_module, "_reduce", recorded_reduce)
+    monkeypatch.setattr(oracle_module, "_quotient", recorded_quotient)
     monkeypatch.setattr(oracle_module, "_snf_factors", recorded_snf)
     cells, _ = _cached_factors.__wrapped__(spec, DEFAULT_CAP)
     assert sum(cells) == 24 and _cells(spec) == 7776
-    assert sizes == [(216, 12, 6), (432, 24, 1)]
+    assert sizes == [(216, 12, 6), (432, 24, 6)]
+    assert quotients == [24]
     assert cells[0] == 1 and sum(reduced) + 1 == 24
 
 
@@ -595,53 +627,50 @@ def _mutant_reduce(old: str, new: str):
     ],
     ids=["sign", "twist"],
 )
-def test_a_wrong_reduction_is_caught(monkeypatch, old, new):
-    # (1,1,1;3): the reduced Z[Z_3] complex of its first step fails
-    # `_check_ring`; (1,1;3): the reduced quotient is a complex, but its
-    # homology differs from the reference builder's
+def test_a_wrong_reduction_is_caught(monkeypatch, cold_folds, old, new):
+    # every step is reduced over Z[Z_3], so the reduced complex of the
+    # prefix (1,1;3) fails `_check_ring` at degree 2, both as a spec of its
+    # own and as the first step of (1,1,1;3), before any quotient is taken
     monkeypatch.setattr(oracle_module, "_reduce", _mutant_reduce(old, new))
-    with pytest.raises(AssertionError, match="d o d != 0 over Z\\[Z_t\\] at degree 2 of"):
-        _cached_factors.__wrapped__(TupleSpec((1, 1, 1), 3), DEFAULT_CAP)
-    spec = TupleSpec((1, 1), 3)
-    cx = _reference_complex(spec)
-    cached = _cached_factors.__wrapped__(spec, DEFAULT_CAP)
-    assert _homology_groups(*cached, ZZ) != _homology_groups(cx.ranks, boundary_factors(cx), ZZ)
+    for n in ((1, 1), (1, 1, 1)):
+        with pytest.raises(AssertionError, match="d o d != 0 over Z\\[Z_t\\] at degree 2 of"):
+            _cached_factors.__wrapped__(TupleSpec(n, 3), DEFAULT_CAP)
 
 
 def test_quotient_check_refuses_a_negated_entry(monkeypatch):
     # the quotient's d o d over Z is checked before any SNF. Every composite
     # of the reduced quotient's boundaries vanishes term by term, so no
-    # negated entry there can trip it: hand it the unreduced quotient of the
-    # last step in the reduction's place, once as it is, which passes and
-    # gives the whole complex's factors, and once with one entry negated
+    # negated entry there can trip it: hand it the unreduced quotient, the
+    # reference builder's, in the quotient step's place, once as it is,
+    # which passes and gives the whole complex's factors, and once with one
+    # entry negated
     spec = TupleSpec((1, 1), 3)
     cx = _reference_complex(spec)
     whole = (cx.ranks, boundary_factors(cx))
-    snf, sums = oracle_module._snf_factors, []
+    snf = oracle_module._snf_factors
 
-    def unreduced(pairs, terms, t, top, m):
-        sums.append([oracle_module._sum_out(row, len(below) * t, t) for row, below in zip(terms, [[]] + pairs)])
-        return sums[-1]
+    def unreduced(fold):
+        return [[{} for _ in cx.basis[0]]] + [[dict(col) for col in b] for b in cx.boundaries[1:]]
 
     def recorded_snf(cols):
         reduced.append(cols)
         return snf(cols)
 
-    monkeypatch.setattr(oracle_module, "_reduce", unreduced)
+    monkeypatch.setattr(oracle_module, "_quotient", unreduced)
     monkeypatch.setattr(oracle_module, "_snf_factors", recorded_snf)
     reduced: list = []
     assert _cached_factors.__wrapped__(spec, DEFAULT_CAP) == whole
-    cols = sums[-1]
+    cols = unreduced(None)
     d, j, row = next(
         (d, j, row) for d in range(2, len(cols)) for j, col in enumerate(cols[d]) for row in col if cols[d - 1][row]
     )
 
-    def negated(*args):
-        cols = unreduced(*args)
+    def negated(fold):
+        cols = unreduced(fold)
         cols[d][j][row] = -cols[d][j][row]
         return cols
 
-    monkeypatch.setattr(oracle_module, "_reduce", negated)
+    monkeypatch.setattr(oracle_module, "_quotient", negated)
     reduced.clear()
     with pytest.raises(AssertionError, match=f"d o d != 0 over Z at degree {d} of"):
         _cached_factors.__wrapped__(spec, DEFAULT_CAP)
@@ -651,17 +680,19 @@ def test_quotient_check_refuses_a_negated_entry(monkeypatch):
 @pytest.mark.parametrize("n, t", [((2, 2, 2), 6), ((2, 2, 2, 2), 3)])
 def test_streamed_factors_peak_below_the_whole_complex(n, t):
     # the comparison never builds the whole complex: it reduces each step by
-    # the sphere's Morse matching, the last in the quotient, and reduces the
-    # small quotient's columns in place. Its traced peak is about 0.008 and
-    # 0.003 of the complex's traced size here (0.09 and 0.02 with Gaussian
-    # elimination over Z[Z_t] and the last step's quotient built, 0.21 when
-    # the whole quotient was streamed, about 0.32 when full boundaries were
-    # copied into the reduction, about 1.2 when every boundary was held). The whole build itself frees each degree's terms
-    # of its last step once that degree's columns are made, so it peaks at
+    # the sphere's Morse matching over Z[Z_t], takes the quotient of the
+    # last, and reduces the small quotient's columns in place. Its traced
+    # peak is about 0.008 and 0.003 of the complex's traced size here (0.09
+    # and 0.02 with Gaussian elimination over Z[Z_t] and the last step's
+    # quotient built, 0.21 when the whole quotient was streamed, about 0.32
+    # when full boundaries were copied into the reduction, about 1.2 when
+    # every boundary was held). The whole build itself frees each degree's
+    # terms of its last step once that degree's columns are made, so it peaks at
     # about 1.05 and 1.16 times the complex it returns (1.27 and 1.67 while
     # every degree's terms were held until the end)
     spec = TupleSpec(n, t)
     _cached_factors.cache_clear()
+    _fold.cache_clear()
     tracemalloc.start()
     try:
         cx = product_quotient_complex(spec)
@@ -688,16 +719,18 @@ def _lru_sizes() -> dict:
 
 
 def test_compare_with_theory_keeps_only_the_factors():
-    # a comparison caches its complex's factors and nothing else: no ring,
-    # no cohomology groups
+    # a comparison caches its complex's factors and the folds of its
+    # prefixes and its spheres, here (1), (1,2) and (2), and nothing else:
+    # no ring, no cohomology groups
     spec, dom = TupleSpec((1, 2), 5), GF(3)
     _cached_factors.cache_clear()
+    _fold.cache_clear()
     base_factor(spec.n[0], spec.t, resolve_mode(spec, dom))  # shared with the calculator
     before = _lru_sizes()
     assert compare_with_theory(spec, dom).ok
     after = _lru_sizes()
     grown = {key: after[key] - before.get(key, 0) for key in after if after[key] != before.get(key)}
-    assert grown == {("lensprod.oracle", "_cached_factors"): 1}
+    assert grown == {("lensprod.oracle", "_cached_factors"): 1, ("lensprod.oracle", "_fold"): 3}
 
 
 def _cells(spec: TupleSpec) -> int:
@@ -717,8 +750,9 @@ oracle_specs = st.builds(
 @example(spec=TupleSpec((1, 1), 150))
 @example(spec=TupleSpec((0, 0), 12500))
 def test_in_place_factors_match_the_copying_path(spec):
-    # _cached_factors reduces each step by the sphere's matching and the
-    # last in the quotient, which leaves 2^(r-1) (2 n_1 + 2) cells with the
+    # _cached_factors reduces each step by the sphere's matching over
+    # Z[Z_t] and takes the quotient of the last, which leaves
+    # 2^(r-1) (2 n_1 + 2) cells with the
     # whole complex's homology over Z, F2 and F3, and is the whole complex
     # for r = 1; boundary_factors reduces a copy of the whole complex's
     # boundaries, and it and smith_normal_form leave their input as it was
@@ -954,9 +988,41 @@ def test_oracle_caches_hold_the_grid():
     assert len(specs) == 95
     pairs = [(spec, dom) for spec in specs for dom in (ZZ, GF(2), GF(3))]
     factors = {(spec.n[0], spec.t, resolve_mode(spec, dom)) for spec, dom in pairs}
+    # every sphere of the grid is also the first of some spec
+    folds = {(spec.n[:k], spec.t) for spec in specs for k in range(1, spec.r + 1)}
+    assert folds >= {((ni,), spec.t) for spec in specs for ni in spec.n} and len(folds) == 95
     for cache, working_set in (
         (_cached_factors, len(specs)),
+        (_fold, len(folds)),
         (base_factor, len(factors)),
     ):
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and maxsize >= working_set
+
+
+def test_a_grid_pass_folds_each_prefix_once(monkeypatch, cold_folds):
+    # 15 spheres, and one tensor step for each of the 30 pairs and the 50
+    # triples, where folding each spec from its first sphere took 150
+    # sphere builds and 130 steps
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(oracle_module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_module, name, call)
+
+    counted("_step")
+    counted("sphere_complex")
+    _cached_factors.cache_clear()
+    try:
+        for spec in grid_specs():
+            for dom in (ZZ, GF(2), GF(3)):
+                assert compare_with_theory(spec, dom).ok
+    finally:
+        _cached_factors.cache_clear()
+    assert calls == {"_step": 80, "sphere_complex": 15}
+    assert _fold.cache_info().currsize == 95

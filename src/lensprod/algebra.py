@@ -401,18 +401,6 @@ class GradedAbGroup(
     def torsion(self, d: int) -> tuple[int, ...]:
         return self.as_dict().get(d, (0, ()))[1]
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _, _ in self.groups)
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.degrees(), default=-1)
-
-    def betti(self) -> tuple[int, ...]:
-        """Per-degree free ranks 0..max_degree (field-coefficient view)."""
-        rows = self.as_dict()
-        return tuple(rows.get(d, (0,))[0] for d in range(self.max_degree + 1))
-
     def normalized(self) -> "GradedAbGroup":
         return self  # already canonical
 

@@ -10,16 +10,19 @@ coefficients). A comparison routine reads cohomology off them by universal
 coefficients, one (free, torsion) row per degree, and matches each row
 against the predicted ring's counts in that degree.
 
-Boundaries are stored column-major, one {row: value} map per cell, and the
-SNF reduces those columns in place. The SNF is a sparse unit-pivot
-elimination (Dumas-Saunders-Villard, "On efficient sparse integer matrix
-Smith normal forms", JSC 2001) in passes over the columns, shortest first
-(see `_snf_factors`), then a dense SNF of the small residual: a diagonal by
-least-remainder pivots, then gcd/lcm exchanges (see `_dense_snf`). The
-whole complex's boundaries are reduced in order, each with compression
-(Bauer-Kerber-Reininghaus, "Clear and Compress", 2014): the rows of d_{d+1}
-at the unit-pivot columns of d_d are left out, exact over Z since d o d = 0
-is checked before.
+A free Z[Z_t]-complex has one form: a list over the degrees d of columns,
+one {row t + k: v} map per generator for v g^k times the row-th generator of
+degree d - 1. A Z-complex is the same form with t = 1. The sphere, each
+fold, a step made explicit (`_free`) and each quotient (`_quotient`) take
+it, and the SNF reduces a quotient's columns in place. The SNF is a sparse
+unit-pivot elimination (Dumas-Saunders-Villard, "On efficient sparse integer
+matrix Smith normal forms", JSC 2001) in passes over the columns, shortest
+first (see `_snf_factors`), then a dense SNF of the small residual: a
+diagonal by least-remainder pivots, then gcd/lcm exchanges (see
+`_dense_snf`). The whole complex's boundaries are reduced in order, each
+with compression (Bauer-Kerber-Reininghaus, "Clear and Compress", 2014): the
+rows of d_{d+1} at the unit-pivot columns of d_d are left out, exact over Z
+since d o d = 0 is checked before.
 
 Every complex is built by one fold: the spheres are tensored on one at a
 time over Z[Z_t] under the diagonal action (`_step`), and each step's d o d
@@ -46,10 +49,8 @@ wedge bookkeeping, the Gysin sequence of the circle bundle).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate
 from math import prod
 from typing import NamedTuple
 
@@ -88,10 +89,6 @@ class EquivariantComplex(NamedTuple):
     t: int
     dim: int
     diffs: tuple
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return (1,) * (self.dim + 1)
 
     def check_dd_zero(self) -> None:
         _check_ring(f"S^{self.dim}", _sphere_factor(self.diffs), self.t)
@@ -159,58 +156,50 @@ def _check_cap(spec: TupleSpec, cap: int) -> None:
         )
 
 
-def _sphere_factor(diffs: tuple) -> tuple[list, list]:
-    """A sphere's complex as a free Z[Z_t]-complex (degrees, cols): the
-    generator e_j has degree j, and cols[j] lists the terms (j - 1, k, c) of
-    its boundary, the sum of c g^k e_{j-1}."""
-    cols = [[(j - 1, k, c) for k, c in enumerate(diffs[j]) if c] for j in range(1, len(diffs))]
-    return list(range(len(diffs))), [[]] + cols
+def _sphere_factor(diffs: tuple) -> list:
+    """A sphere's complex as a free Z[Z_t]-complex, cx[d] listing degree d's
+    columns {row t + k: v}: one generator e_d per degree, whose column is
+    {k: c} over the nonzero group-ring coefficients c g^k of its boundary."""
+    return [[{}]] + [[{k: c for k, c in enumerate(coeffs) if c}] for coeffs in diffs[1:]]
 
 
-def _one_sphere(diffs: tuple) -> list:
-    """The quotient of one sphere (g -> 1) as the terms of a step with one
-    twist: the boundary of e_d is the sum of its group-ring coefficients
-    times e_{d-1}."""
-    return [[[]]] + [[[(0, 0, 0, sum(c))] if sum(c) else []] for c in diffs[1:]]
-
-
-def _step(first: tuple, cells: list, t: int, key=None) -> tuple[list, list]:
+def _step(first: list, cells: list, t: int, key=None) -> tuple[list, list]:
     """One tensor step: first (x) S over R = Z[Z_t] under the diagonal
-    action, first a free R-complex (degrees, cols) and cells the cols of the
-    sphere S, both in the form `_sphere_factor` gives. Returns (pairs,
-    terms): pairs[d] lists the pairs (x, j) of a generator x of first and a
-    cell e_j of S with degrees[x] + j = d, sorted by key (in product order
-    when key is None); the generators x (x) g^c e_j of the i-th pair sit at
-    the positions i t + c of degree d, and terms[d][i] is their c = 0 column.
+    action, first a free R-complex and cells the sphere S, both in the form
+    `_sphere_factor` gives. Returns (pairs, terms): pairs[d] lists the
+    triples (e, x, j) of the x-th generator of degree e of first and a cell
+    e_j of S with e + j = d, sorted by key (in product order when key is
+    None); the generators (e, x) (x) g^c e_j of the i-th pair sit at the
+    positions i t + c of degree d, and terms[d][i] is their c = 0 column.
 
     A term (face, h, k, v) stands, in the column at twist c, for v g^k times
     the generator at position face + (h + c) % t of degree d - 1. A term
     alpha g^k y of the boundary of x gives alpha g^k (y (x) g^(c-k) e_j):
-    face is the position of (y, j) and h = -k. A term beta g^l of the
+    face is the position of (e - 1, y, j) and h = -k. A term beta g^l of the
     boundary of e_j gives beta x (x) g^(c+l) e_{j-1}, with the Koszul sign of
-    x's degree: face is the position of (x, j - 1), h = l and k = 0. A
+    x's degree: face is the position of (e, x, j - 1), h = l and k = 0. A
     column of first holds each (row, power) once, so no two terms of one
     column share a (face, h)."""
-    degrees, cols = first
-    pairs: list[list] = [[] for _ in range(max(degrees) + len(cells))]
-    for x, degree in enumerate(degrees):
-        for j in range(len(cells)):
-            pairs[degree + j].append((x, j))
+    pairs: list[list] = [[] for _ in range(len(first) + len(cells) - 1)]
+    for e, row in enumerate(first):
+        for x in range(len(row)):
+            for j in range(len(cells)):
+                pairs[e + j].append((e, x, j))
     for row in pairs:
         row.sort(key=key)
-    face = [[0] * len(degrees) for _ in cells]  # face[j][x]: the position of (x, j)
+    face = [[[0] * len(row) for row in first] for _ in cells]  # face[j][e][x]: the position of (e, x, j)
     for row in pairs:
-        for i, (x, j) in enumerate(row):
-            face[j][x] = i * t
+        for i, (e, x, j) in enumerate(row):
+            face[j][e][x] = i * t
     terms = []
     for row in pairs:
         out = []
-        for x, j in row:
-            at = face[j]
-            col = [(at[y], -k % t, k, v) for y, k, v in cols[x]]
+        for e, x, j in row:
+            at = face[j][e - 1]  # unread for e = 0, whose columns are empty
+            col = [(at[key // t], -key % t, key % t, v) for key, v in first[e][x].items()]
             if j:
-                sign = -1 if degrees[x] % 2 else 1
-                col += [(face[j - 1][x], l, 0, sign * b) for _, l, b in cells[j]]
+                at, sign = face[j - 1][e][x], -1 if e % 2 else 1
+                col += [(at, l, 0, sign * b) for l, b in cells[j][0].items()]
             out.append(col)
         terms.append(out)
     return pairs, terms
@@ -235,22 +224,13 @@ def _check_step(name, terms: list, t: int, checked=None) -> None:
                 raise AssertionError(f"d o d != 0 over Z[Z_t] at degree {d} of {name}")
 
 
-def _free(terms: list, t: int) -> tuple[list, list]:
-    """A step as an explicit free R-complex (degrees, cols) in the form of
-    `_sphere_factor`: the generator at position i t + c of degree d follows
-    the lower degrees' generators, and its column is the c = 0 column of the
+def _free(terms: list, t: int) -> list:
+    """A step as an explicit free R-complex in the form of `_sphere_factor`:
+    the generator at position i t + c of degree d has the c = 0 column of the
     i-th pair moved by c."""
-    degrees: list = []
-    cols: list = []
-    below = 0  # the position of degree d - 1's first generator
-    for d, row in enumerate(terms):
-        here = len(cols)
-        for col in row:
-            for c in range(t):
-                cols.append([(below + face + (h + c) % t, k, v) for face, h, k, v in col])
-        degrees += [d] * (len(cols) - here)
-        below = here
-    return degrees, cols
+    return [
+        [{(face + (h + c) % t) * t + k: v for face, h, k, v in col} for col in row for c in range(t)] for row in terms
+    ]
 
 
 def _sum_out(row: list, nrows: int, t: int) -> list:
@@ -270,54 +250,55 @@ def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> Quotien
     generator and sorts each degree's pairs by it, so the last step's
     generators are the basis in sorted order, and its degrees, sent to the
     quotient (`_sum_out`) top down and each freed once used, the boundaries.
-    Every step is checked before the next, the last before any columns."""
+    Every step is checked before the next, the last before any columns. For
+    r = 1 it is the quotient of the sphere, as in the comparison."""
     _check_cap(spec, cap)
     t = spec.t
-    spheres = [sphere_complex(ni, t).diffs for ni in spec.n]
-    if spec.r == 1:
-        terms, twists = _one_sphere(spheres[0]), 1
-        basis = [[((d,), ())] for d in range(len(terms))]
+    first, *spheres = [_sphere_factor(sphere_complex(ni, t).diffs) for ni in spec.n]
+    basis = [[((d,), ())] for d in range(len(first))]
+    for m, cells in enumerate(spheres, 2):
+        labels = basis
+        cells_of = [[[c + (j,) for j in range(len(cells))] for c, _ in row] for row in labels]  # [e][x][j]
+        pairs, terms = _step(first, cells, t, lambda p: (cells_of[p[0]][p[1]][p[2]], labels[p[0]][p[1]][1]))
+        # Checked on the pairs whose inner twists are all 0: s_h, adding h
+        # to the twists, commutes with each step's D by induction (D on
+        # (s_h x, j) is the rule applied to D' s_h x = s_h D' x, and the
+        # column at c is the c = 0 one moved), every generator is s_h z
+        # for such a pair's z at c = 0, and D D s_h z = s_h D D z = 0.
+        untwisted = [[i for i, (e, x, _) in enumerate(row) if not any(labels[e][x][1])] for row in pairs]
+        _check_step(spec, terms, t, untwisted)
+        twists_of = {twist: [twist + (c,) for c in range(t)] for row in labels for _, twist in row}
+        basis = [
+            [(cells_of[e][x][j], twist) for e, x, j in row for twist in twists_of[labels[e][x][1]]] for row in pairs
+        ]
+        if m < spec.r:
+            first = _free(terms, t)
+    if spheres:  # the last step's degrees, top down
+        boundaries = [_sum_out(terms.pop(), len(basis[d - 1]), t) for d in range(len(terms) - 1, 0, -1)][::-1]
     else:
-        first = _sphere_factor(spheres[0])
-        labels, twists = [((j,), ()) for j in first[0]], t
-        for m, diffs in enumerate(spheres[1:], 2):
-            cells_of = [[cells + (j,) for j in range(len(diffs))] for cells, _ in labels]  # [x][j]
-            pairs, terms = _step(first, _sphere_factor(diffs)[1], t, lambda p: (cells_of[p[0]][p[1]], labels[p[0]][1]))
-            # Checked on the pairs whose inner twists are all 0: s_h, adding h
-            # to the twists, commutes with each step's D by induction (D on
-            # (s_h x, j) is the rule applied to D' s_h x = s_h D' x, and the
-            # column at c is the c = 0 one moved), every generator is s_h z
-            # for such a pair's z at c = 0, and D D s_h z = s_h D D z = 0.
-            untwisted = [[i for i, (x, _) in enumerate(row) if not any(labels[x][1])] for row in pairs]
-            _check_step(spec, terms, t, untwisted)
-            twists_of = {twist: [twist + (c,) for c in range(t)] for _, twist in labels}
-            basis = [
-                [(cells_of[x][j], twist) for x, j in row for twist in twists_of[labels[x][1]]] for row in pairs
-            ]
-            if m < spec.r:
-                first, labels = _free(terms, t), [label for row in basis for label in row]
-    boundaries = [_sum_out(terms.pop(), len(basis[d - 1]), twists) for d in range(len(terms) - 1, 0, -1)]
-    return QuotientComplex(spec, tuple(map(tuple, basis)), (None,) + tuple(map(tuple, reversed(boundaries))))
+        boundaries = _quotient(first, t)[1:]
+    return QuotientComplex(spec, tuple(map(tuple, basis)), (None,) + tuple(map(tuple, boundaries)))
 
 
 # ---------------------------------------------------------------------------
 # the Morse reduction of a tensor step
 
 
-def _check_ring(name: str, cx: tuple, t: int) -> None:
-    """d o d = 0 over Z[Z_t] on every column of the free R-complex cx,
-    accumulated by (row, power of g); name is the complex's name in the
-    error. Checks a sphere and a reduced step whole, and with t = 1 the
-    reduced quotient over Z."""
-    degrees, cols = cx
-    for x, col in enumerate(cols):
-        acc: dict = {}
-        for mid, k, v in col:
-            for row, k2, w in cols[mid]:
-                key = row, (k + k2) % t
-                acc[key] = acc.get(key, 0) + v * w
-        if any(acc.values()):
-            raise AssertionError(f"d o d != 0 over {'Z' if t == 1 else 'Z[Z_t]'} at degree {degrees[x]} of {name}")
+def _check_ring(name: str, cx: list, t: int) -> None:
+    """d o d = 0 over Z[Z_t] on every column of the free R-complex cx, in
+    the form of `_sphere_factor`, accumulated by row t + power of g; name is
+    the complex's name in the error. Checks a sphere and a reduced step
+    whole, and with t = 1 the reduced quotient over Z."""
+    for d in range(2, len(cx)):
+        lower = cx[d - 1]
+        for col in cx[d]:
+            acc: dict = {}
+            for key, v in col.items():
+                for key2, w in lower[key // t].items():
+                    at = key2 - key2 % t + (key + key2) % t
+                    acc[at] = acc.get(at, 0) + v * w
+            if any(acc.values()):
+                raise AssertionError(f"d o d != 0 over {'Z' if t == 1 else 'Z[Z_t]'} at degree {d} of {name}")
 
 
 def _reduce(pairs: list, terms: list, t: int, top: int) -> list:
@@ -325,9 +306,9 @@ def _reduce(pairs: list, terms: list, t: int, top: int) -> list:
     with top cell e_top, reduced by S's own acyclic matching (Skoldberg,
     "Morse theory from an algebraic viewpoint", Trans. AMS 2006;
     Jollenbeck-Welker, "Minimal resolutions via algebraic discrete Morse
-    theory", Mem. AMS 2009). Returns the Morse complex's columns degree by
-    degree, one {row t + k: v} map per critical cell, for v g^k times the
-    row-th critical cell of the degree below.
+    theory", Mem. AMS 2009). Returns the Morse complex in the form of
+    `_sphere_factor`, one {row t + k: v} map per critical cell, for v g^k
+    times the row-th critical cell of the degree below.
 
     On each fibre x (x) S it matches g^c e_j, j odd, with g^(c+1) e_(j-1)
     for c < t - 1, and e_j, j even and >= 2, with g^(t-1) e_(j-1), which
@@ -352,10 +333,10 @@ def _reduce(pairs: list, terms: list, t: int, top: int) -> list:
     out = []
     below: list = []  # the flows of degree d - 1, by position
     for d, row in enumerate(pairs):
-        partner = {x: i for i, (x, _) in enumerate(pairs[d + 1])} if d + 1 < len(pairs) else {}
+        partner = {(e, x): i for i, (e, x, _) in enumerate(pairs[d + 1])} if d + 1 < len(pairs) else {}
         flows: list = [()] * (len(row) * t)  # a flow: (row t, p, w) for w g^p times a critical cell
         cols = []
-        for i, (x, j) in enumerate(row):
+        for i, (e, x, j) in enumerate(row):
             if j == 0 or j == top:
                 c = 0 if j == 0 else t - 1
                 acc: dict = {}
@@ -368,7 +349,7 @@ def _reduce(pairs: list, terms: list, t: int, top: int) -> list:
             # (c, c') for g^c e_j matched with g^c' e_(j+1): c >= 1 for j even, t - 1 for j odd
             for c, c2 in [(c, c - 1) for c in range(1, t)] if j % 2 == 0 else [(t - 1, 0)] if j < top else ():
                 acc, tau = {}, i * t + c
-                for face, h, k, v in terms[d + 1][partner[x]]:
+                for face, h, k, v in terms[d + 1][partner[e, x]]:
                     at = face + wrap[h + c2]
                     if at == tau:
                         u = v
@@ -382,26 +363,19 @@ def _reduce(pairs: list, terms: list, t: int, top: int) -> list:
     return out
 
 
-def _glued(cols: list, t: int) -> tuple[list, list]:
-    """Per-degree columns as `_reduce` (or with t = 1 `_quotient`) returns
-    them, as one free Z[Z_t]-complex (degrees, cols) like `_sphere_factor`'s."""
-    starts = [0, *accumulate(map(len, cols))]  # starts[d]: degree d's first generator
-    return [d for d, row in enumerate(cols) for _ in row], [
-        [(starts[d - 1] + key // t, key % t, v) for key, v in col.items()] for d, row in enumerate(cols) for col in row
-    ]
-
-
-def _quotient(fold: tuple) -> list:
-    """A free R-complex (degrees, cols) sent to the quotient (g -> 1),
-    degree by degree: one {row: v} map per generator, for v times the
-    row-th generator of the degree below."""
-    degrees, cols = fold
-    out: list = [[] for _ in range(degrees[-1] + 1)]
-    for d, col in zip(degrees, cols):
-        acc, below = {}, bisect_left(degrees, d - 1)  # below: degree d - 1's first generator
-        for row, _, v in col:
-            acc[row - below] = acc.get(row - below, 0) + v
-        out[d].append({row: v for row, v in acc.items() if v})
+def _quotient(cx: list, t: int) -> list:
+    """A free R-complex in the form of `_sphere_factor` sent to the quotient
+    (g -> 1), degree by degree: one {row: v} map per generator, for v times
+    the row-th generator of the degree below, a Z-complex in the same form."""
+    out = []
+    for row in cx:
+        cols = []
+        for col in row:
+            acc: dict = {}
+            for key, v in col.items():
+                acc[key // t] = acc.get(key // t, 0) + v
+            cols.append({at: v for at, v in acc.items() if v})
+        out.append(cols)
     return out
 
 
@@ -535,9 +509,6 @@ class HomologyResult(NamedTuple):
     groups: GradedAbGroup
     dom: Coeff
 
-    def betti(self) -> tuple[int, ...]:
-        return self.groups.betti()
-
 
 def boundary_factors(cx: QuotientComplex) -> tuple[tuple[int, ...], ...]:
     """Invariant factors of every boundary map; entry d belongs to the map
@@ -623,17 +594,18 @@ _FACTORS_CACHE_SIZE = 128
 
 
 @lru_cache(maxsize=_FACTORS_CACHE_SIZE)
-def _fold(n: tuple, t: int) -> tuple[list, list]:
-    """The prefix (n; t) as a reduced free R-complex (degrees, cols): a
-    sphere's own complex, else the fold of n[:-1] tensored with the last
-    sphere's (`_step`), checked, reduced by the sphere's matching (`_reduce`)
-    and checked whole, each check naming the prefix as a TupleSpec."""
+def _fold(n: tuple, t: int) -> list:
+    """The prefix (n; t) as a reduced free R-complex in the form of
+    `_sphere_factor`: a sphere's own complex, else the fold of n[:-1]
+    tensored with the last sphere's (`_step`), checked, reduced by the
+    sphere's matching (`_reduce`) and checked whole, each check naming the
+    prefix as a TupleSpec."""
     if len(n) == 1:
         return _sphere_factor(sphere_complex(n[0], t).diffs)
-    cells, name = _fold(n[-1:], t)[1], TupleSpec(n, t)
+    cells, name = _fold(n[-1:], t), TupleSpec(n, t)
     pairs, terms = _step(_fold(n[:-1], t), cells, t)
     _check_step(name, terms, t)
-    fold = _glued(_reduce(pairs, terms, t, len(cells) - 1), t)
+    fold = _reduce(pairs, terms, t, len(cells) - 1)
     _check_ring(name, fold, t)
     return fold
 
@@ -649,8 +621,8 @@ def _cached_factors(spec: TupleSpec, cap: int) -> tuple[tuple[int, ...], tuple]:
     a nonzero term, so compression found no row to drop. For r = 1 it is the
     lens space's own complex."""
     _check_cap(spec, cap)
-    cols = _quotient(_fold(spec.n, spec.t))
-    _check_ring(spec, _glued(cols, 1), 1)
+    cols = _quotient(_fold(spec.n, spec.t), spec.t)
+    _check_ring(spec, cols, 1)
     return tuple(map(len, cols)), ((),) + tuple(_snf_factors(row)[0] for row in cols[1:])
 
 

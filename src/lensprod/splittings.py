@@ -6,8 +6,9 @@ The wedge decomposition is consumed combinatorially: each summand is a
 suspension shift (possibly negative, treated as formal Laurent bookkeeping)
 of a stunted space CP_(top)(t) / CP_(bottom)(t), and the verification matches
 shifted reduced Poincare polynomials against the Thom-isomorphism prediction.
-A stunted space's groups are read off the base factor of the r = 1 ring, so
-no presentation is derived here a second time.
+A stunted space's groups are those of the base factor of
+CP_(top - bottom - 1)(t), shifted up by 2 bottom + 2, so no presentation is
+derived here a second time.
 """
 
 from __future__ import annotations
@@ -158,17 +159,18 @@ def wedge_decomposition(spec: TupleSpec, k: int = 0) -> tuple[WedgeSummand, ...]
 
 def stunted_cohomology(t, top: int, bottom: int, dom: Coeff) -> GradedAbGroup:
     """Reduced cohomology of CP_(top)(t) / CP_(bottom)(t): the groups of the
-    r = 1 ring above the collapsed skeleton, one per base of its base factor,
-    with the bottom cell in degree 2 bottom + 2 freed by the collapse."""
+    base factor of CP_(top - bottom - 1)(t), one per base, shifted up by
+    2 bottom + 2. Its unit becomes the bottom cell the collapse frees, and
+    degree 0 is dropped when bottom = -1."""
     if bottom < -1 or bottom >= top:
         raise ValueError(f"need -1 <= bottom < top, got ({bottom}, {top})")
-    factor = base_factor(top, t, resolve_mode(TupleSpec((top,), t), dom))
-    cut = 2 * bottom + 2
-    rows = [(cut, 1, ())] if cut else []
+    n1, cut = top - bottom - 1, 2 * bottom + 2
+    factor = base_factor(n1, t, resolve_mode(TupleSpec((n1,), t), dom))
+    rows = []
     for base, d in factor.degree.items():
-        if d > cut:
+        if cut + d:
             q = factor.torsion[base]
-            rows.append((d, 0, (q,)) if q else (d, 1, ()))
+            rows.append((cut + d, 0, (q,)) if q else (cut + d, 1, ()))
     return GradedAbGroup(rows)
 
 

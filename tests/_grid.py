@@ -67,6 +67,13 @@ def positive_generators(ring) -> tuple:
     )
 
 
+def betti(groups) -> tuple:
+    """Per-degree free ranks 0..top degree of a GradedAbGroup (the
+    field-coefficient view)."""
+    rows = groups.as_dict()
+    return tuple(rows.get(d, (0,))[0] for d in range(max(rows, default=-1) + 1))
+
+
 def smith_normal_form(rows) -> tuple:
     """Invariant factors d_1 | d_2 | ... of an integer matrix given as a list
     of rows (zero factors dropped, units included), by the oracle's sparse

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from lensprod.algebra import GF, GradedAbGroup, INFINITY, QQ, TupleSpec, ZZ
+from lensprod import splittings as splittings_module
 from lensprod.cohomology import build_ring, field_modes, poincare_polynomial
 from lensprod.splittings import (
     cartesian_split,
@@ -277,6 +278,22 @@ def test_stunted_groups_match_the_cell_structure():
     assert cases == 1820
 
 
+def test_stunted_reads_a_base_factor_of_its_own_size(monkeypatch):
+    # CP_(10^6)(2) / CP_(10^6 - 3)(2) has six cells above the collapse: the
+    # base factor of CP_2(2), shifted up, not that of CP_(10^6)(2)
+    real, asked = splittings_module.base_factor, []
+
+    def recorded(n1, t, mode):
+        asked.append(n1)
+        return real(n1, t, mode)
+
+    monkeypatch.setattr(splittings_module, "base_factor", recorded)
+    top = 10**6
+    got = stunted_cohomology(2, top, top - 3, GF(2))
+    assert asked == [2]
+    assert got == GradedAbGroup.of({d: (1, ()) for d in range(2 * top - 4, 2 * top + 2)})
+
+
 def test_stunted_rejects_malformed_range():
     with pytest.raises(ValueError):
         stunted_cohomology(2, 2, 2, ZZ)
@@ -371,7 +388,7 @@ def _wedge_sq_ranks(spec: TupleSpec) -> dict:
     summand's degree e read as the space's degree e + shift - 1."""
     out: dict = {}
     for s in wedge_decomposition(spec):
-        degrees = set(stunted_cohomology(s.t, s.top, s.bottom, F2).degrees())
+        degrees = set(stunted_cohomology(s.t, s.top, s.bottom, F2).as_dict())
         for e in degrees:
             for k in range(1, max(degrees) - e + 1):
                 if e + k in degrees and _stunted_sq(s.t, e, k):

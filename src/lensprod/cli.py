@@ -49,7 +49,8 @@ flags:
   --tc-override lo,hi base TC interval override
   --precision <int>   truncation for tseries (default 8)
   --law additive|multiplicative, --unit <int>   law selection for tseries
-  --cap <int>         oracle basis-size guard (default 50000)
+  --cap <int>         oracle guard on the whole quotient complex's cells
+                      (default 50000), which only the tests build
   --json              machine-readable output
 
 exit codes: 0 ok, 1 oracle mismatch, 2 invalid input, 3 unsupported combination,

@@ -1,46 +1,39 @@
-"""Brute-force homology oracle.
+"""Homology oracle.
 
-Builds the free Z[Z_t]-equivariant cell complex of a product of odd spheres
-(one cell per dimension per factor, boundary alternating between lambda - 1
-and the norm element), passes to the quotient by the diagonal action, and
-takes one exact Smith normal form per boundary map. Integral, rational and
-mod-p homology all follow from those invariant factors: over F_p the rank of
-a boundary is the number of its factors that p does not divide (universal
-coefficients). A comparison routine reads cohomology off them by universal
-coefficients, one (free, torsion) row per degree, and matches each row
-against the predicted ring's counts in that degree.
+Builds a cell complex of the quotient of a product of odd spheres by the
+diagonal Z_t action, from each sphere's free Z[Z_t]-equivariant cell
+structure (one cell per dimension, boundary alternating between lambda - 1
+and the norm element), and reads each boundary map's invariant factors off
+its diagonal. Integral, rational and mod-p homology all follow from those
+factors: over F_p the rank of a boundary is the number of its factors that
+p does not divide (universal coefficients). A comparison routine reads
+cohomology off them by universal coefficients, one (free, torsion) row per
+degree, and matches each row against the predicted ring's counts in that
+degree.
 
 A free Z[Z_t]-complex has one form: a list over the degrees d of columns,
 one {row t + k: v} map per generator for v g^k times the row-th generator of
-degree d - 1. A Z-complex is the same form with t = 1. The sphere, each
-fold, a step made explicit (`_free`) and each quotient (`_quotient`) take
-it, and the SNF reduces a quotient's columns in place. The SNF is a sparse
-unit-pivot elimination (Dumas-Saunders-Villard, "On efficient sparse integer
-matrix Smith normal forms", JSC 2001) in passes over the columns, shortest
-first (see `_snf_factors`), then a dense SNF of the small residual: a
-diagonal by least-remainder pivots, then gcd/lcm exchanges (see
-`_dense_snf`). The whole complex's boundaries are reduced in order, each
-with compression (Bauer-Kerber-Reininghaus, "Clear and Compress", 2014): the
-rows of d_{d+1} at the unit-pivot columns of d_d are left out, exact over Z
-since d o d = 0 is checked before.
+degree d - 1. A Z-complex is the same form with t = 1.
 
-Every complex is built by one fold: the spheres are tensored on one at a
-time over Z[Z_t] under the diagonal action (`_step`), and each step's d o d
-is checked over Z[Z_t] (`_check_step`). In the basis x (x) g^c e_j each
-boundary entry is one monomial alpha g^k, and the column at twist c is the
-c = 0 one moved by c, so a step keeps only its c = 0 columns. The
-comparison folds each prefix (n_1..n_k; t) once (`_fold`), reducing each
-step by the sphere's acyclic matching (`_reduce`, algebraic Morse theory),
-whose pivots are its +-1 entries, and checking d o d over Z[Z_t] again; a
-spec's factors come from the quotient (g -> 1) of its fold, checked over Z
-(`_cached_factors`). That leaves 2^(r-1) (2 n_1 + 2) cells at any t: for
-(2,2,2;6), 24 in place of the whole quotient's 7,776. The reduction is a
-homotopy equivalence over Z[Z_t] that survives the later tensor steps and
-the quotient, so the small complex's cell counts and factors give the whole
-one's homology over Z and every F_p. `product_quotient_complex` runs the
-steps without the reduction, lists each degree in sorted label order and
-sends it to the quotient (`_sum_out`), which gives the whole quotient
-complex.
+One pipeline builds the complex. The spheres are tensored on one at a time
+over Z[Z_t] under the diagonal action (`_step`), and each step's d o d is
+checked over Z[Z_t] on every column (`_check_step`). In the basis
+x (x) g^c e_j each boundary entry is one monomial alpha g^k, and the column
+at twist c is the c = 0 one moved by c, so a step keeps only its c = 0
+columns. Each step is reduced by the sphere's acyclic matching (`_reduce`,
+algebraic Morse theory), whose pivots are its +-1 entries, and checked over
+Z[Z_t] again; each prefix (n_1..n_k; t) is folded once (`_fold`). A spec's
+`product_quotient_complex` is the quotient (g -> 1) of its fold, checked
+over Z: 2^(r-1) (2 n_1 + 2) cells at any t, for (2,2,2;6) 24 in place of the
+whole quotient's 7,776. The reduction is a homotopy equivalence over
+Z[Z_t] that survives the later tensor steps and the quotient, so this
+complex has the whole one's homology over Z and every F_p.
+
+Every boundary of that complex has come out diagonal up to the order of its
+rows and columns: at most one entry per column, and no row shared by two
+columns. That is observed, not proved, so `boundary_factors` checks it and
+refuses any other shape; its factors are then the absolute entries as a
+divisibility chain, with no Smith normal form.
 
 There is no oracle for t = INFINITY: the circle quotient is not a finite free
 quotient. That regime is validated elsewhere (duality, Euler characteristics,
@@ -78,8 +71,8 @@ ENTRIES_PER_CELL = 10
 
 
 class MemoryCapError(ValueError):
-    """Raised when the quotient basis would exceed the configured cap, or its
-    boundaries ENTRIES_PER_CELL times the cap in entries."""
+    """Raised when the whole quotient complex would exceed the configured cap
+    in cells, or ENTRIES_PER_CELL times the cap in boundary entries."""
 
 
 class EquivariantComplex(NamedTuple):
@@ -109,35 +102,28 @@ def sphere_complex(n: int, t: int) -> EquivariantComplex:
 
 
 # ---------------------------------------------------------------------------
-# the quotient complex of the product
+# the quotient complex and the tensor step
 
 
 class QuotientComplex(NamedTuple):
-    """Integral cell complex of the quotient space. basis[d] lists the cells
-    (cells j_1..j_r, twists a_2..a_r) of degree d, the images of
-    e_{j_1} (x) g^{a_2} e_{j_2} (x) .. (x) g^{a_r} e_{j_r}, sorted;
-    boundaries[d] is the boundary into degree d-1 in column-major form:
-    boundaries[d][col] is the {row: int} map of the nonzero entries of the
-    boundary of basis[d][col] (boundaries[0] is None). Z_t^(r-1) acts on
-    every degree by adding to the twists mod t, and the boundary commutes
-    with that action."""
+    """The quotient (g -> 1) of a spec's reduced fold: an integral complex of
+    2^(r-1) (2 n_1 + 2) cells, homotopy equivalent to the whole quotient
+    complex of t^(r-1) prod(2 n_i + 2) cells, so with its homology over Z and
+    every F_p. boundaries[d] lists degree d's cells, each as the {row: int}
+    map of its boundary into degree d - 1 (empty in degree 0)."""
 
     spec: TupleSpec
-    basis: tuple
     boundaries: tuple
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.basis)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis) - 1
+        return tuple(map(len, self.boundaries))
 
 
 def _check_cap(spec: TupleSpec, cap: int) -> None:
     """Refuse spec when its whole quotient complex is above the cap in cells
-    or in boundary entries."""
+    or in boundary entries. Only the tests build that complex; the cap still
+    bounds it, not the reduced fold the comparison builds."""
     if not spec.finite:
         raise ValueError("no finite-quotient complex exists for t = INFINITY")
     t = spec.t
@@ -147,7 +133,7 @@ def _check_cap(spec: TupleSpec, cap: int) -> None:
     # A column has one entry per nonzero group-ring coefficient of each
     # face's sphere boundary: 2 for lambda - 1 (none when t = 1) and t for the
     # norm element. For r >= 2 no two share a row, so this is the entry
-    # count; for r = 1 it counts the coefficients the build sums.
+    # count; for r = 1 it counts the coefficients the quotient sums.
     entries = sum(total // (2 * ni + 2) * ((2 * ni + 2) * (t > 1) + ni * t) for ni in spec.n)
     if entries > ENTRIES_PER_CELL * cap:
         raise MemoryCapError(
@@ -163,14 +149,14 @@ def _sphere_factor(diffs: tuple) -> list:
     return [[{}]] + [[{k: c for k, c in enumerate(coeffs) if c}] for coeffs in diffs[1:]]
 
 
-def _step(first: list, cells: list, t: int, key=None) -> tuple[list, list]:
+def _step(first: list, cells: list, t: int) -> tuple[list, list]:
     """One tensor step: first (x) S over R = Z[Z_t] under the diagonal
     action, first a free R-complex and cells the sphere S, both in the form
     `_sphere_factor` gives. Returns (pairs, terms): pairs[d] lists the
     triples (e, x, j) of the x-th generator of degree e of first and a cell
-    e_j of S with e + j = d, sorted by key (in product order when key is
-    None); the generators (e, x) (x) g^c e_j of the i-th pair sit at the
-    positions i t + c of degree d, and terms[d][i] is their c = 0 column.
+    e_j of S with e + j = d, in product order; the generators
+    (e, x) (x) g^c e_j of the i-th pair sit at the positions i t + c of
+    degree d, and terms[d][i] is their c = 0 column.
 
     A term (face, h, k, v) stands, in the column at twist c, for v g^k times
     the generator at position face + (h + c) % t of degree d - 1. A term
@@ -185,8 +171,6 @@ def _step(first: list, cells: list, t: int, key=None) -> tuple[list, list]:
         for x in range(len(row)):
             for j in range(len(cells)):
                 pairs[e + j].append((e, x, j))
-    for row in pairs:
-        row.sort(key=key)
     face = [[[0] * len(row) for row in first] for _ in cells]  # face[j][e][x]: the position of (e, x, j)
     for row in pairs:
         for i, (e, x, j) in enumerate(row):
@@ -205,79 +189,22 @@ def _step(first: list, cells: list, t: int, key=None) -> tuple[list, list]:
     return pairs, terms
 
 
-def _check_step(name, terms: list, t: int, checked=None) -> None:
-    """d o d = 0 over Z[Z_t] on a step's c = 0 columns, or on those of the
-    pairs checked[d] lists for each degree d, accumulated by the key
-    row t + power of g; name is the complex's name in the error. The column
-    at twist c is the c = 0 one moved by 1 (x) g^c, which commutes with d and
-    with the action, so the c = 0 columns prove d o d on all."""
+def _check_step(name, terms: list, t: int) -> None:
+    """d o d = 0 over Z[Z_t] on every c = 0 column of a step, accumulated by
+    the key row t + power of g; name is the complex's name in the error. The
+    column at twist c is the c = 0 one moved by 1 (x) g^c, which commutes
+    with d and with the action, so the c = 0 columns prove d o d on all."""
     wrap = list(range(t)) * 2  # wrap[a] = a % t for a < 2 t
     for d in range(2, len(terms)):
         lower = terms[d - 1]
-        for i in range(len(terms[d])) if checked is None else checked[d]:
+        for col in terms[d]:
             acc: dict = {}
-            for face, h, k, v in terms[d][i]:
+            for face, h, k, v in col:
                 for face2, h2, k2, w in lower[face // t]:
                     key = (face2 + wrap[h + h2]) * t + wrap[k + k2]
                     acc[key] = acc.get(key, 0) + v * w
             if any(acc.values()):
                 raise AssertionError(f"d o d != 0 over Z[Z_t] at degree {d} of {name}")
-
-
-def _free(terms: list, t: int) -> list:
-    """A step as an explicit free R-complex in the form of `_sphere_factor`:
-    the generator at position i t + c of degree d has the c = 0 column of the
-    i-th pair moved by c."""
-    return [
-        [{(face + (h + c) % t) * t + k: v for face, h, k, v in col} for col in row for c in range(t)] for row in terms
-    ]
-
-
-def _sum_out(row: list, nrows: int, t: int) -> list:
-    """One degree of a step, terms[d], sent to the quotient (g -> 1): the
-    column at position i t + c is {face + (h + c) % t: v} over the terms of
-    row[i]. No two terms of a column share a (face, h), so no two share a
-    row. The rows are one int per row of the nrows, shared by the columns."""
-    rows = list(range(nrows))
-    # block[face][h + c] is the row face + (h + c) % t, face a multiple of t
-    block = [rows[face : face + t] * 2 if face % t == 0 else None for face in range(nrows)]
-    return [{block[face][h + c]: v for face, h, _, v in col} for col in row for c in range(t)]
-
-
-def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> QuotientComplex:
-    """The whole quotient complex, by the tensor steps of `_fold` without
-    the reduction: each step keeps the label (cells, twists) of every
-    generator and sorts each degree's pairs by it, so the last step's
-    generators are the basis in sorted order, and its degrees, sent to the
-    quotient (`_sum_out`) top down and each freed once used, the boundaries.
-    Every step is checked before the next, the last before any columns. For
-    r = 1 it is the quotient of the sphere, as in the comparison."""
-    _check_cap(spec, cap)
-    t = spec.t
-    first, *spheres = [_sphere_factor(sphere_complex(ni, t).diffs) for ni in spec.n]
-    basis = [[((d,), ())] for d in range(len(first))]
-    for m, cells in enumerate(spheres, 2):
-        labels = basis
-        cells_of = [[[c + (j,) for j in range(len(cells))] for c, _ in row] for row in labels]  # [e][x][j]
-        pairs, terms = _step(first, cells, t, lambda p: (cells_of[p[0]][p[1]][p[2]], labels[p[0]][p[1]][1]))
-        # Checked on the pairs whose inner twists are all 0: s_h, adding h
-        # to the twists, commutes with each step's D by induction (D on
-        # (s_h x, j) is the rule applied to D' s_h x = s_h D' x, and the
-        # column at c is the c = 0 one moved), every generator is s_h z
-        # for such a pair's z at c = 0, and D D s_h z = s_h D D z = 0.
-        untwisted = [[i for i, (e, x, _) in enumerate(row) if not any(labels[e][x][1])] for row in pairs]
-        _check_step(spec, terms, t, untwisted)
-        twists_of = {twist: [twist + (c,) for c in range(t)] for row in labels for _, twist in row}
-        basis = [
-            [(cells_of[e][x][j], twist) for e, x, j in row for twist in twists_of[labels[e][x][1]]] for row in pairs
-        ]
-        if m < spec.r:
-            first = _free(terms, t)
-    if spheres:  # the last step's degrees, top down
-        boundaries = [_sum_out(terms.pop(), len(basis[d - 1]), t) for d in range(len(terms) - 1, 0, -1)][::-1]
-    else:
-        boundaries = _quotient(first, t)[1:]
-    return QuotientComplex(spec, tuple(map(tuple, basis)), (None,) + tuple(map(tuple, boundaries)))
 
 
 # ---------------------------------------------------------------------------
@@ -380,128 +307,6 @@ def _quotient(cx: list, t: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
-
-
-def _snf_factors(columns) -> tuple[tuple[int, ...], set]:
-    """Invariant factors of a sparse integer matrix given as its columns,
-    each a {row: value} map, and the set of columns the unit sweep took as
-    pivots. The columns are reduced in place: a caller that keeps its matrix
-    passes a copy.
-
-    Unit-pivot sweep first: boundary matrices here are mostly made of +-1
-    entries, so eliminating on +-1 pivots removes nearly everything without
-    coefficient growth. Each pass visits the live columns in ascending order
-    of their length at the start of the pass; in each it pivots on the +-1
-    entry whose row meets the fewest columns, clears that row with column
-    operations and drops the pivot row and column. Passes repeat until one
-    finds no +-1 pivot; the residual goes to the dense SNF."""
-    cols: dict[int, dict[int, int]] = {}
-    rows: dict[int, set[int]] = {}
-    for j, col in enumerate(columns):  # the row index
-        if col:
-            cols[j] = col
-            for i in col:
-                if i in rows:
-                    rows[i].add(j)
-                else:
-                    rows[i] = {j}
-
-    pivots = set()
-    found = True
-    while found:
-        found = False
-        for j in sorted(cols, key=lambda j: len(cols[j])):
-            col = cols.get(j)
-            if col is None:  # emptied earlier in this pass
-                continue
-            i, fewest = None, None
-            for i2, v in col.items():
-                if (v == 1 or v == -1) and (fewest is None or len(rows[i2]) < fewest):
-                    i, fewest = i2, len(rows[i2])
-            if i is None:
-                continue
-            piv = col.pop(i)
-            prow = rows.pop(i)
-            prow.discard(j)
-            if col:
-                for j2 in prow:
-                    col2 = cols[j2]
-                    mult = col2.pop(i) * piv  # exact: piv is +-1
-                    for i2, v in col.items():
-                        w = col2.get(i2, 0) - mult * v
-                        if w:
-                            if i2 not in col2:
-                                rows[i2].add(j2)
-                            col2[i2] = w
-                        else:  # mult * v is nonzero, so i2 was present
-                            del col2[i2]
-                            rows[i2].discard(j2)
-                    if not col2:
-                        del cols[j2]
-                for i2 in col:
-                    rows[i2].discard(j)
-            else:  # a unit vector: clearing its row only drops the row's entries
-                for j2 in prow:
-                    col2 = cols[j2]
-                    del col2[i]
-                    if not col2:
-                        del cols[j2]
-            del cols[j]
-            pivots.add(j)
-            found = True
-
-    if not cols:  # the sweep deletes every column it empties
-        return (1,) * len(pivots), pivots
-
-    # compact the residual into a small dense matrix
-    live_rows = sorted({i for col in cols.values() for i in col})
-    rmap = {i: a for a, i in enumerate(live_rows)}
-    dense = [[0] * len(cols) for _ in live_rows]
-    for b, j in enumerate(sorted(cols)):
-        for i, v in cols[j].items():
-            dense[rmap[i]][b] = v
-    return (1,) * len(pivots) + _dense_snf(dense), pivots
-
-
-def _dense_snf(mat: list[list[int]]) -> tuple[int, ...]:
-    """Invariant factors of a dense integer matrix, a list of rows that is
-    reduced in place, in divisibility order (zero factors dropped).
-
-    First a diagonal D = U mat V, U and V unimodular: pivot on an entry of
-    least absolute value, subtract quotient multiples of its row from the
-    other rows and of its column from the other columns, and take the least
-    nonzero remainder, smaller than the pivot, as the next pivot, until the
-    pivot's row and column are clear; then drop both. With its column clear,
-    the column steps change only the pivot's row. Then the divisibility
-    chain of the diagonal, by `elementary_divisors`, behind its 1s."""
-    diagonal = []
-    while any(map(any, mat)):
-        _, i, j = min((abs(v), i, j) for i, row in enumerate(mat) for j, v in enumerate(row) if v)
-        while True:
-            prow, p = mat[i], mat[i][j]
-            for k, row in enumerate(mat):
-                if k != i and (q := row[j] // p):
-                    mat[k] = [a - q * b for a, b in zip(row, prow)]
-            column = [(abs(row[j]), k) for k, row in enumerate(mat) if k != i and row[j]]
-            if column:
-                i = min(column)[1]
-                continue
-            prow = mat[i] = [v % p for v in prow]
-            prow[j] = p
-            row = [(abs(v), k) for k, v in enumerate(prow) if v and k != j]
-            if not row:
-                break
-            j = min(row)[1]
-        diagonal.append(abs(p))
-        del mat[i]
-        for row in mat:
-            del row[j]
-    chain = elementary_divisors(diagonal)  # it drops the 1s
-    return (1,) * (len(diagonal) - len(chain)) + chain
-
-
-# ---------------------------------------------------------------------------
 # homology and the theory comparison
 
 
@@ -512,18 +317,18 @@ class HomologyResult(NamedTuple):
 
 def boundary_factors(cx: QuotientComplex) -> tuple[tuple[int, ...], ...]:
     """Invariant factors of every boundary map; entry d belongs to the map
-    out of degree d (entry 0, the zero map, is empty). cx must be a chain
-    complex: d_{d+1}'s rows at the cells d_d's unit sweep took as pivot
-    columns are dropped, which needs d o d = 0. The sweep adds only pivot
-    columns to others, so the other cells' coordinates are unchanged; the
-    pivot block is triangular with +-1 diagonal, so every cycle is zero at
-    the pivot cells; im d_{d+1} lies in the cycles, so d_{d+1} = U [R; 0]
-    with U unimodular and SNF(d_{d+1}) = SNF(R)."""
-    out, cleared = [()], ()
-    for b in cx.boundaries[1:]:
-        copy = [{i: v for i, v in col.items() if i not in cleared} for col in b]
-        factors, cleared = _snf_factors(copy)
-        out.append(factors)
+    out of degree d (entry 0, the zero map, is empty), read off its diagonal.
+    AssertionError unless each map has at most one entry per column and no
+    row shared by two columns, which makes it diagonal up to the order of
+    its rows and columns; its factors are then its absolute entries as a
+    divisibility chain, behind their 1s."""
+    out = [()]
+    for d, cols in enumerate(cx.boundaries[1:], 1):
+        entries = [abs(v) for col in cols for v in col.values()]
+        if any(len(col) > 1 for col in cols) or len({row for col in cols for row in col}) < len(entries):
+            raise AssertionError(f"the boundary out of degree {d} of {cx.spec} is not diagonal")
+        chain = elementary_divisors(entries)
+        out.append((1,) * (len(entries) - len(chain)) + chain)
     return tuple(out)
 
 
@@ -553,7 +358,7 @@ def _homology_groups(cells: tuple, factors: tuple, dom: Coeff) -> GradedAbGroup:
 
 def homology(cx: QuotientComplex, dom: Coeff = ZZ) -> HomologyResult:
     """H_*(cx) over Z (free part + invariant-factor torsion) or over a field
-    (Betti numbers), from one SNF per boundary map."""
+    (Betti numbers), from the factors of its boundary maps."""
     return HomologyResult(_homology_groups(cx.ranks, boundary_factors(cx), dom), dom)
 
 
@@ -610,20 +415,25 @@ def _fold(n: tuple, t: int) -> list:
     return fold
 
 
-@lru_cache(maxsize=_FACTORS_CACHE_SIZE)
-def _cached_factors(spec: TupleSpec, cap: int) -> tuple[tuple[int, ...], tuple]:
-    """Cell counts and boundary invariant factors of a quotient complex with
-    the homology of spec's, over Z and so over every F_p, after refusing spec
-    as `product_quotient_complex` would: the quotient (g -> 1) of spec's own
-    fold, checked over Z (`_check_ring`). Each degree of its
-    2^(r-1) (2 n_1 + 2) cells is reduced in place, uncompressed: on the grid
-    and 300 random specs no composite d_d d_{d+1} of the reduced quotient had
-    a nonzero term, so compression found no row to drop. For r = 1 it is the
-    lens space's own complex."""
+def product_quotient_complex(spec: TupleSpec, cap: int = DEFAULT_CAP) -> QuotientComplex:
+    """spec's quotient complex as the comparison reads it, after refusing
+    spec over the cap: the quotient (g -> 1) of spec's fold, checked over Z
+    (`_check_ring`). It has 2^(r-1) (2 n_1 + 2) cells and is homotopy
+    equivalent to the whole quotient complex; for r = 1 it is the lens
+    space's own complex."""
     _check_cap(spec, cap)
     cols = _quotient(_fold(spec.n, spec.t), spec.t)
     _check_ring(spec, cols, 1)
-    return tuple(map(len, cols)), ((),) + tuple(_snf_factors(row)[0] for row in cols[1:])
+    return QuotientComplex(spec, tuple(map(tuple, cols)))
+
+
+@lru_cache(maxsize=_FACTORS_CACHE_SIZE)
+def _cached_factors(spec: TupleSpec, cap: int) -> tuple[tuple[int, ...], tuple]:
+    """Cell counts and boundary invariant factors of spec's
+    `product_quotient_complex`, which has the whole quotient complex's
+    homology over Z and so over every F_p."""
+    cx = product_quotient_complex(spec, cap)
+    return cx.ranks, boundary_factors(cx)
 
 
 def compare_with_theory(spec: TupleSpec, dom: Coeff = ZZ, cap: int = DEFAULT_CAP) -> ComparisonReport:

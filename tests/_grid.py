@@ -5,7 +5,6 @@ from math import comb
 
 from lensprod.algebra import INFINITY, TruncPoly, TupleSpec, ZZ
 from lensprod.cohomology import BasisMonomial
-from lensprod.oracle import _snf_factors
 from lensprod.steenrod import sq_k
 
 FINITE_TS = (1, 2, 3, 4, 6)
@@ -73,14 +72,3 @@ def betti(groups) -> tuple:
     rows = groups.as_dict()
     return tuple(rows.get(d, (0,))[0] for d in range(max(rows, default=-1) + 1))
 
-
-def smith_normal_form(rows) -> tuple:
-    """Invariant factors d_1 | d_2 | ... of an integer matrix given as a list
-    of rows (zero factors dropped, units included), by the oracle's sparse
-    elimination on a column copy."""
-    cols: dict = {}
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                cols.setdefault(j, {})[i] = int(v)
-    return _snf_factors(cols.values())[0]

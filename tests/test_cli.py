@@ -115,6 +115,26 @@ def test_oracle_entry_cap_exits_3(monkeypatch):
     assert code == 0 and json.loads(out)["oracle"] == {"checked": False, "match": True}
 
 
+def test_a_non_diagonal_quotient_exits_4(monkeypatch):
+    # a second entry in a column of d_5 of (1,1,1;3)'s quotient: d_4 and d_6
+    # vanish, so it is still a chain complex, and only the read of the
+    # factors off the diagonal refuses it
+    from lensprod import oracle
+
+    quotient = oracle._quotient
+
+    def non_diagonal(fold, t):
+        cols = quotient(fold, t)
+        cols[5][0][1] = 3
+        return cols
+
+    monkeypatch.setattr(oracle, "_quotient", non_diagonal)
+    oracle._cached_factors.cache_clear()
+    code, out, err = go(["--n", "1,1,1", "--t", "3", "oracle", "--json"])
+    assert code == 4 and out == ""
+    assert err == "internal error: the boundary out of degree 5 of CP_(1, 1, 1)(3) is not diagonal\n"
+
+
 def test_domain_rejections_exit_2():
     for args in (
         ["--n", "1,1", "--t", "inf", "invariants", "--gd", "9"],
